@@ -32,8 +32,6 @@ from .prism import (
     build_network_chain,
     compose_network,
     derive_commands,
-    mu,
-    step_network,
 )
 from .projection import ProjectionContext, fuse_resets, proj_role, proj_update, project
 from .semantics import build_chain, eval_expr, eval_weight, step
@@ -85,7 +83,6 @@ __all__ = [
     "fuse_resets",
     "jump_chain",
     "load_program",
-    "mu",
     "nodes",
     "parse",
     "pretty_print",
@@ -96,7 +93,6 @@ __all__ = [
     "require_well_formed",
     "s_conn",
     "step",
-    "step_network",
     "surface_to_core",
     "verify_projection",
 ]

@@ -1,14 +1,18 @@
-"""Explicit-state Markov chains and their export formats.
+"""Explicit-state Markov chains, their exploration and export formats.
 
 Both the choreography semantics and the network semantics produce values of
-:class:`MarkovChain`; the equivalence checker compares them structurally, so
-the container is deliberately plain: integer state ids, valuation tuples, and
-per-state weight maps.
+:class:`MarkovChain` through the one breadth-first :func:`explore` loop; the
+equivalence checker compares them structurally, so the container is
+deliberately plain: integer state ids, valuation tuples, and per-state
+weight maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable
+
+from .errors import StateBudgetExceeded
 
 
 def render_value(v) -> str:
@@ -49,6 +53,11 @@ class MarkovChain:
         row = self.states[sid]
         return tuple(row[p] for p in pos)
 
+    def observations(self, names: tuple[str, ...]) -> list[tuple]:
+        """:meth:`observation` of every state, in state order."""
+        pos = [self.var_names.index(n) for n in names]
+        return [tuple(row[p] for p in pos) for row in self.states]
+
     def to_text(self) -> str:
         lines = [f"# {self.kind} {self.num_states} states {self.num_transitions} transitions"]
         for sid in range(self.num_states):
@@ -71,3 +80,38 @@ class MarkovChain:
                 )
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+Successors = Callable[[Hashable], Iterable[tuple[Hashable, float]]]
+
+
+def explore(
+    init: Hashable, successors: Successors, max_states: int
+) -> tuple[list[Hashable], list[dict[int, float]]]:
+    """Breadth-first exploration from ``init``.
+
+    ``successors(key)`` yields ``(key, weight)`` moves; states are numbered
+    in the order they are first reached, and weights of moves into the same
+    state add up in the order they are yielded. Returns the state keys and
+    the per-state successor weight maps. Raises StateBudgetExceeded as soon
+    as more than ``max_states`` states would be needed.
+    """
+    if max_states < 1:
+        raise StateBudgetExceeded(max_states)
+    index: dict = {init: 0}
+    keys: list = [init]
+    edges: list[dict[int, float]] = [{}]
+    frontier = 0
+    while frontier < len(keys):
+        row = edges[frontier]
+        for k, w in successors(keys[frontier]):
+            dst = index.get(k)
+            if dst is None:
+                if len(keys) >= max_states:
+                    raise StateBudgetExceeded(max_states)
+                dst = index[k] = len(keys)
+                keys.append(k)
+                edges.append({})
+            row[dst] = row.get(dst, 0.0) + w
+        frontier += 1
+    return keys, edges

@@ -49,7 +49,7 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     genuine branching (or administrative cycles) is kept. Idempotent.
     """
     n = chain.num_states
-    obs = [chain.observation(s, obs_names) for s in range(n)]
+    obs = chain.observations(obs_names)
 
     def admin(x: int, y: int, w: float) -> bool:
         return abs(w - 1.0) <= TOL and obs[x] == obs[y]
@@ -123,7 +123,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     genuine jump can occupy.
     """
     n = chain.num_states
-    obs = [chain.observation(s, obs_names) for s in range(n)]
+    obs = chain.observations(obs_names)
     stutter = [
         {y: w for y, w in chain.edges[x].items() if obs[y] == obs[x]} for x in range(n)
     ]
@@ -222,8 +222,8 @@ def bisimilar(
     (first chain's states first).
     """
     n1, n2 = c1.num_states, c2.num_states
-    obs = [c1.observation(s, obs_names) for s in range(n1)]
-    obs += [c2.observation(s, obs_names) for s in range(n2)]
+    obs = c1.observations(obs_names)
+    obs += c2.observations(obs_names)
     edges = [dict(c1.edges[s]) for s in range(n1)]
     edges += [{t + n1: w for t, w in c2.edges[s].items()} for s in range(n2)]
     total = n1 + n2
@@ -275,8 +275,10 @@ def explain_difference(
     """Human-readable reason the two initial states ended in different
     blocks of the final (stable) partition."""
     n1 = c1.num_states
-    o1 = c1.observation(c1.init, obs_names)
-    o2 = c2.observation(c2.init, obs_names)
+    obs = c1.observations(obs_names)
+    obs += c2.observations(obs_names)
+    o1 = obs[c1.init]
+    o2 = obs[n1 + c2.init]
     if o1 != o2:
         return (
             f"initial states disagree on the observable variables: "
@@ -297,13 +299,7 @@ def explain_difference(
     s2 = block_sums(c2, n1)
 
     def block_obs(b: int) -> tuple:
-        for x in range(n1):
-            if blocks[x] == b:
-                return c1.observation(x, obs_names)
-        for x in range(c2.num_states):
-            if blocks[x + n1] == b:
-                return c2.observation(x, obs_names)
-        raise AssertionError("empty block")
+        return obs[blocks.index(b)]
 
     for b in sorted(set(s1) | set(s2)):
         w1 = round(s1.get(b, 0.0), 9)

@@ -9,21 +9,36 @@ induced Markov chain over the joint valuation of all module variables.
 Updates inside a single alternative apply left to right, each assignment
 seeing the effect of the previous one — the same discipline the source
 language uses, which is what makes the two chains comparable.
+
+Exploration compiles the derived commands once per network. Guards and
+updates become closures over state tuples (one slot per variable) with the
+constants folded in, and each alternative's weight is evaluated once, the
+first time its command is enabled. Every command is filed under one
+top-level ``var = literal`` conjunct of its guard — for projected networks,
+the role's program counter — so a state evaluates only the commands its
+slot values allow, in derivation order; the compiled guard still decides.
+The successor function feeds the breadth-first loop shared with the source
+semantics, :func:`chain.explore`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .chain import MarkovChain
-from .errors import EvalError, RangeViolation, StateBudgetExceeded, TypeMismatch
+from .analysis import type_of
+from .chain import MarkovChain, explore
+from .errors import ChorError, EvalError, TypeMismatch, WellFormednessError
 from .semantics import (
     DEFAULT_MAX_STATES,
-    apply_assignments,
+    STATE_OPS,
+    apply_unary,
+    assigned_value,
     eval_expr,
     eval_weight,
+    override_initial,
 )
-from .syntax import Assign, Binary, Expr, Lit, VarDecl
+from .syntax import BOOL_OPS, Assign, Binary, Expr, Lit, Unary, Var, VarDecl
 
 #: one probabilistic alternative of a command: (weight, assignments)
 Alt = tuple[Expr, tuple[Assign, ...]]
@@ -130,9 +145,15 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
     right = derive_commands(net.right)
     out = [c for c in left if c.label is None or c.label not in net.sync_set]
     out.extend(c for c in right if c.label is None or c.label not in net.sync_set)
+    right_by_label: dict[str, list[PrismCommand]] = {}
+    for c in right:
+        right_by_label.setdefault(c.label, []).append(c)
+    left_by_label: dict[str, list[PrismCommand]] = {}
+    for c in left:
+        left_by_label.setdefault(c.label, []).append(c)
     for label in sorted(net.sync_set):
-        for cl in (c for c in left if c.label == label):
-            for cr in (c for c in right if c.label == label):
+        for cl in left_by_label.get(label, ()):
+            for cr in right_by_label.get(label, ()):
                 alts = tuple(
                     (_mul(wl, wr), ul + ur)
                     for wl, ul in cl.alts
@@ -142,111 +163,273 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
     return tuple(out)
 
 
-def mu(
-    cmd: PrismCommand,
-    src: dict,
-    dst: dict,
-    decl_of,
-    constants: dict,
-) -> float:
-    """Total weight the command moves from valuation ``src`` to ``dst``:
-    the sum of the weights of all alternatives whose update maps ``src`` to
-    ``dst``, or 0 when the guard is false."""
-    env = dict(constants)
-    env.update(src)
-    g = eval_expr(cmd.guard, env)
-    if not isinstance(g, bool):
-        raise TypeMismatch("command guard is not boolean")
-    if not g:
-        return 0.0
-    total = 0.0
-    for w, upd in cmd.alts:
-        if apply_assignments(upd, src, decl_of, constants) == dst:
-            total += eval_weight(w, constants)
-    return total
-
-
-def _decl_lookup(decls: dict[str, VarDecl]):
-    def decl_of(name: str) -> VarDecl:
-        d = decls.get(name)
-        if d is None:
-            raise EvalError(f"assignment to undeclared variable {name}")
-        return d
-
-    return decl_of
-
-
-def _step(
-    commands: tuple[PrismCommand, ...],
-    valuation: dict,
-    kind: str,
-    decl_of,
-    constants: dict,
-    var_names: tuple[str, ...],
-) -> tuple[list[tuple[dict, float]], float | None]:
-    """One-step successors with merged weights.
-
-    Returns the moves and, in discrete mode, the raw outgoing mass whenever
-    it had to be renormalized to 1.
-    """
-    acc: dict[tuple, tuple[dict, float]] = {}
-    env = dict(constants)
-    env.update(valuation)
-    for cmd in commands:
-        g = eval_expr(cmd.guard, env)
-        if not isinstance(g, bool):
-            raise TypeMismatch("command guard is not boolean")
-        if not g:
-            continue
-        for w, upd in cmd.alts:
-            wv = eval_weight(w, constants)
-            if wv == 0.0:
-                continue
-            nxt = apply_assignments(upd, valuation, decl_of, constants)
-            k = tuple(nxt[n] for n in var_names)
-            prev = acc.get(k)
-            acc[k] = (nxt, wv if prev is None else prev[1] + wv)
-    moves = [(v, w) for v, w in acc.values() if w != 0.0]
-    renormalized_from = None
-    if kind == "dtmc":
-        if not moves:
-            moves = [(dict(valuation), 1.0)]
-        else:
-            mass = sum(w for _, w in moves)
-            if abs(mass - 1.0) > 1e-9:
-                renormalized_from = mass
-                moves = [(v, w / mass) for v, w in moves]
-    return moves, renormalized_from
-
-
-def step_network(
-    net: Network, valuation: dict, kind: str, constants: dict
-) -> list[tuple[dict, float]]:
-    """Successor distribution of the whole network from one valuation."""
-    decls = {d.name: d for d in network_var_decls(net)}
-    var_names = tuple(decls)
-    moves, _ = _step(
-        derive_commands(net), valuation, kind, _decl_lookup(decls), constants, var_names
-    )
-    return moves
-
-
 def initial_network_valuation(
     decls: tuple[VarDecl, ...], overrides: dict | None = None
 ) -> dict:
-    val = {d.name: d.init for d in decls}
     by_name = {d.name: d for d in decls}
-    for name, v in (overrides or {}).items():
+
+    def decl_of(name: str) -> VarDecl:
         decl = by_name.get(name)
         if decl is None:
             raise EvalError(f"no variable named {name} in the network")
-        if decl.is_bool:
-            if not isinstance(v, bool):
-                raise TypeMismatch(f"initial override for {name} is not bool")
-        elif not decl.contains(v):
-            raise RangeViolation(name, v, decl.lo, decl.hi, "initial override")
-        val[name] = v
-    return val
+        return decl
+
+    return override_initial(decls, overrides, decl_of)
+
+
+# ---------------------------------------------------------------------------
+# compiled commands
+# ---------------------------------------------------------------------------
+
+def _fold(e: Expr, slot_of: dict[str, int], constants: dict) -> Expr:
+    """``e`` with constants substituted and constant subexpressions
+    evaluated. A subexpression whose evaluation raises stays as it is, so
+    that it raises where the tree-walker would: when a state reaches it."""
+    if isinstance(e, Var):
+        if e.name not in slot_of and e.name in constants:
+            return Lit(constants[e.name])
+        return e
+    if isinstance(e, Unary):
+        operand = _fold(e.operand, slot_of, constants)
+        if operand is not e.operand:
+            e = Unary(e.op, operand)
+        if not isinstance(operand, Lit):
+            return e
+    elif isinstance(e, Binary):
+        left = _fold(e.left, slot_of, constants)
+        right = _fold(e.right, slot_of, constants)
+        if left is not e.left or right is not e.right:
+            e = Binary(e.op, left, right)
+        if not (isinstance(left, Lit) and isinstance(right, Lit)):
+            return e
+    else:
+        return e
+    try:
+        return Lit(eval_expr(e, {}))
+    except (ChorError, ArithmeticError):
+        return e
+
+
+def _closure(e: Expr, slot_of: dict[str, int]):
+    """A function from a state row (tuple or list, one slot per variable)
+    to the value of the folded expression ``e``."""
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda row: value
+    if isinstance(e, Var):
+        slot = slot_of.get(e.name)
+        if slot is not None:
+            return itemgetter(slot)
+        message = f"unbound name {e.name}"
+
+        def unbound(row):
+            raise EvalError(message)
+
+        return unbound
+    if isinstance(e, Unary):
+        op, operand = e.op, _closure(e.operand, slot_of)
+        return lambda row: apply_unary(op, operand(row))
+    if (
+        e.op == "="
+        and isinstance(e.left, Var)
+        and isinstance(e.right, Lit)
+        and e.left.name in slot_of
+    ):
+        slot, value = slot_of[e.left.name], e.right.value
+        return lambda row: row[slot] == value
+    left, right = _closure(e.left, slot_of), _closure(e.right, slot_of)
+    fn = STATE_OPS.get(e.op)
+    if fn is None:
+        message = f"unknown operator {e.op}"
+
+        def unknown(row):
+            left(row), right(row)
+            raise EvalError(message)
+
+        return unknown
+    if isinstance(e.right, Lit):
+        value = e.right.value
+        return lambda row: fn(left(row), value)
+    return lambda row: fn(left(row), right(row))
+
+
+def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], constants):
+    """``(slot, value_fn)`` for one assignment: ``value_fn`` maps the row
+    being updated to the checked value to store in ``slot``."""
+    expr = _fold(a.expr, slot_of, constants)
+    decl = decls.get(a.var)
+    if decl is not None and isinstance(expr, Lit):
+        try:
+            value = assigned_value(a, decl, expr.value)
+            return slot_of[a.var], lambda row: value
+        except ChorError:
+            pass  # raise on reaching it, as the tree-walker does
+    fn = _closure(expr, slot_of)
+    if decl is None:
+        message = f"assignment to undeclared variable {a.var}"
+
+        def undeclared(row):
+            fn(row)
+            raise EvalError(message)
+
+        return None, undeclared
+    return slot_of[a.var], lambda row: assigned_value(a, decl, fn(row))
+
+
+def _update(update: tuple[Assign, ...], slot_of, decls, constants):
+    """A function from a state tuple to the state tuple after ``update``,
+    applied left to right with every assignment seeing the previous ones."""
+    steps = [_assignment(a, slot_of, decls, constants) for a in update]
+
+    def apply(row: tuple) -> tuple:
+        cur = list(row)
+        for slot, value in steps:
+            cur[slot] = value(cur)
+        return tuple(cur)
+
+    return apply
+
+
+def _conjuncts(e: Expr):
+    if isinstance(e, Binary) and e.op == "and":
+        yield from _conjuncts(e.left)
+        yield from _conjuncts(e.right)
+    else:
+        yield e
+
+
+def _total(e: Expr) -> bool:
+    """Whether evaluating the well-typed expression ``e`` can never raise:
+    it divides only by non-zero literals."""
+    if isinstance(e, Unary):
+        return _total(e.operand)
+    if isinstance(e, Binary):
+        if e.op in ("/", "mod"):
+            if not (isinstance(e.right, Lit) and e.right.value != 0):
+                return False
+        elif e.op not in BOOL_OPS and e.op not in ("+", "-", "*", "min", "max"):
+            return False
+        return _total(e.left) and _total(e.right)
+    return True
+
+
+def _index_slot(guard: Expr, slot_of: dict[str, int], var_types: dict | None):
+    """``(slot, value)`` of the first top-level ``var = literal`` conjunct
+    of ``guard``, when ``guard`` cannot raise and so may be skipped at a
+    state where that conjunct is false; otherwise None. ``var_types`` is
+    None when some initial value does not have its declared type."""
+    if var_types is None:
+        return None
+    for c in _conjuncts(guard):
+        if (
+            isinstance(c, Binary)
+            and c.op == "="
+            and isinstance(c.left, Var)
+            and isinstance(c.right, Lit)
+        ):
+            break
+    else:
+        return None
+    try:
+        if type_of(guard, var_types) != "bool":
+            return None
+    except WellFormednessError:
+        return None
+    if not _total(guard):
+        return None
+    return slot_of[c.left.name], c.right.value
+
+
+class _Compiled:
+    """One derived command, compiled from its folded guard. ``alts`` holds
+    a mutable ``[weight or None, weight expression, update function]`` per
+    alternative; the weight is filled in the first time it is needed."""
+
+    __slots__ = ("guard", "alts")
+
+    def __init__(self, guard: Expr, alts: tuple[Alt, ...], slot_of, decls, constants):
+        self.guard = _closure(guard, slot_of)
+        self.alts = [[None, w, _update(u, slot_of, decls, constants)] for w, u in alts]
+
+
+def _successors(net: Network, kind: str, constants: dict, init: tuple, findings: list):
+    """The one-step successor function of the network's chain over state
+    tuples. Moves into the same state merge; in discrete mode the mass is
+    renormalized to 1 where commands race, and the first such state is
+    reported in ``findings``."""
+    decls_list = network_var_decls(net)
+    var_names = tuple(d.name for d in decls_list)
+    slot_of = {n: i for i, n in enumerate(var_names)}
+    decls = {d.name: d for d in decls_list}
+    commands = derive_commands(net)
+
+    well_typed = all(
+        isinstance(v, bool) if decls[n].is_bool else isinstance(v, int) and not isinstance(v, bool)
+        for n, v in zip(var_names, init)
+    )
+    var_types = (
+        {n: "bool" if d.is_bool else "int" for n, d in decls.items()} if well_typed else None
+    )
+    compiled: list[_Compiled] = []
+    always: list[int] = []
+    index: dict[int, dict[object, list[int]]] = {}
+    for i, cmd in enumerate(commands):
+        guard = _fold(cmd.guard, slot_of, constants)
+        compiled.append(_Compiled(guard, cmd.alts, slot_of, decls, constants))
+        key = _index_slot(guard, slot_of, var_types)
+        if key is None:
+            always.append(i)
+        else:
+            index.setdefault(key[0], {}).setdefault(key[1], []).append(i)
+    tables = list(index.items())
+    # the candidates depend only on the indexed slots, so they are worked
+    # out once per combination of their values
+    indexed = itemgetter(*index) if index else (lambda row: ())
+    by_indexed: dict[object, list[_Compiled]] = {}
+
+    def candidates(row: tuple) -> list[_Compiled]:
+        key = indexed(row)
+        found = by_indexed.get(key)
+        if found is None:
+            picked = list(always)
+            for slot, table in tables:
+                picked.extend(table.get(row[slot], ()))
+            picked.sort()
+            found = by_indexed[key] = [compiled[i] for i in picked]
+        return found
+
+    def successors(row: tuple) -> list[tuple[tuple, float]]:
+        acc: dict[tuple, float] = {}
+        for cmd in candidates(row):
+            g = cmd.guard(row)
+            if g is not True:
+                if g is False:
+                    continue
+                raise TypeMismatch("command guard is not boolean")
+            for alt in cmd.alts:
+                w = alt[0]
+                if w is None:
+                    w = alt[0] = eval_weight(alt[1], constants)
+                if w == 0.0:
+                    continue
+                nxt = alt[2](row)
+                acc[nxt] = acc.get(nxt, 0.0) + w
+        moves = [(k, w) for k, w in acc.items() if w != 0.0]
+        if kind == "dtmc":
+            if not moves:
+                return [(row, 1.0)]
+            mass = sum(w for _, w in moves)
+            if abs(mass - 1.0) > 1e-9:
+                if not findings:
+                    where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
+                    findings.append(
+                        f"dtmc_renormalized: outgoing probability mass {mass:.10g} "
+                        f"at state {where}"
+                    )
+                moves = [(k, w / mass) for k, w in moves]
+        return moves
+
+    return successors
 
 
 def build_network_chain(
@@ -264,47 +447,10 @@ def build_network_chain(
     state past 1; the distribution is renormalized and the first occurrence
     is reported in the chain's findings.
     """
-    decls_list = network_var_decls(net)
-    decls = {d.name: d for d in decls_list}
-    var_names = tuple(d.name for d in decls_list)
-    decl_of = _decl_lookup(decls)
-    commands = derive_commands(net)
-    init = initial_network_valuation(decls_list, init_overrides)
-
-    index: dict[tuple, int] = {}
-    states: list[tuple] = []
-    valuations: list[dict] = []
-    edges: list[dict[int, float]] = []
+    decls = network_var_decls(net)
+    var_names = tuple(d.name for d in decls)
+    init_val = initial_network_valuation(decls, init_overrides)
+    init = tuple(init_val[n] for n in var_names)
     findings: list[str] = []
-
-    def intern(v: dict) -> int:
-        k = tuple(v[n] for n in var_names)
-        sid = index.get(k)
-        if sid is None:
-            if len(states) >= max_states:
-                raise StateBudgetExceeded(max_states)
-            sid = len(states)
-            index[k] = sid
-            states.append(k)
-            valuations.append(v)
-            edges.append({})
-        return sid
-
-    intern(init)
-    frontier = 0
-    noted_renorm = False
-    while frontier < len(states):
-        sid = frontier
-        frontier += 1
-        moves, renorm = _step(commands, valuations[sid], kind, decl_of, constants, var_names)
-        if renorm is not None and not noted_renorm:
-            noted_renorm = True
-            where = ",".join(f"{n}={v}" for n, v in zip(var_names, states[sid]))
-            findings.append(
-                f"dtmc_renormalized: outgoing probability mass {renorm:.10g} at state {where}"
-            )
-        for v, w in moves:
-            dst = intern(v)
-            edges[sid][dst] = edges[sid].get(dst, 0.0) + w
-
+    states, edges = explore(init, _successors(net, kind, constants, init, findings), max_states)
     return MarkovChain(kind, var_names, states, 0, edges, findings)

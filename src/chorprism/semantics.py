@@ -12,13 +12,13 @@ updates the same way, which is what makes the comparison meaningful.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
-from .chain import MarkovChain
-from .errors import EvalError, RangeViolation, StateBudgetExceeded, TypeMismatch
+from .chain import MarkovChain, explore
+from .errors import EvalError, RangeViolation, TypeMismatch
 from .syntax import (
     Assign,
-    Binary,
     CallTerm,
     ChorProgram,
     ChorTerm,
@@ -39,7 +39,74 @@ DEFAULT_MAX_STATES = 100_000
 # expressions
 # ---------------------------------------------------------------------------
 
-def _eval(e: Expr, env: dict, real_div: bool):
+def _numeric(op: str, fn):
+    def checked(left, right):
+        if isinstance(left, bool) or isinstance(right, bool):
+            raise TypeMismatch(f"'{op}' applied to bool value")
+        return fn(left, right)
+
+    return checked
+
+
+def _logical(op: str, fn):
+    def checked(left, right):
+        if not (isinstance(left, bool) and isinstance(right, bool)):
+            raise TypeMismatch(f"'{op}' applied to non-bool value")
+        return fn(left, right)
+
+    return checked
+
+
+def _floor_div(left, right):
+    if right == 0:
+        raise EvalError("division by zero")
+    return math.floor(left / right)
+
+
+def _real_div(left, right):
+    if right == 0:
+        raise EvalError("division by zero")
+    return left / right
+
+
+def _mod(left, right):
+    if right == 0:
+        raise EvalError("mod by zero")
+    return left % right
+
+
+#: binary operators over evaluated operands, for state expressions (integer
+#: division rounds down); shared with the network's compiled commands
+STATE_OPS = {
+    "and": _logical("and", lambda a, b: a and b),
+    "or": _logical("or", lambda a, b: a or b),
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": _numeric("<", operator.lt),
+    "<=": _numeric("<=", operator.le),
+    ">": _numeric(">", operator.gt),
+    ">=": _numeric(">=", operator.ge),
+    "+": _numeric("+", operator.add),
+    "-": _numeric("-", operator.sub),
+    "*": _numeric("*", operator.mul),
+    "/": _numeric("/", _floor_div),
+    "mod": _numeric("mod", _mod),
+    "min": _numeric("min", min),
+    "max": _numeric("max", max),
+}
+#: the same for weight expressions, where division is exact
+WEIGHT_OPS = {**STATE_OPS, "/": _numeric("/", _real_div)}
+
+
+def apply_unary(op: str, v):
+    if op == "not":
+        if not isinstance(v, bool):
+            raise TypeMismatch("'not' applied to non-bool value")
+        return not v
+    return -v
+
+
+def _eval(e: Expr, env: dict, ops: dict):
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Var):
@@ -48,59 +115,23 @@ def _eval(e: Expr, env: dict, real_div: bool):
         except KeyError:
             raise EvalError(f"unbound name {e.name}") from None
     if isinstance(e, Unary):
-        v = _eval(e.operand, env, real_div)
-        if e.op == "not":
-            if not isinstance(v, bool):
-                raise TypeMismatch("'not' applied to non-bool value")
-            return not v
-        return -v
-    left = _eval(e.left, env, real_div)
-    right = _eval(e.right, env, real_div)
-    op = e.op
-    if op in ("and", "or"):
-        if not (isinstance(left, bool) and isinstance(right, bool)):
-            raise TypeMismatch(f"'{op}' applied to non-bool value")
-        return (left and right) if op == "and" else (left or right)
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op in ("<", "<=", ">", ">="):
-        if isinstance(left, bool) or isinstance(right, bool):
-            raise TypeMismatch(f"'{op}' applied to bool value")
-        return {"<": left < right, "<=": left <= right,
-                ">": left > right, ">=": left >= right}[op]
-    if isinstance(left, bool) or isinstance(right, bool):
-        raise TypeMismatch(f"'{op}' applied to bool value")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise EvalError("division by zero")
-        return left / right if real_div else math.floor(left / right)
-    if op == "mod":
-        if right == 0:
-            raise EvalError("mod by zero")
-        return left % right
-    if op == "min":
-        return min(left, right)
-    if op == "max":
-        return max(left, right)
-    raise EvalError(f"unknown operator {op}")
+        return apply_unary(e.op, _eval(e.operand, env, ops))
+    left = _eval(e.left, env, ops)
+    right = _eval(e.right, env, ops)
+    fn = ops.get(e.op)
+    if fn is None:
+        raise EvalError(f"unknown operator {e.op}")
+    return fn(left, right)
 
 
 def eval_expr(e: Expr, env: dict):
     """State-expression evaluation; division on integers rounds down."""
-    return _eval(e, env, real_div=False)
+    return _eval(e, env, STATE_OPS)
 
 
 def eval_weight(e: Expr, constants: dict) -> float:
     """Weight evaluation over constants only; division is exact."""
-    v = _eval(e, constants, real_div=True)
+    v = _eval(e, constants, WEIGHT_OPS)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeMismatch("weight expression is not numeric")
     return float(v)
@@ -109,6 +140,25 @@ def eval_weight(e: Expr, constants: dict) -> float:
 # ---------------------------------------------------------------------------
 # updates
 # ---------------------------------------------------------------------------
+
+def assigned_value(a: Assign, decl: VarDecl, v):
+    """The value ``a`` stores when its right-hand side evaluates to ``v``:
+    checked against the declared type and range of ``decl``, with an
+    integral float narrowed to int."""
+    if decl.is_bool:
+        if not isinstance(v, bool):
+            raise TypeMismatch(f"assigning non-bool value to {a.var}")
+        return v
+    if isinstance(v, bool):
+        raise TypeMismatch(f"assigning bool value to {a.var}")
+    if isinstance(v, float):
+        if not v.is_integer():
+            raise TypeMismatch(f"assigning non-integer {v} to {a.var}")
+        v = int(v)
+    if not decl.contains(v):
+        raise RangeViolation(a.var, v, decl.lo, decl.hi, str(a))
+    return v
+
 
 def apply_assignments(
     update: tuple[Assign, ...],
@@ -126,19 +176,7 @@ def apply_assignments(
     env.update(out)
     for a in update:
         v = eval_expr(a.expr, env)
-        decl = decl_of(a.var)
-        if decl.is_bool:
-            if not isinstance(v, bool):
-                raise TypeMismatch(f"assigning non-bool value to {a.var}")
-        else:
-            if isinstance(v, bool):
-                raise TypeMismatch(f"assigning bool value to {a.var}")
-            if isinstance(v, float):
-                if not v.is_integer():
-                    raise TypeMismatch(f"assigning non-integer {v} to {a.var}")
-                v = int(v)
-            if not decl.contains(v):
-                raise RangeViolation(a.var, v, decl.lo, decl.hi, str(a))
+        v = assigned_value(a, decl_of(a.var), v)
         out[a.var] = v
         env[a.var] = v
     return out
@@ -186,10 +224,14 @@ def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[fl
 # chain construction
 # ---------------------------------------------------------------------------
 
-def initial_valuation(program: ChorProgram, overrides: dict | None = None) -> dict:
-    val = program.initial_valuation()
+def override_initial(
+    decls: tuple[VarDecl, ...], overrides: dict | None, decl_of: Callable[[str], VarDecl]
+) -> dict:
+    """Declared initial values with ``overrides`` applied, each checked
+    against the type and range of the variable ``decl_of`` names."""
+    val = {d.name: d.init for d in decls}
     for name, v in (overrides or {}).items():
-        decl = program.var(name)
+        decl = decl_of(name)
         if decl.is_bool:
             if not isinstance(v, bool):
                 raise TypeMismatch(f"initial override for {name} is not bool")
@@ -197,6 +239,10 @@ def initial_valuation(program: ChorProgram, overrides: dict | None = None) -> di
             raise RangeViolation(name, v, decl.lo, decl.hi, "initial override")
         val[name] = v
     return val
+
+
+def initial_valuation(program: ChorProgram, overrides: dict | None = None) -> dict:
+    return override_initial(program.var_decls, overrides, program.var)
 
 
 def build_chain(
@@ -215,43 +261,18 @@ def build_chain(
     """
     var_names = tuple(d.name for d in program.var_decls)
     start_val = initial_valuation(program, init_overrides)
-    start_term = program.defs[program.main]
 
-    def key(t: ChorTerm, v: dict):
-        return (t, tuple(v[n] for n in var_names))
+    def successors(key):
+        term, row = key
+        for w, new_val, cont in step(term, dict(zip(var_names, row)), program):
+            yield (cont, tuple(new_val[n] for n in var_names)), w
 
-    index: dict = {}
-    states: list[tuple] = []
-    terms: list[ChorTerm] = []
-    valuations: list[dict] = []
-    edges: list[dict[int, float]] = []
-
-    def intern(t: ChorTerm, v: dict) -> int:
-        k = key(t, v)
-        sid = index.get(k)
-        if sid is None:
-            if len(states) >= max_states:
-                raise StateBudgetExceeded(max_states)
-            sid = len(states)
-            index[k] = sid
-            states.append(k[1])
-            terms.append(t)
-            valuations.append(v)
-            edges.append({})
-        return sid
-
-    intern(start_term, start_val)
-    frontier = 0
-    while frontier < len(states):
-        sid = frontier
-        frontier += 1
-        for w, new_val, cont in step(terms[sid], valuations[sid], program):
-            dst = intern(cont, new_val)
-            edges[sid][dst] = edges[sid].get(dst, 0.0) + w
+    start = (program.defs[program.main], tuple(start_val[n] for n in var_names))
+    keys, edges = explore(start, successors, max_states)
 
     if program.kind == "dtmc":
         for sid, succ in enumerate(edges):
             if not succ:
                 succ[sid] = 1.0
 
-    return MarkovChain(program.kind, var_names, states, 0, edges)
+    return MarkovChain(program.kind, var_names, [row for _, row in keys], 0, edges)

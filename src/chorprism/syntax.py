@@ -150,9 +150,6 @@ class ChorProgram:
     def owner(self, name: str) -> str:
         return self.var(name).owner
 
-    def initial_valuation(self) -> dict[str, Value]:
-        return {d.name: d.init for d in self.var_decls}
-
 
 def subterms(term: ChorTerm):
     """Yield term and every node below it, preorder, branches in order."""

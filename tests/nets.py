@@ -1,9 +1,152 @@
-"""Hand-written networks used as oracles by several test modules."""
+"""Hand-written networks used as oracles by several test modules, and the
+reference tree-walking network semantics that the compiled explorer of
+``chorprism.prism`` is compared against."""
 
 from __future__ import annotations
 
-from chorprism.prism import PrismCommand, PrismModule
+from chorprism.chain import MarkovChain, explore
+from chorprism.errors import EvalError, TypeMismatch
+from chorprism.prism import (
+    Network,
+    PrismCommand,
+    PrismModule,
+    derive_commands,
+    initial_network_valuation,
+    network_var_decls,
+)
+from chorprism.semantics import DEFAULT_MAX_STATES, apply_assignments, eval_expr, eval_weight
 from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl
+
+
+# ---------------------------------------------------------------------------
+# reference semantics: walk the expression trees against dict valuations
+# ---------------------------------------------------------------------------
+
+def mu(
+    cmd: PrismCommand,
+    src: dict,
+    dst: dict,
+    decl_of,
+    constants: dict,
+) -> float:
+    """Total weight the command moves from valuation ``src`` to ``dst``:
+    the sum of the weights of all alternatives whose update maps ``src`` to
+    ``dst``, or 0 when the guard is false."""
+    env = dict(constants)
+    env.update(src)
+    g = eval_expr(cmd.guard, env)
+    if not isinstance(g, bool):
+        raise TypeMismatch("command guard is not boolean")
+    if not g:
+        return 0.0
+    total = 0.0
+    for w, upd in cmd.alts:
+        if apply_assignments(upd, src, decl_of, constants) == dst:
+            total += eval_weight(w, constants)
+    return total
+
+
+def decl_lookup(decls: dict[str, VarDecl]):
+    def decl_of(name: str) -> VarDecl:
+        d = decls.get(name)
+        if d is None:
+            raise EvalError(f"assignment to undeclared variable {name}")
+        return d
+
+    return decl_of
+
+
+def oracle_step(
+    commands: tuple[PrismCommand, ...],
+    valuation: dict,
+    kind: str,
+    decl_of,
+    constants: dict,
+    var_names: tuple[str, ...],
+) -> tuple[list[tuple[dict, float]], float | None]:
+    """One-step successors with merged weights, every guard of every
+    command evaluated at every state.
+
+    Returns the moves and, in discrete mode, the raw outgoing mass whenever
+    it had to be renormalized to 1.
+    """
+    acc: dict[tuple, tuple[dict, float]] = {}
+    env = dict(constants)
+    env.update(valuation)
+    for cmd in commands:
+        g = eval_expr(cmd.guard, env)
+        if not isinstance(g, bool):
+            raise TypeMismatch("command guard is not boolean")
+        if not g:
+            continue
+        for w, upd in cmd.alts:
+            wv = eval_weight(w, constants)
+            if wv == 0.0:
+                continue
+            nxt = apply_assignments(upd, valuation, decl_of, constants)
+            k = tuple(nxt[n] for n in var_names)
+            prev = acc.get(k)
+            acc[k] = (nxt, wv if prev is None else prev[1] + wv)
+    moves = [(v, w) for v, w in acc.values() if w != 0.0]
+    renormalized_from = None
+    if kind == "dtmc":
+        if not moves:
+            moves = [(dict(valuation), 1.0)]
+        else:
+            mass = sum(w for _, w in moves)
+            if abs(mass - 1.0) > 1e-9:
+                renormalized_from = mass
+                moves = [(v, w / mass) for v, w in moves]
+    return moves, renormalized_from
+
+
+def step_network(
+    net: Network, valuation: dict, kind: str, constants: dict
+) -> list[tuple[dict, float]]:
+    """Successor distribution of the whole network from one valuation."""
+    decls = {d.name: d for d in network_var_decls(net)}
+    moves, _ = oracle_step(
+        derive_commands(net), valuation, kind, decl_lookup(decls), constants, tuple(decls)
+    )
+    return moves
+
+
+def oracle_chain(
+    net: Network,
+    kind: str,
+    constants: dict,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    init_overrides: dict | None = None,
+) -> MarkovChain:
+    """The network's chain built with :func:`oracle_step`: what
+    ``build_network_chain`` must return, state numbering, bit-exact weights
+    and findings included."""
+    decls_list = network_var_decls(net)
+    decls = {d.name: d for d in decls_list}
+    var_names = tuple(d.name for d in decls_list)
+    decl_of = decl_lookup(decls)
+    commands = derive_commands(net)
+    init = initial_network_valuation(decls_list, init_overrides)
+    findings: list[str] = []
+
+    def successors(row):
+        valuation = dict(zip(var_names, row))
+        moves, renorm = oracle_step(commands, valuation, kind, decl_of, constants, var_names)
+        if renorm is not None and not findings:
+            where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
+            findings.append(
+                f"dtmc_renormalized: outgoing probability mass {renorm:.10g} at state {where}"
+            )
+        return [(tuple(v[n] for n in var_names), w) for v, w in moves]
+
+    states, edges = explore(tuple(init[n] for n in var_names), successors, max_states)
+    return MarkovChain(kind, var_names, states, 0, edges, findings)
+
+
+# ---------------------------------------------------------------------------
+# hand-written networks
+# ---------------------------------------------------------------------------
 
 
 def eq(name: str, v: int) -> Binary:

@@ -20,7 +20,6 @@ from chorprism import (
     derive_commands,
     fuse_resets,
     load_program,
-    mu,
     project,
     s_conn,
     verify_projection,
@@ -39,7 +38,7 @@ from chorprism.syntax import (
 )
 
 from corpus import random_program_pair
-from nets import eq, racing_pair, synced_pair
+from nets import eq, mu, racing_pair, synced_pair
 
 TOL = 1e-6
 

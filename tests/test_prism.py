@@ -1,22 +1,29 @@
 """Guarded-command networks: composition, command derivation, the
-per-command transition weight, and joint-chain exploration."""
+per-command transition weight, and joint-chain exploration, compared with
+the tree-walking reference semantics of ``tests/nets.py``."""
 
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
 
 from chorprism import (
+    ChorError,
     EvalError,
     RangeViolation,
+    StateBudgetExceeded,
+    TypeMismatch,
     alphabet,
+    auto_annotate,
     build_network_chain,
     compose_network,
     derive_commands,
-    mu,
-    step_network,
+    load_program,
+    project,
 )
+from chorprism.cli import main
 from chorprism.prism import (
     ModNet,
     ParNet,
@@ -25,9 +32,10 @@ from chorprism.prism import (
     initial_network_valuation,
     network_var_decls,
 )
-from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl
+from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
-from nets import eq, racing_pair, synced_pair
+from corpus import random_program_pair
+from nets import eq, mu, oracle_chain, racing_pair, step_network, synced_pair
 
 
 def decls_of(net):
@@ -295,3 +303,178 @@ def test_initial_valuation_overrides_are_validated():
         initial_network_valuation(decls, {"x": 99})
     with pytest.raises(EvalError):
         initial_network_valuation(decls, {"nope": 1})
+
+
+# ---------------------------------------------------------------------------
+# the compiled explorer against the tree-walking oracle
+# ---------------------------------------------------------------------------
+
+def outcome(build, net, kind, constants, **kw):
+    """Everything a chain build yields, edge insertion order included, or
+    the class and message of the error it raised."""
+    try:
+        c = build(net, kind, constants, **kw)
+    except ChorError as e:
+        return type(e), str(e)
+    return c.var_names, c.states, [list(row.items()) for row in c.edges], c.findings
+
+
+def assert_same_as_oracle(net, kind, constants, **kw):
+    got = outcome(build_network_chain, net, kind, constants, **kw)
+    assert got == outcome(oracle_chain, net, kind, constants, **kw)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_compiled_matches_oracle_on_random_programs(seed):
+    for prog in random_program_pair(random.Random(seed)):
+        net, _ = project(auto_annotate(prog))
+        got = assert_same_as_oracle(net, prog.kind, prog.constants)
+        assert isinstance(got[1], list)  # a chain, not an error
+
+
+# annot_dup.chor is rejected before projection, so it has no network
+FIXTURES = sorted(
+    p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor")
+    if p.name != "annot_dup.chor"
+)
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_compiled_matches_oracle_on_fixtures(name, kind, data_text):
+    # the network is explored in both kinds, whatever kind it was projected in
+    prog = auto_annotate(load_program(data_text(name)))
+    net, _ = project(prog, require_sconn=False)
+    assert_same_as_oracle(net, kind, prog.constants)
+
+
+def mixed_guards_module() -> tuple[PrismModule, dict]:
+    """Guards built from or, not and <, guards with no equality conjunct,
+    constants on either side, a zero weight, and sequential updates."""
+    s, u, b = Var("s"), Var("u"), Var("b")
+    constants = {"K": 2.0, "lam": 3.0}
+    cmds = (
+        PrismCommand(
+            None,
+            Binary("and", eq("s", 0), Binary("or", Binary("<", u, Lit(2)), Unary("not", b))),
+            (
+                (Binary("/", Var("lam"), Lit(2)), (Assign("u", Binary("+", u, Lit(1))),)),
+                (Lit(0), (Assign("u", Lit(99)),)),
+                (Lit(1), (Assign("u", Binary("+", u, Lit(1))), Assign("s", Binary("/", u, Lit(2))))),
+            ),
+        ),
+        PrismCommand(
+            None,
+            Binary("and", Unary("not", eq("s", 1)), Binary(">=", u, Lit(1))),
+            ((Lit(0.5), (Assign("u", Binary("-", u, Lit(1))), Assign("b", Unary("not", b)))),),
+        ),
+        PrismCommand(
+            "a",
+            Binary("and", Binary("=", s, Var("K")), Binary("=", b, Lit(True))),
+            ((Var("K"), (Assign("s", Lit(3)),)),),
+        ),
+        PrismCommand(None, Binary("or", b, Binary("=", u, Lit(4))), ((Lit(1), (Assign("s", Lit(0)),)),)),
+        PrismCommand(None, Binary("<=", Binary("max", u, s), Var("K")), ((Lit(2), (Assign("s", Lit(1)),)),)),
+    )
+    decls = (
+        VarDecl("s", "m", 0, 0, 3),
+        VarDecl("u", "m", 0, 0, 4),
+        VarDecl("b", "m", False, is_bool=True),
+    )
+    return PrismModule("m", decls, cmds), constants
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_compiled_matches_oracle_on_hand_written_nets(kind):
+    assert_same_as_oracle(compose_network(racing_pair()), kind, {})
+    modules, constants = synced_pair()
+    assert_same_as_oracle(compose_network(modules), kind, constants)
+    module, constants = mixed_guards_module()
+    got = assert_same_as_oracle(compose_network([module]), kind, constants)
+    assert len(got[1]) > 5
+    silent_only = PrismModule("m", racing_pair()[0].var_decls, racing_pair()[0].commands[:1])
+    assert_same_as_oracle(compose_network([silent_only]), kind, {})
+
+
+def test_renormalization_finding_matches_oracle():
+    _, _, _, findings = assert_same_as_oracle(compose_network(racing_pair()), "dtmc", {})
+    assert findings == ["dtmc_renormalized: outgoing probability mass 3 at state x=0,y=0"]
+
+
+# ---------------------------------------------------------------------------
+# errors on the compiled path: same class and message as the oracle
+# ---------------------------------------------------------------------------
+
+def one_command(guard, update, weight=Lit(1), decls=None):
+    """A module whose first command moves ``s`` from 0 to 1 and whose
+    second is the one under test. Nothing ever writes ``z``, so ``z = 1``
+    never holds: a conjunct the index files the command under."""
+    decls = decls or (VarDecl("s", "m", 0, 0, 1), VarDecl("z", "m", 0, 0, 1))
+    return compose_network([PrismModule("m", decls, (
+        PrismCommand(None, eq("s", 0), ((Lit(1), (Assign("s", Lit(1)),)),)),
+        PrismCommand(None, guard, ((weight, update),)),
+    ))])
+
+
+def assert_raises_like_oracle(net, error, match, **kw):
+    with pytest.raises(error, match=match):
+        build_network_chain(net, "ctmc", {}, **kw)
+    assert_same_as_oracle(net, "ctmc", {}, **kw)
+
+
+def test_out_of_range_assignment_raises_range_violation():
+    net = one_command(eq("s", 1), (Assign("z", Binary("+", Var("z"), Lit(5))),))
+    assert_raises_like_oracle(net, RangeViolation, "assigns 5 to z, outside")
+
+
+@pytest.mark.parametrize("op, message", [("mod", "mod by zero"), ("/", "division by zero")])
+def test_division_by_zero_raises_eval_error(op, message):
+    # in a guard whose other conjunct never holds: the oracle evaluates
+    # both sides of 'and', so the command may not be skipped
+    guard = Binary("and", eq("z", 1), Binary("=", Binary(op, Var("s"), Var("z")), Lit(0)))
+    assert_raises_like_oracle(one_command(guard, ()), EvalError, message)
+    # in an update, on reaching it
+    update = (Assign("s", Binary(op, Lit(1), Var("z"))),)
+    assert_raises_like_oracle(one_command(eq("s", 1), update), EvalError, message)
+    # constant, so folded at compile time, but never reached: no error
+    update = (Assign("s", Binary(op, Lit(1), Lit(0))),)
+    assert assert_same_as_oracle(one_command(eq("z", 1), update), "ctmc", {})[1] == [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("guard, message", [
+    (Binary("+", Var("s"), Lit(1)), "command guard is not boolean"),
+    (Binary("and", eq("z", 1), Var("s")), "'and' applied to non-bool value"),
+    (Binary("and", eq("z", 1), Binary("<", Lit(True), Var("s"))), "'<' applied to bool value"),
+])
+def test_non_bool_guard_raises_type_mismatch(guard, message):
+    assert_raises_like_oracle(one_command(guard, ()), TypeMismatch, message)
+
+
+def test_ill_typed_initial_value_disables_the_index():
+    # z starts as a bool although declared int: a well-typed guard can
+    # still raise, so no command may be skipped
+    decls = (VarDecl("s", "m", 0, 0, 1), VarDecl("z", "m", True, 0, 1))
+    guard = Binary("and", Binary("=", Var("s"), Lit(7)), Binary("<", Var("z"), Lit(1)))
+    net = one_command(guard, (), decls=decls)
+    assert_raises_like_oracle(net, TypeMismatch, "'<' applied to bool value")
+
+
+def test_assignment_to_undeclared_variable_raises_eval_error():
+    net = one_command(eq("s", 1), (Assign("nope", Lit(1)),))
+    assert_raises_like_oracle(net, EvalError, "assignment to undeclared variable nope")
+
+
+def test_bad_weight_raises_where_it_is_reached():
+    net = one_command(eq("s", 1), (), weight=Var("s"))
+    assert_raises_like_oracle(net, EvalError, "unbound name s")
+    # a command never enabled never evaluates its weight
+    never = one_command(Binary("=", Var("z"), Lit(1)), (), weight=Var("s"))
+    assert assert_same_as_oracle(never, "ctmc", {})[1] == [(0, 0), (1, 0)]
+
+
+def test_tiny_state_budget_raises_and_verify_exits_3(capsys, data_path):
+    net = compose_network(racing_pair())
+    assert_raises_like_oracle(net, StateBudgetExceeded, "budget of 2 states", max_states=2)
+    assert main(["verify", data_path("example2.chor"), "--max-states", "2"]) == 3
+    assert "error:" in capsys.readouterr().err
