@@ -10,7 +10,7 @@ from .analysis import (
     s_conn,
 )
 from .chain import MarkovChain
-from .emit import EmitConfig, emit
+from .emit import emit
 from .equivalence import bisimilar, collapse, jump_chain, verify_projection
 from .errors import (
     AnnotationError,
@@ -33,7 +33,7 @@ from .prism import (
     compose_network,
     derive_commands,
 )
-from .projection import ProjectionContext, fuse_resets, proj_role, proj_update, project
+from .projection import ProjectionContext, fuse_resets, proj_update, project
 from .semantics import build_chain, eval_expr, eval_weight, step
 from .sugar import (
     auto_annotate,
@@ -51,7 +51,6 @@ __all__ = [
     "AnnotationError",
     "ChorError",
     "ChorProgram",
-    "EmitConfig",
     "EvalError",
     "MarkovChain",
     "NotStronglyConnected",
@@ -86,7 +85,6 @@ __all__ = [
     "nodes",
     "parse",
     "pretty_print",
-    "proj_role",
     "proj_update",
     "project",
     "require_annotated",

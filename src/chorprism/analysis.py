@@ -6,6 +6,8 @@ strong-connectedness checks, annotation checking, and well-formedness.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import AnnotationError, UnguardedRecursion, WellFormednessError
 from .syntax import (
     Assign,
@@ -159,14 +161,15 @@ def require_annotated(program: ChorProgram) -> None:
 # well-formedness
 # ---------------------------------------------------------------------------
 
-def expr_vars(e: Expr) -> set[str]:
+def expr_vars(e: Expr) -> Iterator[str]:
+    """Names ``e`` reads, left to right, with repeats."""
     if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Unary):
-        return expr_vars(e.operand)
-    if isinstance(e, Binary):
-        return expr_vars(e.left) | expr_vars(e.right)
-    return set()
+        yield e.name
+    elif isinstance(e, Unary):
+        yield from expr_vars(e.operand)
+    elif isinstance(e, Binary):
+        yield from expr_vars(e.left)
+        yield from expr_vars(e.right)
 
 
 def type_of(e: Expr, var_types: dict[str, str]) -> str:
@@ -246,7 +249,7 @@ def check_well_formed(program: ChorProgram) -> list[str]:
             findings.append(f"{where}: expected {want} expression, got {t}")
 
     def check_weight(e: Expr, where: str) -> float | None:
-        bad = expr_vars(e) - set(program.constants)
+        bad = set(expr_vars(e)) - set(program.constants)
         if bad:
             findings.append(
                 f"{where}: weight reads non-constant name(s) {', '.join(sorted(bad))}"

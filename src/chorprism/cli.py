@@ -38,7 +38,7 @@ def _load(args) -> ChorProgram:
 
 
 def _annotate(prog: ChorProgram, args) -> ChorProgram:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return auto_annotate(prog, scheme="seeded-random", seed=args.seed)
     return auto_annotate(prog)
 
@@ -161,7 +161,6 @@ def _add_common(p: argparse.ArgumentParser, *, init: bool = False) -> None:
         choices=("ctmc", "dtmc"),
         help="override the declared model kind (the program is re-validated)",
     )
-    p.add_argument("--seed", type=int, help="draw random five-letter labels with this seed")
     p.add_argument(
         "--override-sconn",
         action="store_true",
@@ -208,6 +207,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p, init=True)
     p.set_defaults(func=cmd_verify)
 
+    # verify labels the program itself, and labels cannot change a verdict
+    for name in ("check", "compile", "chain"):
+        sub.choices[name].add_argument(
+            "--seed", type=int, help="draw random five-letter labels with this seed"
+        )
     return ap
 
 

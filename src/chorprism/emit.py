@@ -13,25 +13,8 @@ whereas weight expressions keep ``/`` (weights divide exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ChorError
-from .parser import render_number
 from .prism import Network, PrismCommand, network_modules
 from .syntax import Assign, Binary, ChorProgram, Expr, Lit, Unary, Var, VarDecl
-
-
-class UnrepresentableWeight(ChorError):
-    """A numeric weight does not survive the configured output precision."""
-
-
-@dataclass(frozen=True)
-class EmitConfig:
-    precision: int = 17  # significant digits for numeric literals
-
-    def __post_init__(self):
-        if self.precision < 6:
-            raise ValueError("emission precision below 6 significant digits")
 
 
 _PREC = {
@@ -42,87 +25,78 @@ _PREC = {
 _OPS = {"or": "|", "and": "&", "not": "!"}
 
 
-def _num(v, config: EmitConfig) -> str:
+def _num(v) -> str:
     if isinstance(v, int):
         return str(v)
     if v.is_integer():
         return str(int(v))
-    s = f"{v:.{config.precision}g}"
-    if float(s) != v:
-        raise UnrepresentableWeight(
-            f"weight {v!r} does not round-trip at {config.precision} significant digits"
-        )
-    return s
+    return f"{v:.17g}"  # 17 significant digits round-trip every double
 
 
-def render_expr(e: Expr, config: EmitConfig, *, weight: bool = False, parent_prec: int = 0) -> str:
+def render_expr(e: Expr, *, weight: bool = False, parent_prec: int = 0) -> str:
     if isinstance(e, Lit):
         if isinstance(e.value, bool):
             return "true" if e.value else "false"
-        return _num(e.value, config)
+        return _num(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
         op = _OPS.get(e.op, e.op)
         p = _PREC["!" if op == "!" else "neg"]
-        inner = render_expr(e.operand, config, weight=weight, parent_prec=p)
+        inner = render_expr(e.operand, weight=weight, parent_prec=p)
         s = f"{op}{inner}"
         return f"({s})" if p < parent_prec else s
     if e.op in ("mod", "min", "max"):
-        left = render_expr(e.left, config, weight=weight)
-        right = render_expr(e.right, config, weight=weight)
+        left = render_expr(e.left, weight=weight)
+        right = render_expr(e.right, weight=weight)
         return f"{e.op}({left},{right})"
     if e.op == "/" and not weight:
-        left = render_expr(e.left, config)
-        right = render_expr(e.right, config)
+        left = render_expr(e.left)
+        right = render_expr(e.right)
         return f"floor({left}/{right})"
     op = _OPS.get(e.op, e.op)
     p = _PREC[op]
-    left = render_expr(e.left, config, weight=weight, parent_prec=p)
-    right = render_expr(e.right, config, weight=weight, parent_prec=p + 1)
+    left = render_expr(e.left, weight=weight, parent_prec=p)
+    right = render_expr(e.right, weight=weight, parent_prec=p + 1)
     s = f"{left}{op}{right}"
     return f"({s})" if p < parent_prec else s
 
 
-def render_update(update: tuple[Assign, ...], config: EmitConfig) -> str:
+def render_update(update: tuple[Assign, ...]) -> str:
     if not update:
         return "true"
-    return "&".join(f"({a.var}'={render_expr(a.expr, config)})" for a in update)
+    return "&".join(f"({a.var}'={render_expr(a.expr)})" for a in update)
 
 
-def render_command(c: PrismCommand, config: EmitConfig) -> str:
+def render_command(c: PrismCommand) -> str:
     alts = " + ".join(
-        f"{render_expr(w, config, weight=True)} : {render_update(u, config)}"
+        f"{render_expr(w, weight=True)} : {render_update(u)}"
         for w, u in c.alts
     )
-    return f"[{c.label or ''}] ({render_expr(c.guard, config)}) -> {alts};"
+    return f"[{c.label or ''}] ({render_expr(c.guard)}) -> {alts};"
 
 
-def _render_decl(d: VarDecl, config: EmitConfig) -> str:
+def _render_decl(d: VarDecl) -> str:
     if d.is_bool:
         return f"{d.name} : bool init {'true' if d.init else 'false'};"
-    return f"{d.name} : [{d.lo}..{d.hi}] init {_num(d.init, config)};"
+    return f"{d.name} : [{d.lo}..{d.hi}] init {_num(d.init)};"
 
 
-def emit(net: Network, prog: ChorProgram, config: EmitConfig | None = None) -> str:
+def emit(net: Network, prog: ChorProgram) -> str:
     """Render the network as a complete PRISM model, deterministically."""
-    config = config or EmitConfig()
     lines = [prog.kind]
     if prog.constants:
         lines.append("")
         for name, value in prog.constants.items():
-            lines.append(f"const double {name} = {_num(value, config)};")
+            lines.append(f"const double {name} = {_num(value)};")
     for m in network_modules(net):
         lines.append("")
         lines.append(f"module {m.name}")
         for d in m.var_decls:
-            lines.append("  " + _render_decl(d, config))
+            lines.append("  " + _render_decl(d))
         for c in m.commands:
-            lines.append("  " + render_command(c, config))
+            lines.append("  " + render_command(c))
         lines.append("endmodule")
     lines.append("")
     return "\n".join(lines)
 
-
-def output_extension(kind: str) -> str:
-    return ".sm" if kind == "ctmc" else ".pm"

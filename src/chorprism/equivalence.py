@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import s_conn
-from .chain import MarkovChain, render_value
+from .chain import MarkovChain, explore, render_value
 from .errors import NotStronglyConnected
 from .prism import build_network_chain
 from .projection import project
@@ -81,29 +81,17 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     for x in pending:  # administrative cycles: every member stays
         nf[x] = x
 
-    start = nf[chain.init]
-    order = [start]
-    idx = {start: 0}
-    merged: list[dict[int, float]] = []
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        out: dict[int, float] = {}
-        for y, w in chain.edges[x].items():
-            r = nf[y]
-            out[r] = out.get(r, 0.0) + w
-        for r in out:
-            if r not in idx:
-                idx[r] = len(order)
-                order.append(r)
-        merged.append(out)
+    def successors(x: int):  # (nf[y], w) per edge, in edge order
+        succ = chain.edges[x]
+        return zip(map(nf.__getitem__, succ), succ.values())
+
+    order, edges = explore(nf[chain.init], successors, n)
     return MarkovChain(
         chain.kind,
         chain.var_names,
         [chain.states[x] for x in order],
         0,
-        [{idx[r]: w for r, w in out.items()} for out in merged],
+        edges,
         list(chain.findings),
     )
 

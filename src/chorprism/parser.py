@@ -187,6 +187,8 @@ class SurfaceProgram:
     var_families: list[VarFamily] = field(default_factory=list)
     defs: dict[str, ChorTerm] = field(default_factory=dict)
     main: str = ""
+    #: index range of every family expanded so far, kept for expand_foreach
+    family_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

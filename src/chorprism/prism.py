@@ -166,15 +166,7 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
 def initial_network_valuation(
     decls: tuple[VarDecl, ...], overrides: dict | None = None
 ) -> dict:
-    by_name = {d.name: d for d in decls}
-
-    def decl_of(name: str) -> VarDecl:
-        decl = by_name.get(name)
-        if decl is None:
-            raise EvalError(f"no variable named {name} in the network")
-        return decl
-
-    return override_initial(decls, overrides, decl_of)
+    return override_initial(decls, overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -102,16 +102,6 @@ def _goto(counter: str, v: int, ctx: ProjectionContext) -> Assign:
     return Assign(counter, Lit(v))
 
 
-def proj_role(
-    role: str, term: ChorTerm, base: int, ctx: ProjectionContext, prog: ChorProgram
-) -> list[PrismCommand]:
-    """Commands the role contributes for this term, rooted at counter slot
-    ``base``: the commands of the head first, then each continuation's."""
-    out: list[PrismCommand] = []
-    _proj(role, term, base, ctx, prog, out)
-    return out
-
-
 def _proj(
     role: str,
     term: ChorTerm,

@@ -224,14 +224,15 @@ def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[fl
 # chain construction
 # ---------------------------------------------------------------------------
 
-def override_initial(
-    decls: tuple[VarDecl, ...], overrides: dict | None, decl_of: Callable[[str], VarDecl]
-) -> dict:
+def override_initial(decls: tuple[VarDecl, ...], overrides: dict | None) -> dict:
     """Declared initial values with ``overrides`` applied, each checked
-    against the type and range of the variable ``decl_of`` names."""
+    against the type and range of the variable it names."""
+    by_name = {d.name: d for d in decls}
     val = {d.name: d.init for d in decls}
     for name, v in (overrides or {}).items():
-        decl = decl_of(name)
+        decl = by_name.get(name)
+        if decl is None:
+            raise EvalError(f"no variable named {name}")
         if decl.is_bool:
             if not isinstance(v, bool):
                 raise TypeMismatch(f"initial override for {name} is not bool")
@@ -242,7 +243,7 @@ def override_initial(
 
 
 def initial_valuation(program: ChorProgram, overrides: dict | None = None) -> dict:
-    return override_initial(program.var_decls, overrides, program.var)
+    return override_initial(program.var_decls, overrides)
 
 
 def build_chain(

@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+from typing import Callable
 
+from .analysis import expr_vars
 from .errors import IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from .parser import (
     AllSynch,
@@ -26,7 +28,6 @@ from .syntax import (
     Assign,
     Binary,
     Branch,
-    CallTerm,
     ChorProgram,
     ChorTerm,
     Conditional,
@@ -36,6 +37,8 @@ from .syntax import (
     Lit,
     Unary,
     Var,
+    VarDecl,
+    subterms,
 )
 
 _REF = re.compile(r"^([A-Za-z_]\w*)\[([^\]]+)\]$")
@@ -65,14 +68,96 @@ def _parse_idx(idx: str, constants: dict) -> tuple[str | None, int]:
     return head, off
 
 
+def _conts(term: ChorTerm) -> list[ChorTerm]:
+    """The continuations directly below ``term``, in source order."""
+    if isinstance(term, Interaction):
+        return [b.cont for b in term.branches]
+    if isinstance(term, Conditional):
+        return [term.then_term, term.else_term]
+    if isinstance(term, AllSynch):
+        return [term.cont]
+    return []
+
+
+def _map_conts(term: ChorTerm, f: Callable[[ChorTerm], ChorTerm]) -> ChorTerm:
+    """``term`` with ``f`` applied to each continuation directly below it,
+    in source order."""
+    if isinstance(term, Interaction):
+        branches = tuple(Branch(b.weight, b.update, f(b.cont), b.label) for b in term.branches)
+        return Interaction(term.initiator, term.receivers, branches, term.annotation)
+    if isinstance(term, Conditional):
+        return Conditional(term.guard, term.role, f(term.then_term), f(term.else_term))
+    if isinstance(term, AllSynch):
+        return AllSynch(term.entries, f(term.cont))
+    return term
+
+
 class _Expander:
     def __init__(self, prog: SurfaceProgram):
         self.constants = prog.constants
-        self.families: dict[str, tuple[int, int]] = {}
-        for f in prog.role_families:
-            self.families[f.base] = (f.lo, f.hi)
-        for f in prog.var_families:
-            self.families[f.base] = (f.lo, f.hi)
+        self.families = {f.base: (f.lo, f.hi) for f in [*prog.role_families, *prog.var_families]}
+
+    # -- the reference scan ----------------------------------------------------
+
+    def index_refs(self, node: ChorTerm) -> list[tuple[str | None, str, ForeachAssign | None]]:
+        """``(family, index variable, foreach clause)`` for each reference
+        ``node`` itself makes through an index variable, in source order,
+        continuations excluded. ``clause`` is the foreach the reference
+        sits in, or None; a foreach bound that names no constant comes as
+        ``(None, bound, clause)``. The first malformed index raises."""
+        out = []
+
+        def refs(names, clause=None):
+            for name in names:
+                base, idx = split_ref(name)
+                if idx is not None:
+                    binder, _ = _parse_idx(idx, self.constants)
+                    if binder is not None:
+                        out.append((base, binder, clause))
+
+        if isinstance(node, Interaction):
+            refs(node.participants)
+            for br in node.branches:
+                refs(expr_vars(br.weight))
+                for item in br.update:
+                    clause = item if isinstance(item, ForeachAssign) else None
+                    if clause and isinstance(item.bound, str) and item.bound not in self.constants:
+                        out.append((None, item.bound, clause))
+                    refs([item.var, *expr_vars(item.expr)], clause)
+        elif isinstance(node, Conditional):
+            refs([node.role, *expr_vars(node.guard)])
+        elif isinstance(node, AllSynch):
+            for e in node.entries:
+                refs([e.role, *expr_vars(e.guard), *expr_vars(e.weight)])
+                for a in e.update:
+                    refs([a.var, *expr_vars(a.expr)])
+        return out
+
+    def binders(self, node: ChorTerm) -> set[str]:
+        """Index variables of ``node``'s own references; a foreach binder
+        does not count inside its own clause."""
+        return {b for _, b, clause in self.index_refs(node) if clause is None or b != clause.binder}
+
+    def term_binders(self, term: ChorTerm) -> set[str]:
+        out = self.binders(term)
+        for c in _conts(term):
+            out |= self.term_binders(c)
+        return out
+
+    def binder_family_range(self, term: Interaction, binder: str) -> tuple[int, int]:
+        ranges = set()
+        for base, b, _ in self.index_refs(term):
+            if b == binder and base is not None:
+                if base not in self.families:
+                    raise WellFormednessError(f"{base} is not a declared family")
+                ranges.add(self.families[base])
+        if not ranges:
+            raise WellFormednessError(f"cannot infer the range of index {binder}")
+        if len(ranges) > 1:
+            raise WellFormednessError(
+                f"index {binder} spans families with different ranges"
+            )
+        return ranges.pop()
 
     # -- reference resolution ------------------------------------------------
 
@@ -123,188 +208,76 @@ class _Expander:
         return Assign(self.resolve_ref(item.var, subst),
                       self.resolve_expr(item.expr, subst))
 
-    # -- binder discovery ------------------------------------------------------
-
-    def ref_binder(self, name: str) -> str | None:
-        base, idx = split_ref(name)
-        if idx is None:
-            return None
-        binder, _ = _parse_idx(idx, self.constants)
-        return binder
-
-    def expr_binders(self, e: Expr, out: set[str]):
-        if isinstance(e, Var):
-            b = self.ref_binder(e.name)
-            if b:
-                out.add(b)
-        elif isinstance(e, Unary):
-            self.expr_binders(e.operand, out)
-        elif isinstance(e, Binary):
-            self.expr_binders(e.left, out)
-            self.expr_binders(e.right, out)
-
-    def head_binders(self, term: Interaction) -> set[str]:
-        out: set[str] = set()
-        for r in (term.initiator, *term.receivers):
-            b = self.ref_binder(r)
-            if b:
-                out.add(b)
-        for br in term.branches:
-            self.expr_binders(br.weight, out)
-            for item in br.update:
-                if isinstance(item, ForeachAssign):
-                    local = {item.binder}
-                    if isinstance(item.bound, str) and item.bound not in self.constants \
-                            and item.bound not in local:
-                        out.add(item.bound)
-                    sub: set[str] = set()
-                    b = self.ref_binder(item.var)
-                    if b:
-                        sub.add(b)
-                    self.expr_binders(item.expr, sub)
-                    out |= sub - local
-                else:
-                    b = self.ref_binder(item.var)
-                    if b:
-                        out.add(b)
-                    self.expr_binders(item.expr, out)
-        return out
-
-    def term_binders(self, term: ChorTerm) -> set[str]:
-        if isinstance(term, Interaction):
-            out = self.head_binders(term)
-            for br in term.branches:
-                out |= self.term_binders(br.cont)
-            return out
-        if isinstance(term, Conditional):
-            out = set()
-            b = self.ref_binder(term.role)
-            if b:
-                out.add(b)
-            self.expr_binders(term.guard, out)
-            return out | self.term_binders(term.then_term) | self.term_binders(term.else_term)
-        if isinstance(term, AllSynch):
-            out = set()
-            for e in term.entries:
-                b = self.ref_binder(e.role)
-                if b:
-                    out.add(b)
-                self.expr_binders(e.guard, out)
-                self.expr_binders(e.weight, out)
-                for a in e.update:
-                    b = self.ref_binder(a.var)
-                    if b:
-                        out.add(b)
-                    self.expr_binders(a.expr, out)
-            return out | self.term_binders(term.cont)
-        return set()
-
-    def binder_family_range(self, term: Interaction, binder: str) -> tuple[int, int]:
-        ranges = []
-
-        def ref(name: str):
-            base, idx = split_ref(name)
-            if idx is None:
-                return
-            b, _ = _parse_idx(idx, self.constants)
-            if b == binder:
-                if base not in self.families:
-                    raise WellFormednessError(f"{base} is not a declared family")
-                ranges.append(self.families[base])
-
-        for r in (term.initiator, *term.receivers):
-            ref(r)
-
-        def in_expr(e: Expr):
-            if isinstance(e, Var):
-                ref(e.name)
-            elif isinstance(e, Unary):
-                in_expr(e.operand)
-            elif isinstance(e, Binary):
-                in_expr(e.left)
-                in_expr(e.right)
-
-        for br in term.branches:
-            in_expr(br.weight)
-            for item in br.update:
-                ref(item.var)
-                in_expr(item.expr)
-        if not ranges:
-            raise WellFormednessError(f"cannot infer the range of index {binder}")
-        if len(set(ranges)) > 1:
-            raise WellFormednessError(
-                f"index {binder} spans families with different ranges"
+    def resolve(self, node: ChorTerm, subst: dict[str, int]) -> ChorTerm:
+        """``node`` with its own references resolved under ``subst``;
+        its continuations stay as they are."""
+        if isinstance(node, Interaction):
+            branches = tuple(
+                Branch(
+                    self.resolve_expr(br.weight, subst),
+                    tuple(self.resolve_item(item, subst) for item in br.update),
+                    br.cont,
+                    br.label,
+                )
+                for br in node.branches
             )
-        return ranges[0]
+            return Interaction(
+                self.resolve_ref(node.initiator, subst),
+                tuple(self.resolve_ref(r, subst) for r in node.receivers),
+                branches,
+                node.annotation,
+            )
+        if isinstance(node, Conditional):
+            return Conditional(
+                self.resolve_expr(node.guard, subst),
+                self.resolve_ref(node.role, subst),
+                node.then_term,
+                node.else_term,
+            )
+        if isinstance(node, AllSynch):
+            entries = tuple(
+                AllSynchEntry(
+                    self.resolve_ref(e.role, subst),
+                    self.resolve_expr(e.guard, subst),
+                    self.resolve_expr(e.weight, subst),
+                    tuple(self.resolve_item(a, subst) for a in e.update),
+                )
+                for e in node.entries
+            )
+            return AllSynch(entries, node.cont)
+        return node
 
     # -- statement expansion ----------------------------------------------------
 
-    def subst_head(self, term: Interaction, subst: dict[str, int], conts) -> Interaction:
-        branches = tuple(
-            Branch(
-                self.resolve_expr(br.weight, subst),
-                tuple(self.resolve_item(item, subst) for item in br.update),
-                cont,
-                br.label,
-            )
-            for br, cont in zip(term.branches, conts)
-        )
-        return Interaction(
-            self.resolve_ref(term.initiator, subst),
-            tuple(self.resolve_ref(r, subst) for r in term.receivers),
-            branches,
-            term.annotation,
-        )
-
     def expand_term(self, term: ChorTerm) -> ChorTerm:
-        if isinstance(term, Interaction):
-            binders = self.head_binders(term)
-            if not binders:
-                conts = [self.expand_term(b.cont) for b in term.branches]
-                return self.subst_head(term, {}, conts)
-            if len(binders) > 1:
+        if not isinstance(term, Interaction):
+            return _map_conts(self.resolve(term, {}), self.expand_term)
+        binders = self.binders(term)
+        if not binders:
+            return self.resolve(_map_conts(term, self.expand_term), {})
+        if len(binders) > 1:
+            raise WellFormednessError(
+                f"statement uses several index variables: {', '.join(sorted(binders))}"
+            )
+        (binder,) = binders
+        lo, hi = self.binder_family_range(term, binder)
+        conts = _conts(term)
+        if len(conts) > 1:
+            if any(binder in self.term_binders(c) for c in conts):
                 raise WellFormednessError(
-                    f"statement uses several index variables: {', '.join(sorted(binders))}"
+                    f"index {binder} reaches into a branch continuation of a choice"
                 )
-            (binder,) = binders
-            lo, hi = self.binder_family_range(term, binder)
-            conts = [b.cont for b in term.branches]
-            if len(conts) > 1:
-                if any(binder in self.term_binders(c) for c in conts):
-                    raise WellFormednessError(
-                        f"index {binder} reaches into a branch continuation of a choice"
-                    )
-                if len(set(conts)) != 1:
-                    raise WellFormednessError(
-                        "branches of an indexed choice must share one continuation"
-                    )
-            # Replicate the statement per index value, threading each copy's
-            # continuation(s) to the next copy; the last copy continues into
-            # the (separately expanded) original continuation.
-            cur = self.expand_term(conts[0])
-            for v in range(hi, lo - 1, -1):
-                cur = self.subst_head(term, {binder: v}, [cur] * len(conts))
-            return cur
-        if isinstance(term, Conditional):
-            return Conditional(
-                self.resolve_expr(term.guard, {}),
-                self.resolve_ref(term.role, {}),
-                self.expand_term(term.then_term),
-                self.expand_term(term.else_term),
-            )
-        if isinstance(term, AllSynch):
-            entries = tuple(
-                AllSynchEntry(
-                    self.resolve_ref(e.role, {}),
-                    self.resolve_expr(e.guard, {}),
-                    self.resolve_expr(e.weight, {}),
-                    tuple(Assign(self.resolve_ref(a.var, {}),
-                                 self.resolve_expr(a.expr, {})) for a in e.update),
+            if len(set(conts)) != 1:
+                raise WellFormednessError(
+                    "branches of an indexed choice must share one continuation"
                 )
-                for e in term.entries
-            )
-            return AllSynch(entries, self.expand_term(term.cont))
-        return term
+        # Replicate the statement per index value, threading each copy's
+        # continuation(s) to the next copy; the last copy continues into
+        # the (separately expanded) original continuation.
+        cur = self.expand_term(conts[0])
+        for v in range(hi, lo - 1, -1):
+            cur = _map_conts(self.resolve(term, {binder: v}), lambda _, nxt=cur: nxt)
+        return cur
 
 
 def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
@@ -319,11 +292,9 @@ def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
     roles = list(prog.roles)
     for f in prog.role_families:
         roles.extend(f"{f.base}{i}" for i in range(f.lo, f.hi + 1))
-    var_decls = []
-    for d in prog.var_decls:
-        var_decls.append(dataclasses.replace(d, owner=ex.resolve_ref(d.owner, {})))
+    var_decls = [dataclasses.replace(d, owner=ex.resolve_ref(d.owner, {})) for d in prog.var_decls]
+    fam_roles = {rf.base: rf for rf in prog.role_families}
     for f in prog.var_families:
-        fam_roles = {rf.base: rf for rf in prog.role_families}
         if f.owner_base not in fam_roles:
             raise WellFormednessError(
                 f"variable family {f.base} owned by non-family {f.owner_base}"
@@ -334,25 +305,19 @@ def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
                 f"variable family {f.base}[{f.lo}..{f.hi}] does not match "
                 f"owner family {f.owner_base}[{rf.lo}..{rf.hi}]"
             )
-        from .syntax import VarDecl
         var_decls.extend(
             VarDecl(f"{f.base}{i}", f"{f.owner_base}{i}", f.init, f.vlo, f.vhi, f.is_bool)
             for i in range(f.lo, f.hi + 1)
         )
-    defs = {name: ex.expand_term(body) for name, body in prog.defs.items()}
-    out = SurfaceProgram(
-        kind=prog.kind,
-        constants=dict(prog.constants),
+    return dataclasses.replace(
+        prog,
         roles=roles,
         role_families=[],
         var_decls=var_decls,
         var_families=[],
-        defs=defs,
-        main=prog.main,
+        defs={name: ex.expand_term(body) for name, body in prog.defs.items()},
+        family_ranges={**prog.family_ranges, **ex.families},
     )
-    out.family_ranges = dict(getattr(prog, "family_ranges", {}))
-    out.family_ranges.update(ex.families)
-    return out
 
 
 def _cmp(a: int, op: str, b: int) -> bool:
@@ -364,9 +329,7 @@ def _cmp(a: int, op: str, b: int) -> bool:
 
 def expand_foreach(prog: SurfaceProgram) -> SurfaceProgram:
     """Instantiate foreach clauses over their variable family's index range."""
-    ranges: dict[str, tuple[int, int]] = dict(getattr(prog, "family_ranges", {}))
-    for f in prog.var_families:
-        ranges[f.base] = (f.lo, f.hi)
+    ranges = {**prog.family_ranges, **{f.base: (f.lo, f.hi) for f in prog.var_families}}
     ex = _Expander(prog)
     ex.families.update(ranges)
 
@@ -397,37 +360,19 @@ def expand_foreach(prog: SurfaceProgram) -> SurfaceProgram:
         ]
 
     def walk(term: ChorTerm) -> ChorTerm:
-        if isinstance(term, Interaction):
-            branches = tuple(
-                Branch(
-                    b.weight,
-                    tuple(a for item in b.update for a in lower_item(item)),
-                    walk(b.cont),
-                    b.label,
-                )
-                for b in term.branches
-            )
-            return dataclasses.replace(term, branches=branches)
-        if isinstance(term, Conditional):
-            return dataclasses.replace(
-                term, then_term=walk(term.then_term), else_term=walk(term.else_term)
-            )
-        if isinstance(term, AllSynch):
-            return AllSynch(term.entries, walk(term.cont))
-        return term
+        if not isinstance(term, Interaction):
+            return _map_conts(term, walk)
+        # a branch's clauses lower before its continuation, so that of two
+        # faulty clauses the first in source order is the one reported
+        branches = tuple(
+            Branch(b.weight, tuple(a for item in b.update for a in lower_item(item)),
+                   walk(b.cont), b.label)
+            for b in term.branches
+        )
+        return Interaction(term.initiator, term.receivers, branches, term.annotation)
 
-    out = SurfaceProgram(
-        kind=prog.kind,
-        constants=dict(prog.constants),
-        roles=list(prog.roles),
-        role_families=list(prog.role_families),
-        var_decls=list(prog.var_decls),
-        var_families=list(prog.var_families),
-        defs={name: walk(body) for name, body in prog.defs.items()},
-        main=prog.main,
-    )
-    out.family_ranges = ranges
-    return out
+    defs = {name: walk(body) for name, body in prog.defs.items()}
+    return dataclasses.replace(prog, defs=defs, family_ranges=ranges)
 
 
 def _fold_mul(a: Expr, b: Expr) -> Expr:
@@ -449,14 +394,10 @@ def desugar_allsynch(prog: SurfaceProgram) -> SurfaceProgram:
     """
 
     def lower(node: AllSynch) -> ChorTerm:
-        cont = walk(node.cont)
-        order: list[str] = []
         groups: dict[str, list[AllSynchEntry]] = {}
         for e in node.entries:
-            if e.role not in groups:
-                order.append(e.role)
-                groups[e.role] = []
-            groups[e.role].append(e)
+            groups.setdefault(e.role, []).append(e)
+        order = list(groups)
 
         def build(i: int, chosen: list[AllSynchEntry]) -> ChorTerm:
             if i == len(order):
@@ -468,7 +409,7 @@ def desugar_allsynch(prog: SurfaceProgram) -> SurfaceProgram:
                 return Interaction(
                     order[0],
                     tuple(order[1:]),
-                    (Branch(weight, update, cont),),
+                    (Branch(weight, update, node.cont),),
                 )
             ladder: ChorTerm = Inact()
             for e in reversed(groups[order[i]]):
@@ -482,29 +423,10 @@ def desugar_allsynch(prog: SurfaceProgram) -> SurfaceProgram:
         return build(0, [])
 
     def walk(term: ChorTerm) -> ChorTerm:
-        if isinstance(term, AllSynch):
-            return lower(term)
-        if isinstance(term, Interaction):
-            branches = tuple(
-                dataclasses.replace(b, cont=walk(b.cont)) for b in term.branches
-            )
-            return dataclasses.replace(term, branches=branches)
-        if isinstance(term, Conditional):
-            return dataclasses.replace(
-                term, then_term=walk(term.then_term), else_term=walk(term.else_term)
-            )
-        return term
+        term = _map_conts(term, walk)
+        return lower(term) if isinstance(term, AllSynch) else term
 
-    return SurfaceProgram(
-        kind=prog.kind,
-        constants=dict(prog.constants),
-        roles=list(prog.roles),
-        role_families=list(prog.role_families),
-        var_decls=list(prog.var_decls),
-        var_families=list(prog.var_families),
-        defs={name: walk(body) for name, body in prog.defs.items()},
-        main=prog.main,
-    )
+    return dataclasses.replace(prog, defs={name: walk(body) for name, body in prog.defs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +441,14 @@ def auto_annotate(program: ChorProgram, scheme: str = "deterministic",
     over the definitions; the seeded-random scheme draws five uppercase
     letters. Existing labels are kept and never collided with.
     """
-    used = set()
-    for _, body in program.defs.items():
-        for t in _all_interactions(body):
-            if t.annotation:
-                used.add(t.annotation)
-            for b in t.branches:
-                if b.label:
-                    used.add(b.label)
+    used = {
+        name
+        for body in program.defs.values()
+        for t in subterms(body) if isinstance(t, Interaction)
+        for name in (t.annotation, *(b.label for b in t.branches)) if name
+    }
 
-    rng = random.Random(seed)
+    rng = random.Random(seed) if scheme == "seeded-random" else None
     counter = [0]
 
     def fresh() -> str:
@@ -543,30 +463,12 @@ def auto_annotate(program: ChorProgram, scheme: str = "deterministic",
                 return name
 
     def walk(term: ChorTerm) -> ChorTerm:
-        if isinstance(term, Interaction):
-            ann = term.annotation or fresh()
-            branches = tuple(
-                dataclasses.replace(b, cont=walk(b.cont)) for b in term.branches
-            )
-            return Interaction(term.initiator, term.receivers, branches, ann)
-        if isinstance(term, Conditional):
-            return dataclasses.replace(
-                term, then_term=walk(term.then_term), else_term=walk(term.else_term)
-            )
-        return term
+        if isinstance(term, Interaction) and not term.annotation:
+            term = Interaction(term.initiator, term.receivers, term.branches, fresh())
+        return _map_conts(term, walk)
 
     defs = {name: walk(body) for name, body in program.defs.items()}
     return dataclasses.replace(program, defs=defs)
-
-
-def _all_interactions(term: ChorTerm):
-    if isinstance(term, Interaction):
-        yield term
-        for b in term.branches:
-            yield from _all_interactions(b.cont)
-    elif isinstance(term, Conditional):
-        yield from _all_interactions(term.then_term)
-        yield from _all_interactions(term.else_term)
 
 
 def branch_label(inter: Interaction, j: int) -> str:

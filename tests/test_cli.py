@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from chorprism.cli import main
 
 
@@ -161,6 +163,25 @@ def test_chain_init_override_rejects_garbage(capsys, data_path):
     code, _, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x=9")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("chain",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
+    ids=["verify", "chain", "chain-chor", "chain-prism"],
+)
+def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, argv):
+    code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", "nope=1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no variable named nope\n"
+
+
+def test_verify_takes_no_label_seed(capsys, data_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", data_path("example2.chor"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_chain_state_budget(capsys, data_path):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from chorprism import (
-    EmitConfig,
     auto_annotate,
     build_network_chain,
     emit,
@@ -14,19 +13,11 @@ from chorprism import (
     load_program,
     project,
 )
-from chorprism.emit import (
-    UnrepresentableWeight,
-    output_extension,
-    render_command,
-    render_expr,
-    render_update,
-)
+from chorprism.emit import render_command, render_expr, render_update
 from chorprism.prism import PrismCommand
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var
 
 from reparse import reparse
-
-CFG = EmitConfig()
 
 
 def cmd(label, guard, *alts):
@@ -43,7 +34,7 @@ def test_render_single_send_command():
         Binary("=", Var("p_STATE"), Lit(0)),
         (Lit(2), (Assign("x", Lit(1)), Assign("p_STATE", Lit(1)))),
     )
-    assert render_command(c, CFG) == "[a_1] (p_STATE=0) -> 2 : (x'=1)&(p_STATE'=1);"
+    assert render_command(c) == "[a_1] (p_STATE=0) -> 2 : (x'=1)&(p_STATE'=1);"
 
 
 def test_render_silent_multi_alternative_command():
@@ -53,45 +44,39 @@ def test_render_silent_multi_alternative_command():
         (Var("lambda1"), (Assign("s", Lit(1)),)),
         (Var("lambda2"), (Assign("s", Lit(2)),)),
     )
-    assert render_command(c, CFG) == "[] (true) -> lambda1 : (s'=1) + lambda2 : (s'=2);"
+    assert render_command(c) == "[] (true) -> lambda1 : (s'=1) + lambda2 : (s'=2);"
 
 
 def test_render_empty_update_is_true():
-    assert render_update((), CFG) == "true"
+    assert render_update(()) == "true"
     c = cmd(None, Lit(True), (Lit(1), ()))
-    assert render_command(c, CFG) == "[] (true) -> 1 : true;"
+    assert render_command(c) == "[] (true) -> 1 : true;"
 
 
 def test_render_expr_operators():
     x, y = Var("x"), Var("y")
-    assert render_expr(Binary("and", Binary("=", x, Lit(1)), Binary("<", y, Lit(2))), CFG) \
+    assert render_expr(Binary("and", Binary("=", x, Lit(1)), Binary("<", y, Lit(2)))) \
         == "x=1&y<2"
     # comparison binds tighter than negation, so no parentheses are needed
-    assert render_expr(Unary("not", Binary("=", x, Lit(1))), CFG) == "!x=1"
-    assert render_expr(Unary("not", Binary("and", Var("a"), Var("b"))), CFG) == "!(a&b)"
-    assert render_expr(Binary("or", Binary("=", x, Lit(0)), Binary("=", x, Lit(1))), CFG) \
+    assert render_expr(Unary("not", Binary("=", x, Lit(1)))) == "!x=1"
+    assert render_expr(Unary("not", Binary("and", Var("a"), Var("b")))) == "!(a&b)"
+    assert render_expr(Binary("or", Binary("=", x, Lit(0)), Binary("=", x, Lit(1)))) \
         == "x=0|x=1"
-    assert render_expr(Binary("*", Binary("+", x, Lit(1)), Lit(2)), CFG) == "(x+1)*2"
-    assert render_expr(Binary("+", x, Binary("*", Lit(1), Lit(2))), CFG) == "x+1*2"
-    assert render_expr(Binary("mod", x, Lit(3)), CFG) == "mod(x,3)"
-    assert render_expr(Binary("min", x, y), CFG) == "min(x,y)"
+    assert render_expr(Binary("*", Binary("+", x, Lit(1)), Lit(2))) == "(x+1)*2"
+    assert render_expr(Binary("+", x, Binary("*", Lit(1), Lit(2)))) == "x+1*2"
+    assert render_expr(Binary("mod", x, Lit(3))) == "mod(x,3)"
+    assert render_expr(Binary("min", x, y)) == "min(x,y)"
+    # numbers keep 17 significant digits, enough to round-trip every double
+    assert render_expr(Lit(0.375)) == "0.375"
+    assert render_expr(Lit(0.1)) == "0.10000000000000001"
     # subtraction is left associative: the right operand keeps its parens
-    assert render_expr(Binary("-", x, Binary("-", y, Lit(1))), CFG) == "x-(y-1)"
+    assert render_expr(Binary("-", x, Binary("-", y, Lit(1)))) == "x-(y-1)"
 
 
 def test_integer_division_floors_in_state_expressions_only():
     e = Binary("/", Var("x"), Lit(2))
-    assert render_expr(e, CFG) == "floor(x/2)"
-    assert render_expr(e, CFG, weight=True) == "x/2"
-
-
-def test_numeric_precision_is_enforced():
-    tiny = EmitConfig(precision=6)
-    assert render_expr(Lit(0.5), tiny) == "0.5"
-    with pytest.raises(UnrepresentableWeight):
-        render_expr(Lit(0.12345678901234567), tiny)
-    with pytest.raises(ValueError):
-        EmitConfig(precision=3)
+    assert render_expr(e) == "floor(x/2)"
+    assert render_expr(e, weight=True) == "x/2"
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +116,6 @@ def test_emission_is_deterministic(data_text):
     a = emit(*reversed(compiled(data_text, "thinkteam.chor")))
     b = emit(*reversed(compiled(data_text, "thinkteam.chor")))
     assert a == b
-
-
-def test_file_extension_follows_the_kind():
-    assert output_extension("ctmc") == ".sm"
-    assert output_extension("dtmc") == ".pm"
 
 
 # ---------------------------------------------------------------------------

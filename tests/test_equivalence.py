@@ -323,3 +323,72 @@ def test_verify_init_overrides_apply_to_both_sides(data_text):
     )
     assert report["equivalent"] is True
     assert report["states"]["chor_raw"] == 5
+
+
+# pair 65 (dtmc) of the benchmark corpus, seed 1: a discrete program whose
+# verdict depends on collapse running before the jump chains
+PAIR65_DTMC = """
+dtmc;
+role p, q, r;
+var u @ p : [0..3] init 3;
+var v @ q : [0..3] init 2;
+var w @ r : [0..3] init 0;
+def Main =
+  q -> p, r : {
+      rate 0.25 : {u'=mod(u + 1, 4), w'=0}; Aux
+    | rate 0.75 : {u'=3}; r -> p, q : {
+        rate 0.375 : {}; r -> p, q : {
+          rate 1 : {v'=2}; Main
+      }
+      | rate 0.625 : {}; q -> p, r : {
+          rate 1 : {v'=mod(v + 1, 4)}; p -> q, r : {
+            rate 0.5 : {u'=mod(u + 1, 4), v'=2}; Main
+          | rate 0.5 : {w'=0}; end
+        }
+      }
+    }
+  };
+def Aux =
+  q -> p, r : {
+      rate 0.75 : {}; p -> q, r : {
+        rate 0.75 : {}; q -> p, r : {
+          rate 0.75 : {u'=mod(u + 1, 4), w'=0}; r -> p, q : {
+            rate 1 : {u'=mod(u + 1, 4)}; Main
+        }
+        | rate 0.25 : {w'=mod(w + 1, 4), u'=1}; Main
+      }
+      | rate 0.25 : {w'=mod(w + 1, 4)}; r -> p, q : {
+          rate 1 : {v'=mod(v + 1, 4), w'=mod(w + 1, 4)}; q -> p, r : {
+            rate 1 : {w'=1}; end
+        }
+      }
+    }
+    | rate 0.25 : {}; p -> q, r : {
+        rate 0.375 : {}; p -> q, r : {
+          rate 0.5 : {v'=1}; q -> p, r : {
+            rate 0.5 : {}; Main
+          | rate 0.5 : {w'=2}; end
+        }
+        | rate 0.5 : {}; q -> p, r : {
+            rate 0.75 : {v'=mod(v + 1, 4), u'=3}; Main
+          | rate 0.25 : {}; Main
+        }
+      }
+      | rate 0.625 : {}; end
+    }
+  };
+main Main;
+"""
+
+
+def test_discrete_verdict_needs_collapse_before_jump_chains():
+    prog = auto_annotate(load_program(PAIR65_DTMC))
+    report = verify_projection(prog)
+    assert report["equivalent"] is True
+    assert [f.split(":")[0] for f in report["findings"]] == ["dtmc_renormalized"]
+
+    obs = tuple(d.name for d in prog.var_decls)
+    net, _ = project(prog)
+    source, network = build_chain(prog), build_network_chain(net, "dtmc", prog.constants)
+    ok, _ = bisimilar(jump_chain(source, obs), jump_chain(network, obs), obs)
+    assert not ok

@@ -14,12 +14,13 @@ from chorprism import (
     parse,
     pretty_print,
 )
-from chorprism.errors import IndexOutOfFamily
+from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from chorprism.parser import term_to_str
 from chorprism.sugar import branch_label, surface_to_core
 from chorprism.syntax import (
     Assign,
     Binary,
+    Branch,
     CallTerm,
     Conditional,
     Inact,
@@ -179,6 +180,88 @@ def test_literal_index_out_of_range_is_an_error():
     )
     with pytest.raises(IndexOutOfFamily):
         load_program(src)
+
+
+FAMILIES = "ctmc;\nrole c[1..2], d[1..3], m;\nvar f[1..2] @ c[i] : [0..1] init 0;\n"
+K_REAL = FAMILIES + "const K = 1.5;\n"
+
+
+def lowered(body: str, head: str = FAMILIES):
+    return lambda: load_program(f"{head}def M = {body};\nmain M;\n")
+
+
+WFE = WellFormednessError
+REACHES = "index i reaches into a branch continuation of a choice"
+
+
+# one case per raise in the lowering passes: the error class and the message
+@pytest.mark.parametrize("lower,error,message", [
+    pytest.param(lowered("c[1.5] -> m : { rate 1 : {}; end }"),
+                 WFE, "malformed index expression [1.5]", id="malformed-index"),
+    pytest.param(lowered("c[K] -> m : { rate 1 : {}; end }", K_REAL),
+                 WFE, "index constant K is not an integer", id="index-constant-not-int"),
+    pytest.param(lowered("m[1] -> c[1] : { rate 1 : {}; end }"),
+                 WFE, "m is not a declared family", id="literal-index-on-role"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : {}; c[3] -> m : { rate 1 : {}; end } }"),
+                 IndexOutOfFamily, "index 3 outside c[1..2]", id="literal-index-outside"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {z[i]'=1}; end }"),
+                 WFE, "z is not a declared family", id="index-into-undeclared"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j < i) f[j]'=1 }; end }"),
+                 WFE, "cannot infer the range of index i", id="index-range-unknown"),
+    pytest.param(lowered("c[i] -> d[i] : { rate 1 : {}; end }"),
+                 WFE, "index i spans families with different ranges", id="index-spans-ranges"),
+    pytest.param(lowered("c[i] -> d[j] : { rate 1 : {}; end }"),
+                 WFE, "statement uses several index variables: i, j", id="several-indices"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; m -> c[1] : { rate 1 : {};"
+                         " c[i] -> m : { rate 1 : {}; end } } | rate 2 : {}; end }"),
+                 WFE, REACHES, id="index-reaches-interaction"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; end"
+                         " | rate 2 : {}; if f[i]=1 @ c[1] then { end } else { end } }"),
+                 WFE, REACHES, id="index-reaches-conditional"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; end"
+                         " | rate 2 : {}; allsynch { m : true -> rate 1 : {f[i]'=1} }; end }"),
+                 WFE, REACHES, id="index-reaches-allsynch"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; end"
+                         " | rate 2 : {}; m -> c[1] : { rate 1 : {}; end } }"),
+                 WFE, "branches of an indexed choice must share one continuation",
+                 id="indexed-choice-continuations"),
+    pytest.param(lowered("p -> q : { rate 1 : {}; end }",
+                         "ctmc;\nrole p, q;\nvar x[1..2] @ p[i] : [0..1] init 0;\n"),
+                 WFE, "variable family x owned by non-family p", id="family-owner-not-family"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : {}; end }",
+                         "ctmc;\nrole c[1..2], m;\nvar x[1..3] @ c[i] : [0..1] init 0;\n"),
+                 WFE, "variable family x[1..3] does not match owner family c[1..2]",
+                 id="family-owner-range"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end }"),
+                 WFE, "foreach over j must assign f[j]", id="foreach-assigns-other"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) g[j]'=1 }; end }"),
+                 WFE, "g is not a declared family", id="foreach-undeclared"),
+    # through load_program a non-constant bound is an index variable, so
+    # only a direct call of the pass reaches this check
+    pytest.param(lambda: expand_foreach(parse(
+                     FAMILIES + "def M = c[1] -> m : { rate 1 : { foreach (j <= N) f[j]'=1 }; end };"
+                     "\nmain M;\n")),
+                 NonStaticIndex, "foreach bound N is not a constant or enclosing index",
+                 id="foreach-bound-unknown"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= K) f[j]'=1 }; end }", K_REAL),
+                 NonStaticIndex, "foreach bound 1.5 is not an integer", id="foreach-bound-not-int"),
+    # with two faults, the one reported first
+    pytest.param(lowered("c[3] -> m : { rate 1 : {}; c[5] -> m : { rate 1 : {}; end } }"),
+                 IndexOutOfFamily, "index 5 outside c[1..2]", id="first-error-continuation"),
+    pytest.param(lowered("if f[3]=1 @ c[1] then { c[5] -> m : { rate 1 : {}; end } } else { end }"),
+                 IndexOutOfFamily, "index 3 outside f[1..2]", id="first-error-guard"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : {};"
+                         " c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end }"
+                         " | rate 2 : { foreach (j <= 1.5) f[j]'=1 }; end }"),
+                 WFE, "foreach over j must assign f[j]", id="first-error-branch-order"),
+    pytest.param(lambda: branch_label(Interaction("p", ("q",), (Branch(Lit(1), (), Inact()),)), 0),
+                 WFE, "interaction has neither labels nor annotation", id="label-without-annotation"),
+])
+def test_lowering_errors(lower, error, message):
+    with pytest.raises(ChorError) as exc:
+        lower()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_foreach_expands_over_the_family_range():

@@ -115,6 +115,8 @@ def test_initial_valuation_overrides():
     assert initial_valuation(prog, {"x": 2}) == {"x": 2, "y": 0}
     with pytest.raises(RangeViolation):
         initial_valuation(prog, {"x": 9})
+    with pytest.raises(EvalError, match="no variable named nope"):
+        initial_valuation(prog, {"nope": 1})
 
 
 # ---------------------------------------------------------------------------
