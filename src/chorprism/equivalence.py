@@ -11,6 +11,8 @@ therefore runs in three stages:
 2. (discrete only) jump chains — replace each state's distribution with the
    distribution over where the *first observation-changing* move lands;
    probability of never changing the observation becomes a self-loop.
+   Interior states of a stutter run are then unreachable, so each jump
+   chain is cut to the part its initial state reaches before stage 3.
 3. partition-refinement bisimulation on the disjoint union, starting from
    observation equality. In continuous mode the refinement ignores each
    state's rate into its own class (ordinary lumpability), which is what
@@ -25,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import s_conn
-from .chain import MarkovChain, explore, render_value
-from .errors import NotStronglyConnected
+from .chain import MarkovChain, explore, reachable, render_value
+from .errors import NotStronglyConnected, StutterGroupTooLarge
 from .prism import build_network_chain
 from .projection import project
 from .semantics import DEFAULT_MAX_STATES, build_chain
@@ -34,6 +36,9 @@ from .sugar import auto_annotate
 from .syntax import ChorProgram
 
 TOL = 1e-9
+# Largest system jump_chain solves densely: one 3000 x 3000 float64 matrix
+# takes 72 MB, and the solve holds a few of them at once.
+MAX_DENSE_GROUP = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +117,25 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     """
     n = chain.num_states
     obs = chain.observations(obs_names)
-    stutter = [
-        {y: w for y, w in chain.edges[x].items() if obs[y] == obs[x]} for x in range(n)
-    ]
-    exits = [
-        {y: w for y, w in chain.edges[x].items() if obs[y] != obs[x]} for x in range(n)
-    ]
-
+    stutter: list[dict[int, float]] = []
+    exits: list[dict[int, float]] = []
     adj: list[list[int]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
     for x in range(n):
-        for y in stutter[x]:
+        ox = obs[x]
+        stay: dict[int, float] = {}
+        leave: dict[int, float] = {}
+        for y, w in chain.edges[x].items():
+            if obs[y] != ox:
+                leave[y] = w
+                continue
+            stay[y] = w
             if y != x:
                 adj[x].append(y)
                 adj[y].append(x)
+                preds[y].append(x)
+        stutter.append(stay)
+        exits.append(leave)
     comp = [-1] * n
     groups: list[list[int]] = []
     for s in range(n):
@@ -141,22 +152,24 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             qi += 1
         groups.append(members)
 
-    new_edges: list[dict[int, float]] = [dict() for _ in range(n)]
+    # states with a stutter path to an observation change: one backward
+    # search from every state that has an exit
+    can = [bool(e) for e in exits]
+    frontier = [x for x in range(n) if can[x]]
+    for x in frontier:
+        for y in preds[x]:
+            if not can[y]:
+                can[y] = True
+                frontier.append(y)
+
+    # a state with no such path diverges inside its observation
+    new_edges = [{} if can[x] else {x: 1.0} for x in range(n)]
     for members in groups:
-        can = {x for x in members if exits[x]}
-        changed = True
-        while changed:
-            changed = False
-            for x in members:
-                if x not in can and any(y in can for y in stutter[x]):
-                    can.add(x)
-                    changed = True
-        for x in members:
-            if x not in can:
-                new_edges[x][x] = 1.0  # diverges inside one observation
-        solvable = [x for x in members if x in can]
+        solvable = [x for x in members if can[x]]
         if not solvable:
             continue
+        if len(solvable) > MAX_DENSE_GROUP:
+            raise StutterGroupTooLarge(len(solvable), MAX_DENSE_GROUP)
         pos = {x: i for i, x in enumerate(solvable)}
         targets = sorted({t for x in solvable for t in exits[x]})
         tpos = {t: j for j, t in enumerate(targets)}
@@ -318,7 +331,8 @@ def verify_projection(
     """Project the program, build both chains, and decide equivalence.
 
     Returns a report: ``equivalent``, ``kind``, ``sconn``, raw/collapsed
-    state counts for both sides, accumulated findings, and a
+    state counts for both sides (in discrete mode also the sizes of the
+    trimmed jump chains), accumulated findings, and a
     ``counterexample`` description when the check fails.
     """
     prog = auto_annotate(prog)
@@ -344,9 +358,17 @@ def verify_projection(
     obs_names = tuple(d.name for d in prog.var_decls)
     c1 = collapse(chor_raw, obs_names)
     c2 = collapse(net_raw, obs_names)
+    states = {
+        "chor_raw": chor_raw.num_states,
+        "chor_collapsed": c1.num_states,
+        "net_raw": net_raw.num_states,
+        "net_collapsed": c2.num_states,
+    }
     if prog.kind == "dtmc":
-        j1 = jump_chain(c1, obs_names)
-        j2 = jump_chain(c2, obs_names)
+        j1 = reachable(jump_chain(c1, obs_names))
+        j2 = reachable(jump_chain(c2, obs_names))
+        states["chor_jump"] = j1.num_states
+        states["net_jump"] = j2.num_states
         equivalent, blocks = bisimilar(j1, j2, obs_names)
         witness = (j1, j2, False)
     else:
@@ -356,12 +378,7 @@ def verify_projection(
         "equivalent": equivalent,
         "kind": prog.kind,
         "sconn": sconn_ok,
-        "states": {
-            "chor_raw": chor_raw.num_states,
-            "chor_collapsed": c1.num_states,
-            "net_raw": net_raw.num_states,
-            "net_collapsed": c2.num_states,
-        },
+        "states": states,
         "findings": findings,
         "counterexample": None,
     }

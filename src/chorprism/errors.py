@@ -85,3 +85,16 @@ class StateBudgetExceeded(ChorError):
     def __init__(self, budget: int):
         self.budget = budget
         super().__init__(f"state space exceeds budget of {budget} states")
+
+
+class StutterGroupTooLarge(StateBudgetExceeded):
+    """A jump chain's linear system is too large to solve densely."""
+
+    def __init__(self, size: int, limit: int):
+        self.budget = limit
+        self.size = size
+        ChorError.__init__(
+            self,
+            f"a group of {size} states with equal observations exceeds "
+            f"the dense-solve limit of {limit} states",
+        )

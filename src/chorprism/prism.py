@@ -163,12 +163,6 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
     return tuple(out)
 
 
-def initial_network_valuation(
-    decls: tuple[VarDecl, ...], overrides: dict | None = None
-) -> dict:
-    return override_initial(decls, overrides)
-
-
 # ---------------------------------------------------------------------------
 # compiled commands
 # ---------------------------------------------------------------------------
@@ -441,7 +435,7 @@ def build_network_chain(
     """
     decls = network_var_decls(net)
     var_names = tuple(d.name for d in decls)
-    init_val = initial_network_valuation(decls, init_overrides)
+    init_val = override_initial(decls, init_overrides)
     init = tuple(init_val[n] for n in var_names)
     findings: list[str] = []
     states, edges = explore(init, _successors(net, kind, constants, init, findings), max_states)

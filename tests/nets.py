@@ -11,10 +11,15 @@ from chorprism.prism import (
     PrismCommand,
     PrismModule,
     derive_commands,
-    initial_network_valuation,
     network_var_decls,
 )
-from chorprism.semantics import DEFAULT_MAX_STATES, apply_assignments, eval_expr, eval_weight
+from chorprism.semantics import (
+    DEFAULT_MAX_STATES,
+    apply_assignments,
+    eval_expr,
+    eval_weight,
+    override_initial,
+)
 from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl
 
 
@@ -127,7 +132,7 @@ def oracle_chain(
     var_names = tuple(d.name for d in decls_list)
     decl_of = decl_lookup(decls)
     commands = derive_commands(net)
-    init = initial_network_valuation(decls_list, init_overrides)
+    init = override_initial(decls_list, init_overrides)
     findings: list[str] = []
 
     def successors(row):

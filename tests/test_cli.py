@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from chorprism import equivalence
 from chorprism.cli import main
 
 
@@ -190,6 +191,16 @@ def test_chain_state_budget(capsys, data_path):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_verify_oversized_stutter_group_is_one_error_line(capsys, data_path, monkeypatch):
+    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+    code, out, err = run(capsys, "verify", data_path("example2_dtmc.chor"))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: a group of ")
+    assert "exceeds the dense-solve limit of 1 states" in err
 
 
 def test_chain_findings_go_to_stderr(capsys, data_path):

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from chorprism.chain import MarkovChain
+from chorprism import equivalence
+from chorprism.chain import MarkovChain, reachable
 from chorprism.equivalence import (
     bisimilar,
     collapse,
@@ -15,11 +16,13 @@ from chorprism.equivalence import (
     jump_chain,
     verify_projection,
 )
-from chorprism.errors import NotStronglyConnected, StateBudgetExceeded
+from chorprism.errors import NotStronglyConnected, StateBudgetExceeded, StutterGroupTooLarge
 from chorprism.prism import build_network_chain
 from chorprism.projection import project
 from chorprism.semantics import build_chain
 from chorprism.sugar import auto_annotate, load_program
+
+from corpus import random_program
 
 OBS = ("x",)
 
@@ -155,6 +158,34 @@ def test_jump_chain_partial_divergence_keeps_mass_on_self_loop():
     assert got.edges[1] == pytest.approx({1: 1.0})
 
 
+def test_jump_chain_refuses_a_stutter_group_past_the_dense_limit(monkeypatch):
+    c = mk("dtmc", [(0,), (0,), (0,), (1,)], [{1: 1.0}, {2: 1.0}, {3: 1.0}, {}])
+    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 2)
+    with pytest.raises(StutterGroupTooLarge, match="group of 3 states") as exc:
+        jump_chain(c, OBS)
+    assert isinstance(exc.value, StateBudgetExceeded)
+    assert exc.value.exit_code == 3
+    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 3)
+    assert jump_chain(c, OBS).edges[0] == {3: 1.0}
+
+
+def test_reachable_renumbers_breadth_first_and_keeps_rows():
+    # state 1 is unreachable; 3 is reached before 2
+    c = mk(
+        "dtmc",
+        [(0,), (5,), (2,), (3,)],
+        [{3: 0.25, 2: 0.75}, {0: 1.0}, {2: 1.0}, {0: 0.5, 3: 0.5}],
+    )
+    got = reachable(c)
+    assert got.states == [(0,), (3,), (2,)]
+    assert got.init == 0
+    assert [list(row.items()) for row in got.edges] == [
+        [(1, 0.25), (2, 0.75)],
+        [(0, 0.5), (1, 0.5)],
+        [(2, 1.0)],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # bisimulation
 # ---------------------------------------------------------------------------
@@ -241,12 +272,42 @@ def test_verify_example2_dtmc_report(data_text):
         "chor_collapsed": 3,
         "net_raw": 19,
         "net_collapsed": 11,
+        "chor_jump": 3,
+        "net_jump": 3,
     }
     # two bookkeeping moves race at one network state; the builder rescales
     assert (
         "dtmc_renormalized: outgoing probability mass 2 at state "
         "p_STATE=3,x=1,q_STATE=1,y=2" in report["findings"]
     )
+
+
+GRID3_DTMC = """
+dtmc;
+role p, q, r;
+var x @ q : [0..3] init 0;
+var y @ r : [0..3] init 2;
+def G = p -> q, r : { rate 0.25 : {x'=mod(x+1, 4)}; G
+                    | rate 0.75 : {y'=mod(y+1, 4)}; G };
+main G;
+"""
+
+
+def test_verify_reports_trimmed_jump_chain_sizes():
+    report = verify_projection(load_program(GRID3_DTMC))
+    assert report["equivalent"] is True
+    assert report["states"] == {
+        "chor_raw": 32,
+        "chor_collapsed": 16,
+        "net_raw": 464,
+        "net_collapsed": 304,
+        "chor_jump": 16,
+        "net_jump": 33,
+    }
+    # a corpus program whose source jump chain loses interior states too
+    st = verify_projection(random_program(random.Random(2), "dtmc"))["states"]
+    assert (st["chor_collapsed"], st["chor_jump"]) == (8, 4)
+    assert (st["net_collapsed"], st["net_jump"]) == (16, 4)
 
 
 def test_verify_sconn_pos_as_dtmc(data_text):
@@ -392,3 +453,41 @@ def test_discrete_verdict_needs_collapse_before_jump_chains():
     source, network = build_chain(prog), build_network_chain(net, "dtmc", prog.constants)
     ok, _ = bisimilar(jump_chain(source, obs), jump_chain(network, obs), obs)
     assert not ok
+
+
+def _full_and_trimmed_verdicts(source, network, obs):
+    """(verdict, explanation) of bisimilar on the full jump chains, then on
+    the same chains cut to their reachable part."""
+    j1, j2 = jump_chain(source, obs), jump_chain(network, obs)
+    out = []
+    for j1, j2 in ((j1, j2), (reachable(j1), reachable(j2))):
+        ok, blocks = bisimilar(j1, j2, obs)
+        out.append((ok, None if ok else explain_difference(j1, j2, blocks, obs)))
+    return out
+
+
+def _discrete_chains(prog):
+    prog = auto_annotate(prog)
+    obs = tuple(d.name for d in prog.var_decls)
+    net, _ = project(prog, require_sconn=False)
+    return build_chain(prog), build_network_chain(net, "dtmc", prog.constants), obs
+
+
+def test_trimming_jump_chains_keeps_verdicts():
+    programs = [random_program(random.Random(seed), "dtmc") for seed in range(200)]
+    programs += [load_program(GRID3_DTMC), load_program(PAIR65_DTMC)]
+    for prog in programs:
+        source, network, obs = _discrete_chains(prog)
+        full, trimmed = _full_and_trimmed_verdicts(
+            collapse(source, obs), collapse(network, obs), obs
+        )
+        assert trimmed == full
+
+
+def test_trimming_jump_chains_keeps_the_explanation():
+    # without collapse, pair65's jump chains differ (see above)
+    source, network, obs = _discrete_chains(load_program(PAIR65_DTMC))
+    full, trimmed = _full_and_trimmed_verdicts(source, network, obs)
+    assert full[0] is False
+    assert full[1].startswith("from the initial state, total weight into states observing")
+    assert trimmed == full

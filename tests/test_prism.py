@@ -29,9 +29,9 @@ from chorprism.prism import (
     ParNet,
     PrismCommand,
     PrismModule,
-    initial_network_valuation,
     network_var_decls,
 )
+from chorprism.semantics import override_initial
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
 from corpus import random_program_pair
@@ -263,7 +263,7 @@ def test_racing_pair_ctmc_chain_keeps_raw_weights():
 def test_synced_pair_steps_with_multiplied_rates():
     modules, constants = synced_pair()
     net = compose_network(modules)
-    init = initial_network_valuation(network_var_decls(net))
+    init = override_initial(network_var_decls(net), None)
     moves = {tuple(sorted(v.items())): w for v, w in step_network(net, init, "ctmc", constants)}
     assert len(moves) == 2
     a_move = tuple(sorted({"s_p": 1, "x": 1, "s_q": 1, "y": 2}.items()))
@@ -297,12 +297,12 @@ def test_deadlocked_discrete_network_self_loops():
 def test_initial_valuation_overrides_are_validated():
     modules, _ = synced_pair()
     decls = network_var_decls(compose_network(modules))
-    val = initial_network_valuation(decls, {"x": 2})
+    val = override_initial(decls, {"x": 2})
     assert val["x"] == 2 and val["s_p"] == 0
     with pytest.raises(RangeViolation):
-        initial_network_valuation(decls, {"x": 99})
+        override_initial(decls, {"x": 99})
     with pytest.raises(EvalError):
-        initial_network_valuation(decls, {"nope": 1})
+        override_initial(decls, {"nope": 1})
 
 
 # ---------------------------------------------------------------------------
