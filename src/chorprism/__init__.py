@@ -30,7 +30,6 @@ from .prism import (
     PrismModule,
     alphabet,
     build_network_chain,
-    compose_network,
     derive_commands,
 )
 from .projection import ProjectionContext, fuse_resets, proj_update, project
@@ -71,7 +70,6 @@ __all__ = [
     "check_annotations",
     "check_well_formed",
     "collapse",
-    "compose_network",
     "derive_commands",
     "desugar_allsynch",
     "emit",

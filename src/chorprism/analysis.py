@@ -185,7 +185,6 @@ def type_of(e: Expr, var_types: dict[str, str]) -> str:
             raise WellFormednessError(f"unknown name {e.name}") from None
     if isinstance(e, Unary):
         t = type_of(e.operand, var_types)
-        want = "bool" if e.op == "not" else "numeric"
         if e.op == "not" and t != "bool":
             raise WellFormednessError(f"'not' applied to {t} operand")
         if e.op == "neg" and t == "bool":

@@ -21,7 +21,7 @@ from .analysis import check_annotations, check_well_formed, require_well_formed,
 from .emit import emit
 from .equivalence import verify_projection
 from .errors import ChorError, ParseError
-from .prism import alphabet, build_network_chain, network_modules
+from .prism import alphabet, build_network_chain
 from .projection import fuse_resets, project
 from .semantics import DEFAULT_MAX_STATES, build_chain
 from .sugar import auto_annotate, load_program
@@ -90,10 +90,9 @@ def cmd_compile(args) -> int:
     if not args.no_fuse_resets:
         net = fuse_resets(net)
     text = emit(net, prog)
-    modules = network_modules(net)
-    commands = sum(len(m.commands) for m in modules)
+    commands = sum(len(m.commands) for m in net)
     print(
-        f"modules: {len(modules)}  commands: {commands}  labels: {len(alphabet(net))}",
+        f"modules: {len(net)}  commands: {commands}  labels: {len(alphabet(net))}",
         file=sys.stderr,
     )
     if args.output:

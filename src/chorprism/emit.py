@@ -4,7 +4,8 @@ Output shape: the model-kind keyword, one ``const double`` per named
 constant, then one ``module … endmodule`` block per role holding the
 counter declaration, the role's own variables, and its commands. No
 ``system`` block is emitted: PRISM's default composition synchronizes
-modules on shared labels, which is exactly how the network was built.
+each module with the ones before it on the labels they share, which is the
+composition :func:`chorprism.prism.derive_commands` gives the network.
 
 State expressions use PRISM's operators (``&``, ``|``, ``!``); integer
 division becomes ``floor(a/b)`` since PRISM's ``/`` is real division,
@@ -13,7 +14,7 @@ whereas weight expressions keep ``/`` (weights divide exactly).
 
 from __future__ import annotations
 
-from .prism import Network, PrismCommand, network_modules
+from .prism import Network, PrismCommand
 from .syntax import Assign, Binary, ChorProgram, Expr, Lit, Unary, Var, VarDecl
 
 
@@ -89,7 +90,7 @@ def emit(net: Network, prog: ChorProgram) -> str:
         lines.append("")
         for name, value in prog.constants.items():
             lines.append(f"const double {name} = {_num(value)};")
-    for m in network_modules(net):
+    for m in net:
         lines.append("")
         lines.append(f"module {m.name}")
         for d in m.var_decls:

@@ -207,21 +207,27 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
 # stage 3: partition-refinement bisimulation
 # ---------------------------------------------------------------------------
 
+def _ignores_own_block(c1: MarkovChain, c2: MarkovChain) -> bool:
+    """Whether refinement drops the weight a state sends into its own
+    block: ordinary lumpability for rate chains, full comparison for
+    probability chains."""
+    if c1.kind != c2.kind:
+        raise ValueError(f"cannot compare a {c1.kind} chain with a {c2.kind} chain")
+    return c1.kind == "ctmc"
+
+
 def bisimilar(
-    c1: MarkovChain,
-    c2: MarkovChain,
-    obs_names: tuple[str, ...],
-    *,
-    exclude_own_block: bool = False,
+    c1: MarkovChain, c2: MarkovChain, obs_names: tuple[str, ...]
 ) -> tuple[bool, list[int]]:
     """Refine the disjoint union of the two chains, starting from
     observation equality, until block-wise outgoing weights stabilize.
 
-    With ``exclude_own_block`` the weight a state sends into its own block
-    is ignored (ordinary lumpability for rate chains). Returns whether the
-    two initial states share a block, plus the final block of every state
-    (first chain's states first).
+    For ``ctmc`` chains the weight a state sends into its own block is
+    ignored (ordinary lumpability); ``dtmc`` chains are compared in full.
+    Returns whether the two initial states share a block, plus the final
+    block of every state (first chain's states first).
     """
+    ignore_own = _ignores_own_block(c1, c2)
     n1, n2 = c1.num_states, c2.num_states
     obs = c1.observations(obs_names)
     obs += c2.observations(obs_names)
@@ -245,7 +251,7 @@ def bisimilar(
             for y, w in edges[x].items():
                 b = blocks[y]
                 sums[b] = sums.get(b, 0.0) + w
-            if exclude_own_block:
+            if ignore_own:
                 sums.pop(blocks[x], None)
             sig = (
                 blocks[x],
@@ -270,11 +276,11 @@ def explain_difference(
     c2: MarkovChain,
     blocks: list[int],
     obs_names: tuple[str, ...],
-    *,
-    exclude_own_block: bool = False,
 ) -> str:
     """Human-readable reason the two initial states ended in different
-    blocks of the final (stable) partition."""
+    blocks of the final (stable) partition, weighed as :func:`bisimilar`
+    weighs them for the chains' kind."""
+    ignore_own = _ignores_own_block(c1, c2)
     n1 = c1.num_states
     obs = c1.observations(obs_names)
     obs += c2.observations(obs_names)
@@ -292,7 +298,7 @@ def explain_difference(
         for y, w in chain.edges[chain.init].items():
             b = blocks[y + offset]
             sums[b] = sums.get(b, 0.0) + w
-        if exclude_own_block:
+        if ignore_own:
             sums.pop(blocks[chain.init + offset], None)
         return sums
 
@@ -365,15 +371,11 @@ def verify_projection(
         "net_collapsed": c2.num_states,
     }
     if prog.kind == "dtmc":
-        j1 = reachable(jump_chain(c1, obs_names))
-        j2 = reachable(jump_chain(c2, obs_names))
-        states["chor_jump"] = j1.num_states
-        states["net_jump"] = j2.num_states
-        equivalent, blocks = bisimilar(j1, j2, obs_names)
-        witness = (j1, j2, False)
-    else:
-        equivalent, blocks = bisimilar(c1, c2, obs_names, exclude_own_block=True)
-        witness = (c1, c2, True)
+        c1 = reachable(jump_chain(c1, obs_names))
+        c2 = reachable(jump_chain(c2, obs_names))
+        states["chor_jump"] = c1.num_states
+        states["net_jump"] = c2.num_states
+    equivalent, blocks = bisimilar(c1, c2, obs_names)
     report = {
         "equivalent": equivalent,
         "kind": prog.kind,
@@ -383,8 +385,5 @@ def verify_projection(
         "counterexample": None,
     }
     if not equivalent:
-        w1, w2, excl = witness
-        report["counterexample"] = explain_difference(
-            w1, w2, blocks, obs_names, exclude_own_block=excl
-        )
+        report["counterexample"] = explain_difference(c1, c2, blocks, obs_names)
     return report

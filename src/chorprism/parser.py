@@ -11,20 +11,21 @@ Grammar sketch (comments are ``// …``)::
     program   := ("ctmc"|"dtmc") ";" decl*
     decl      := "const" NAME "=" number ";"
                | "role" rolespec ("," rolespec)* ";"
-               | "var" varspec "@" roleref ":" vtype "init" value ";"
+               | "var" varspec "@" ref ":" vtype "init" value ";"
                | "def" NAME "=" term ";"
                | "main" NAME ";"
     rolespec  := NAME ("[" bound ".." bound "]")?
     vtype     := "[" bound ".." bound "]" | "bool"
-    term      := roleref "->" [roleref ("," roleref)*] ":" annot? "{" branch ("|" branch)* "}"
-               | "if" expr "@" roleref "then" "{" term "}" "else" "{" term "}"
+    term      := ref "->" [ref ("," ref)*] ":" annot? "{" branch ("|" branch)* "}"
+               | "if" expr "@" ref "then" "{" term "}" "else" "{" term "}"
                | "allsynch" "{" entry ("|" entry)* "}" ";" term
                | "end" | NAME
     branch    := ("[" NAME "]")? "rate" expr ":" update ";" term
-    entry     := roleref ":" expr "->" "rate" expr ":" update
+    entry     := ref ":" expr "->" "rate" expr ":" update
     update    := "{" (uitem ("," uitem)*)? "}"
     uitem     := "foreach" "(" NAME cmpop (NAME|INT) ")" assign | assign
-    assign    := varref "'" "=" expr
+    assign    := ref "'" "=" expr
+    ref       := NAME ("[" (INT | NAME (("+"|"-") INT)?) "]")?
 
 Expressions use keywords ``and``/``or``/``not`` (the PRISM symbols would
 collide with the branch separator) and function-style ``mod``/``min``/``max``.
@@ -262,13 +263,13 @@ class _Parser:
 
     def const_decl(self, prog: SurfaceProgram):
         self.expect("const")
-        name = self.expect("name").value
+        t = self.expect("name")
+        name = t.value
         self.expect("=")
         v = self.signed_number()
         self.expect(";")
         if name in prog.constants:
-            raise ParseError(f"constant {name} declared twice",
-                             self.peek().line, self.peek().col)
+            raise ParseError(f"constant {name} declared twice", t.line, t.col)
         prog.constants[name] = v
 
     def signed_number(self):
@@ -311,7 +312,8 @@ class _Parser:
 
     def var_decl(self, prog: SurfaceProgram):
         self.expect("var")
-        name = self.expect("name").value
+        t = self.expect("name")
+        name = t.value
         fam_range = None
         if self.accept("["):
             lo = self.bound(prog.constants)
@@ -341,12 +343,11 @@ class _Parser:
         self.expect(";")
         if is_bool and not isinstance(init, bool):
             raise ParseError(f"bool variable {name} needs a bool initial value",
-                             self.peek().line, self.peek().col)
+                             t.line, t.col)
         if fam_range is not None:
             if owner_idx is None:
-                raise ParseError(
-                    f"variable family {name} needs an indexed owner",
-                    self.peek().line, self.peek().col)
+                raise ParseError(f"variable family {name} needs an indexed owner",
+                                 t.line, t.col)
             prog.var_families.append(
                 VarFamily(name, fam_range[0], fam_range[1], owner, vlo, vhi, is_bool, init))
         else:
@@ -355,13 +356,13 @@ class _Parser:
 
     def def_decl(self, prog: SurfaceProgram):
         self.expect("def")
-        name = self.expect("name").value
+        t = self.expect("name")
+        name = t.value
         self.expect("=")
         body = self.term()
         self.expect(";")
         if name in prog.defs:
-            raise ParseError(f"definition {name} declared twice",
-                             self.peek().line, self.peek().col)
+            raise ParseError(f"definition {name} declared twice", t.line, t.col)
         prog.defs[name] = body
 
     # ---- names and indices --------------------------------------------------
@@ -384,7 +385,8 @@ class _Parser:
         self.expect("]")
         return base, idx
 
-    def roleref(self) -> str:
+    def ref(self) -> str:
+        """A role or variable name, with its index kept as text."""
         base, idx = self.name_with_index()
         return base if idx is None else f"{base}[{idx}]"
 
@@ -400,7 +402,7 @@ class _Parser:
         if k == "allsynch":
             return self.allsynch()
         if k == "name":
-            ref = self.roleref()
+            ref = self.ref()
             if self.peek().kind == "->":
                 return self.interaction(ref)
             if "[" in ref:
@@ -410,9 +412,9 @@ class _Parser:
 
     def interaction(self, initiator: str) -> Interaction:
         self.expect("->")
-        receivers = [self.roleref()]
+        receivers = [self.ref()]
         while self.accept(","):
-            receivers.append(self.roleref())
+            receivers.append(self.ref())
         self.expect(":")
         annotation = None
         if self.peek().kind == "[":
@@ -465,25 +467,21 @@ class _Parser:
             else:
                 bound = self.expect("name").value
             self.expect(")")
-            var = self.varref()
+            var = self.ref()
             self.expect("'")
             self.expect("=")
             e = self.expr()
             return ForeachAssign(binder, op, bound, var, e)
-        var = self.varref()
+        var = self.ref()
         self.expect("'")
         self.expect("=")
         return Assign(var, self.expr())
-
-    def varref(self) -> str:
-        base, idx = self.name_with_index()
-        return base if idx is None else f"{base}[{idx}]"
 
     def conditional(self) -> Conditional:
         self.expect("if")
         guard = self.expr()
         self.expect("@")
-        role = self.roleref()
+        role = self.ref()
         self.expect("then")
         self.expect("{")
         then_term = self.term()
@@ -506,7 +504,7 @@ class _Parser:
         return AllSynch(tuple(entries), cont)
 
     def allsynch_entry(self) -> AllSynchEntry:
-        role = self.roleref()
+        role = self.ref()
         self.expect(":")
         guard = self.expr()
         self.expect("->")
@@ -594,7 +592,7 @@ class _Parser:
                 right = self.expr()
                 self.expect(")")
                 return Binary(t.value, left, right)
-            return Var(self.varref())
+            return Var(self.ref())
         self.fail("an expression")
 
 
@@ -682,8 +680,12 @@ def expr_to_str(e: Expr, parent_prec: int = 0) -> str:
     return f"({s})" if p < parent_prec else s
 
 
+def assign_to_str(a: Assign) -> str:
+    return f"{a.var}'={expr_to_str(a.expr)}"
+
+
 def _update_to_str(update: tuple[Assign, ...]) -> str:
-    return "{" + ", ".join(f"{a.var}'={expr_to_str(a.expr)}" for a in update) + "}"
+    return "{" + ", ".join(map(assign_to_str, update)) + "}"
 
 
 def term_to_str(term: ChorTerm, indent: int = 1) -> str:

@@ -1,10 +1,11 @@
 """Guarded-command networks in the PRISM style.
 
-A network is a tree of modules composed in parallel; each parallel node
-carries the set of labels the two sides synchronize on. The semantics of a
-network is obtained by flattening it into a single list of commands
-(synchronized pairs are combined into product commands) and exploring the
-induced Markov chain over the joint valuation of all module variables.
+A network is the tuple of its modules in composition order. As in PRISM's
+default parallel composition, each module synchronizes with the modules
+before it on the labels they share. The semantics of a network is obtained
+by flattening it into a single list of commands (synchronized pairs are
+combined into product commands) and exploring the induced Markov chain over
+the joint valuation of all module variables.
 
 Updates inside a single alternative apply left to right, each assignment
 seeing the effect of the previous one — the same discipline the source
@@ -64,57 +65,22 @@ class PrismModule:
     commands: tuple[PrismCommand, ...]
 
 
-@dataclass(frozen=True)
-class NilNet:
-    """The empty network."""
-
-
-@dataclass(frozen=True)
-class ModNet:
-    module: PrismModule
-
-
-@dataclass(frozen=True)
-class ParNet:
-    sync_set: frozenset[str]
-    left: Network
-    right: Network
-
-
-Network = NilNet | ModNet | ParNet
+#: the modules, in composition order
+Network = tuple[PrismModule, ...]
 
 
 def network_modules(net: Network) -> list[PrismModule]:
     """Modules of the network, left to right."""
-    if isinstance(net, NilNet):
-        return []
-    if isinstance(net, ModNet):
-        return [net.module]
-    return network_modules(net.left) + network_modules(net.right)
+    return list(net)
 
 
 def network_var_decls(net: Network) -> tuple[VarDecl, ...]:
-    return tuple(d for m in network_modules(net) for d in m.var_decls)
+    return tuple(d for m in net for d in m.var_decls)
 
 
 def alphabet(net: Network) -> frozenset[str]:
     """All synchronization labels occurring in the network."""
-    return frozenset(
-        c.label for m in network_modules(net) for c in m.commands if c.label is not None
-    )
-
-
-def compose_network(modules: list[PrismModule]) -> Network:
-    """Left fold of the modules, synchronizing each new module with the
-    labels it shares with everything composed so far."""
-    net: Network = NilNet()
-    for m in modules:
-        leaf = ModNet(m)
-        if isinstance(net, NilNet):
-            net = leaf
-        else:
-            net = ParNet(alphabet(net) & alphabet(leaf), net, leaf)
-    return net
+    return frozenset(c.label for m in net for c in m.commands if c.label is not None)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -128,38 +94,44 @@ def _mul(a: Expr, b: Expr) -> Expr:
     return Binary("*", a, b)
 
 
+def _by_label(cmds, labels: set[str]) -> dict[str, list[PrismCommand]]:
+    out: dict[str, list[PrismCommand]] = {}
+    for c in cmds:
+        if c.label in labels:
+            out.setdefault(c.label, []).append(c)
+    return out
+
+
 def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
     """Flatten the network into the commands of an equivalent single module.
 
-    Silent commands and labels outside the synchronization set pass through
-    untouched; for each shared label, every pair of commands (one per side)
-    combines into one command whose guard is the conjunction, and whose
-    alternatives are the cross product with multiplied weights and
-    concatenated updates (left side first).
+    The modules are folded in left to right. Each one synchronizes with the
+    commands derived so far on the labels it shares with the modules before
+    it. Silent commands and unshared labels pass through untouched, the
+    derived side first; for each shared label, in sorted order, every pair
+    of commands (one per side) combines into one command whose guard is the
+    conjunction, and whose alternatives are the cross product with
+    multiplied weights and concatenated updates (derived side first).
     """
-    if isinstance(net, NilNet):
-        return ()
-    if isinstance(net, ModNet):
-        return net.module.commands
-    left = derive_commands(net.left)
-    right = derive_commands(net.right)
-    out = [c for c in left if c.label is None or c.label not in net.sync_set]
-    out.extend(c for c in right if c.label is None or c.label not in net.sync_set)
-    right_by_label: dict[str, list[PrismCommand]] = {}
-    for c in right:
-        right_by_label.setdefault(c.label, []).append(c)
-    left_by_label: dict[str, list[PrismCommand]] = {}
-    for c in left:
-        left_by_label.setdefault(c.label, []).append(c)
-    for label in sorted(net.sync_set):
-        for cl in left_by_label.get(label, ()):
-            for cr in right_by_label.get(label, ()):
-                alts = tuple(
-                    (_mul(wl, wr), ul + ur)
-                    for wl, ul in cl.alts
-                    for wr, ur in cr.alts
-                )
-                out.append(PrismCommand(label, Binary("and", cl.guard, cr.guard), alts))
+    out: list[PrismCommand] = []
+    seen: set[str] = set()
+    for m in net:
+        labels = alphabet((m,))
+        sync = seen & labels
+        seen |= labels
+        left_by_label = _by_label(out, sync)
+        right_by_label = _by_label(m.commands, sync)
+        out = [c for c in out if c.label not in sync]
+        out.extend(c for c in m.commands if c.label not in sync)
+        for label in sorted(sync):
+            for cl in left_by_label[label]:
+                for cr in right_by_label[label]:
+                    alts = tuple(
+                        (_mul(wl, wr), ul + ur)
+                        for wl, ul in cl.alts
+                        for wr, ur in cr.alts
+                    )
+                    out.append(PrismCommand(label, Binary("and", cl.guard, cr.guard), alts))
     return tuple(out)
 
 

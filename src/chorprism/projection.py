@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import nodes, require_annotated, require_well_formed, s_conn
 from .errors import NotStronglyConnected
-from .prism import Network, PrismCommand, PrismModule, compose_network, network_modules
+from .prism import Network, PrismCommand, PrismModule
 from .sugar import branch_label
 from .syntax import (
     Assign,
@@ -38,21 +38,18 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
-    subterms,
 )
 
 
 @dataclass(frozen=True)
 class ProjectionContext:
     """What the projection fixed up front: where each definition's commands
-    start on the counter, what each role's counter variable is called, and
-    the concrete per-branch labels chosen for every annotation."""
+    start on the counter and what each role's counter variable is called."""
 
     kind: str
     defs_start: dict[str, int]
     counter_var: dict[str, str]
     counter_max: int  # counters range over [0 .. counter_max]
-    label_map: dict[str, tuple[str, ...]]
 
 
 def _def_order(prog: ChorProgram) -> list[str]:
@@ -77,14 +74,7 @@ def alloc_defs(prog: ChorProgram) -> ProjectionContext:
             c += "_"
         taken.add(c)
         counters[role] = c
-    label_map: dict[str, tuple[str, ...]] = {}
-    for name in _def_order(prog):
-        for t in subterms(prog.defs[name]):
-            if isinstance(t, Interaction):
-                label_map[t.annotation] = tuple(
-                    branch_label(t, j) for j in range(len(t.branches))
-                )
-    return ProjectionContext(prog.kind, starts, counters, at - 1, label_map)
+    return ProjectionContext(prog.kind, starts, counters, at - 1)
 
 
 def proj_update(update: tuple[Assign, ...], role: str, prog: ChorProgram) -> tuple[Assign, ...]:
@@ -150,18 +140,18 @@ def _proj(
 
     assert isinstance(term, Interaction)
     branches = term.branches
-    if term.receivers:
-        labels: tuple[str | None, ...] = ctx.label_map[term.annotation]
-    else:
-        # degenerate self-step: nobody to synchronize with, keep it silent
-        labels = (None,) * len(branches)
-
     if role not in term.participants:
         at = base
         for b in branches:
             _proj(role, b.cont, at, ctx, prog, out)
             at += nodes(b.cont, kind)
         return
+
+    if term.receivers:
+        labels = [branch_label(term, j) for j in range(len(branches))]
+    else:
+        # degenerate self-step: nobody to synchronize with, keep it silent
+        labels = [None] * len(branches)
 
     if kind == "dtmc" and role == term.initiator:
         n = len(branches)
@@ -229,7 +219,7 @@ def project(
         for name in _def_order(prog):
             _proj(role, prog.defs[name], ctx.defs_start[name], ctx, prog, cmds)
         modules.append(PrismModule(role, decls, tuple(cmds)))
-    return compose_network(modules), ctx
+    return tuple(modules), ctx
 
 
 # ---------------------------------------------------------------------------
@@ -354,4 +344,4 @@ def fuse_resets(net: Network) -> Network:
     densely and the counter's declared range shrinks to fit. Purely
     cosmetic — the verification pipeline always checks the unfused network.
     """
-    return compose_network([_fuse_module(m) for m in network_modules(net)])
+    return tuple(_fuse_module(m) for m in net)

@@ -17,6 +17,7 @@ from typing import Callable
 
 from .chain import MarkovChain, explore
 from .errors import EvalError, RangeViolation, TypeMismatch
+from .parser import assign_to_str
 from .syntax import (
     Assign,
     CallTerm,
@@ -156,7 +157,7 @@ def assigned_value(a: Assign, decl: VarDecl, v):
             raise TypeMismatch(f"assigning non-integer {v} to {a.var}")
         v = int(v)
     if not decl.contains(v):
-        raise RangeViolation(a.var, v, decl.lo, decl.hi, str(a))
+        raise RangeViolation(a.var, v, decl.lo, decl.hi, assign_to_str(a))
     return v
 
 

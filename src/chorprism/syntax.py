@@ -45,8 +45,6 @@ Expr = Union[Lit, Var, Unary, Binary]
 
 #: operators whose result is boolean
 BOOL_OPS = {"=", "!=", "<", "<=", ">", ">=", "and", "or"}
-#: operators whose result is numeric
-ARITH_OPS = {"+", "-", "*", "/", "mod", "min", "max"}
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from chorprism.prism import PrismCommand, PrismModule, compose_network
+from chorprism.prism import PrismCommand, PrismModule
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
 _TOKEN = re.compile(
@@ -228,4 +228,4 @@ def reparse(text: str):
             decls.append(
                 VarDecl(m.group("name"), name, m.group("init") == "true", 0, 0, True)
             )
-    return kind, constants, compose_network(modules)
+    return kind, constants, tuple(modules)

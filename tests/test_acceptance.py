@@ -16,7 +16,6 @@ from chorprism import (
     build_network_chain,
     check_annotations,
     collapse,
-    compose_network,
     derive_commands,
     fuse_resets,
     load_program,
@@ -25,7 +24,7 @@ from chorprism import (
     verify_projection,
 )
 from chorprism.chain import MarkovChain
-from chorprism.prism import PrismCommand, PrismModule, network_modules, network_var_decls
+from chorprism.prism import PrismCommand, PrismModule, network_var_decls
 from chorprism.syntax import (
     Assign,
     Binary,
@@ -53,7 +52,7 @@ def verdict(log, num: int, title: str, ok: bool, detail: str = "") -> None:
 
 
 def module_of(net, name):
-    (m,) = [m for m in network_modules(net) if m.name == name]
+    (m,) = [m for m in net if m.name == name]
     return m
 
 
@@ -70,7 +69,7 @@ def counter_targets(cmd, counter):
 
 def test_criterion_1_discrete_renormalization(acceptance_log):
     t0 = time.monotonic()
-    chain = build_network_chain(compose_network(racing_pair()), "dtmc", {})
+    chain = build_network_chain(tuple(racing_pair()), "dtmc", {})
     elapsed = time.monotonic() - t0
 
     by_obs = {chain.states[t]: w for t, w in chain.edges[0].items()}
@@ -117,8 +116,8 @@ def test_criterion_2_worked_projection(acceptance_log, data_text):
 
 def test_criterion_3_composition(acceptance_log):
     modules, constants = synced_pair()
-    cmds = derive_commands(compose_network(modules))
-    decl_of = {d.name: d for d in network_var_decls(compose_network(modules))}.__getitem__
+    cmds = derive_commands(tuple(modules))
+    decl_of = {d.name: d for d in network_var_decls(tuple(modules))}.__getitem__
     f1 = next(c for c in cmds if c.label == "a")
     f2 = next(c for c in cmds if c.label == "b")
 
@@ -262,7 +261,7 @@ def test_criterion_9_invariant_suites(acceptance_log):
         return PrismModule(name, (VarDecl(var, name, 0, 0, 1),), cmds)
 
     cmds = derive_commands(
-        compose_network([stack("m1", "a1", "shared", 2), stack("m2", "a2", "shared", 3)])
+        (stack("m1", "a1", "shared", 2), stack("m2", "a2", "shared", 3))
     )
     ok_p2 = len([c for c in cmds if c.label == "shared"]) == 2 * 3
 

@@ -178,6 +178,29 @@ def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, 
     assert err == "error: no variable named nope\n"
 
 
+OVERFLOW = """ctmc;
+role p, q;
+var x @ p : [0..2] init 0;
+def C = p -> q : { rate 1 : {x'=x+1}; C };
+main C;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
+    ids=["verify", "chain-chor", "chain-prism"],
+)
+def test_range_error_shows_the_update_in_source_syntax(capsys, tmp_path, argv):
+    path = tmp_path / "overflow.chor"
+    path.write_text(OVERFLOW, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    # one line, the assignment as written, not the syntax tree's repr
+    assert err == "error: update x'=x + 1 assigns 3 to x, outside [0..2]\n"
+
+
 def test_verify_takes_no_label_seed(capsys, data_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", data_path("example2.chor"), "--seed", "7"])

@@ -218,20 +218,23 @@ def test_bisimilar_initial_observation_mismatch():
 
 
 def test_exclude_own_block_ignores_internal_rate():
-    flip = mk("ctmc", [(0,), (0,)], [{1: 5.0}, {0: 5.0}])
-    still = mk("ctmc", [(0,)], [{}])
-    assert bisimilar(flip, still, OBS, exclude_own_block=True)[0]
-    assert not bisimilar(flip, still, OBS)[0]
+    # rate chains ignore the rate into a state's own block; probability
+    # chains compare in full
+    flip = [(0,), (0,)], [{1: 5.0}, {0: 5.0}]
+    still = [(0,)], [{}]
+    assert bisimilar(mk("ctmc", *flip), mk("ctmc", *still), OBS)[0]
+    assert not bisimilar(mk("dtmc", *flip), mk("dtmc", *still), OBS)[0]
+    with pytest.raises(ValueError, match="ctmc chain with a dtmc chain"):
+        bisimilar(mk("ctmc", *flip), mk("dtmc", *still), OBS)
 
 
 def test_bisimilar_symmetric_on_random_chains():
     rng = random.Random(7)
     for _ in range(40):
         a, b = random_chain(rng), random_chain(rng)
-        for excl in (False, True):
-            lr = bisimilar(a, b, OBS, exclude_own_block=excl)[0]
-            rl = bisimilar(b, a, OBS, exclude_own_block=excl)[0]
-            assert lr == rl
+        for kind in ("dtmc", "ctmc"):
+            ka, kb = (dataclasses.replace(c, kind=kind) for c in (a, b))
+            assert bisimilar(ka, kb, OBS)[0] == bisimilar(kb, ka, OBS)[0]
 
 
 def test_bisimilar_reflexive_on_random_chains():
@@ -366,9 +369,9 @@ def test_verify_detects_mutated_rate(data_text):
     mutated = dict(prog.constants)
     mutated["lambda2"] = 4
     netc = collapse(build_network_chain(net, "ctmc", mutated), obs)
-    ok, blocks = bisimilar(chor, netc, obs, exclude_own_block=True)
+    ok, blocks = bisimilar(chor, netc, obs)
     assert not ok
-    msg = explain_difference(chor, netc, blocks, obs, exclude_own_block=True)
+    msg = explain_difference(chor, netc, blocks, obs)
     assert msg.startswith("from the initial state")
     assert "in the source but" in msg
 

@@ -113,6 +113,26 @@ def test_parse_errors_carry_positions(src):
     assert head.count(":") == 2
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("ctmc;\nconst a = 1;\nconst  a = 2;\nrole p;\ndef M = end;\nmain M;",
+         "3:8: constant a declared twice"),
+        ("ctmc;\nrole p;\ndef M = end;\n  def M =\n    end;\nmain M;",
+         "4:7: definition M declared twice"),
+        ("ctmc;\nrole p;\nvar b @ p : bool init 1;\ndef M = end;\nmain M;",
+         "3:5: bool variable b needs a bool initial value"),
+        ("ctmc;\nrole p;\n var v[1..2] @ p : [0..1] init 0;\ndef M = end;\nmain M;",
+         "3:6: variable family v needs an indexed owner"),
+    ],
+    ids=["const", "def", "bool", "family"],
+)
+def test_declaration_errors_point_at_the_declared_name(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
 def test_comments_and_whitespace_are_ignored(data_text):
     stripped = "\n".join(
         line for line in data_text("example2.chor").splitlines()

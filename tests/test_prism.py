@@ -18,19 +18,12 @@ from chorprism import (
     alphabet,
     auto_annotate,
     build_network_chain,
-    compose_network,
     derive_commands,
     load_program,
     project,
 )
 from chorprism.cli import main
-from chorprism.prism import (
-    ModNet,
-    ParNet,
-    PrismCommand,
-    PrismModule,
-    network_var_decls,
-)
+from chorprism.prism import PrismCommand, PrismModule, network_var_decls
 from chorprism.semantics import override_initial
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
@@ -43,28 +36,43 @@ def decls_of(net):
 
 
 # ---------------------------------------------------------------------------
-# composition
+# composition: each module synchronizes with the modules before it
 # ---------------------------------------------------------------------------
 
-def test_compose_network_synchronizes_on_shared_labels():
-    net = compose_network(racing_pair())
-    assert isinstance(net, ParNet)
-    assert net.sync_set == frozenset({"a"})
-    assert isinstance(net.left, ModNet) and isinstance(net.right, ModNet)
-    assert alphabet(net) == frozenset({"a"})
+def test_racing_pair_synchronizes_only_on_the_shared_label():
+    p, q = racing_pair()
+    cmds = derive_commands((p, q))
+    assert alphabet((p, q)) == frozenset({"a"})
+    # silent commands pass through, left module first; then the product
+    assert [c.label for c in cmds] == [None, None, "a"]
+    assert cmds[:2] == (p.commands[0], q.commands[0])
+    assert cmds[2].guard == Binary("and", p.commands[1].guard, q.commands[1].guard)
 
 
-def test_compose_network_left_fold_shares_pairwise():
+def test_later_modules_synchronize_with_everything_before_them():
     def tiny(name, labels):
+        """One silent command, then one command per label; each guard is
+        a variable named after its module and label."""
         cmds = tuple(
-            PrismCommand(l, Lit(True), ((Lit(1), ()),)) for l in labels
+            PrismCommand(l, Var(name + (l or "")), ((Lit(1), ()),))
+            for l in [None, *labels]
         )
         return PrismModule(name, (), cmds)
 
-    net = compose_network([tiny("m1", ["a", "b"]), tiny("m2", ["b", "c"]), tiny("m3", ["a", "c"])])
-    assert isinstance(net, ParNet)
-    assert net.sync_set == frozenset({"a", "c"})  # labels m3 shares with m1|m2
-    assert net.left.sync_set == frozenset({"b"})
+    def g(*names):
+        return Binary("and", *map(Var, names))
+
+    cmds = derive_commands((tiny("m1", ["a", "b"]), tiny("m2", ["b", "c"]), tiny("m3", ["a", "c"])))
+    # m2 pairs with m1 on b; m3 then pairs with what m1 and m2 derived on
+    # a (from m1) and c (from m2), in label order
+    assert [(c.label, c.guard) for c in cmds] == [
+        (None, Var("m1")),
+        (None, Var("m2")),
+        ("b", g("m1b", "m2b")),
+        (None, Var("m3")),
+        ("a", g("m1a", "m3a")),
+        ("c", g("m2c", "m3c")),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +80,7 @@ def test_compose_network_left_fold_shares_pairwise():
 # ---------------------------------------------------------------------------
 
 def test_derived_commands_of_the_racing_pair():
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     cmds = derive_commands(net)
     assert len(cmds) == 3
 
@@ -94,7 +102,7 @@ def test_derived_commands_of_the_racing_pair():
 
 def test_derived_commands_of_the_synced_pair():
     modules, _ = synced_pair()
-    cmds = derive_commands(compose_network(modules))
+    cmds = derive_commands(tuple(modules))
     # four silent resets pass through, one product per shared label
     assert len(cmds) == 6
     by_label = {}
@@ -138,7 +146,7 @@ def test_product_alternatives_multiply_out():
     m1 = module("m1", "u", [1, 2])
     m2 = module("m2", "v", [3, 4, 5])
     m3 = module("m3", "w", [6, 7])
-    cmds = derive_commands(compose_network([m1, m2, m3]))
+    cmds = derive_commands((m1, m2, m3))
     assert len(cmds) == 1
     (c,) = cmds
     assert len(c.alts) == 2 * 3 * 2
@@ -155,7 +163,7 @@ def test_weight_one_literals_fold_away():
     right = PrismCommand("a", Lit(True), ((Var("r"), ()),))
     m1 = PrismModule("m1", (), (left,))
     m2 = PrismModule("m2", (), (right,))
-    (c,) = derive_commands(compose_network([m1, m2]))
+    (c,) = derive_commands((m1, m2))
     assert c.alts[0][0] == Var("r")  # 1 * r stays r, not Binary("*")
 
 
@@ -172,7 +180,7 @@ def racing_states():
 
 
 def test_mu_on_the_racing_pair():
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     decl_of = decls_of(net).__getitem__
     cmds = derive_commands(net)
     silent_x, silent_y = [c for c in cmds if c.label is None]
@@ -190,7 +198,7 @@ def test_mu_on_the_racing_pair():
 
 
 def test_raw_transition_weights_sum_over_commands():
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     decl_of = decls_of(net).__getitem__
     cmds = derive_commands(net)
     s0, s1, s2, s3 = racing_states()
@@ -232,7 +240,7 @@ def test_mu_is_additive_over_alternatives():
 # ---------------------------------------------------------------------------
 
 def test_racing_pair_dtmc_chain_normalizes():
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     c = build_network_chain(net, "dtmc", {})
     assert c.var_names == ("x", "y")
     assert c.states[0] == (0, 0)
@@ -249,7 +257,7 @@ def test_racing_pair_dtmc_chain_normalizes():
 
 
 def test_racing_pair_ctmc_chain_keeps_raw_weights():
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     c = build_network_chain(net, "ctmc", {})
     by_val = {c.states[t]: w for t, w in c.edges[0].items()}
     assert by_val[(1, 0)] == pytest.approx(1.2)
@@ -262,7 +270,7 @@ def test_racing_pair_ctmc_chain_keeps_raw_weights():
 
 def test_synced_pair_steps_with_multiplied_rates():
     modules, constants = synced_pair()
-    net = compose_network(modules)
+    net = tuple(modules)
     init = override_initial(network_var_decls(net), None)
     moves = {tuple(sorted(v.items())): w for v, w in step_network(net, init, "ctmc", constants)}
     assert len(moves) == 2
@@ -274,7 +282,7 @@ def test_synced_pair_steps_with_multiplied_rates():
 
 def test_synced_pair_chain_loops_back():
     modules, constants = synced_pair()
-    c = build_network_chain(compose_network(modules), "ctmc", constants)
+    c = build_network_chain(tuple(modules), "ctmc", constants)
     # 0: fresh, 2 post-message states, 2 reset diamonds of 2 states each,
     # finally the two settled states that re-branch
     assert c.states[0] == (0, 0, 0, 0)
@@ -289,14 +297,14 @@ def test_deadlocked_discrete_network_self_loops():
         (VarDecl("u", "m", 0, 0, 1),),
         (PrismCommand(None, eq("u", 1), ((Lit(1), (Assign("u", Lit(0)),)),)),),
     )
-    c = build_network_chain(compose_network([m]), "dtmc", {})
+    c = build_network_chain((m,), "dtmc", {})
     assert c.edges[0] == {0: 1.0}
     assert c.findings == []
 
 
 def test_initial_valuation_overrides_are_validated():
     modules, _ = synced_pair()
-    decls = network_var_decls(compose_network(modules))
+    decls = network_var_decls(tuple(modules))
     val = override_initial(decls, {"x": 2})
     assert val["x"] == 2 and val["s_p"] == 0
     with pytest.raises(RangeViolation):
@@ -387,18 +395,18 @@ def mixed_guards_module() -> tuple[PrismModule, dict]:
 
 @pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
 def test_compiled_matches_oracle_on_hand_written_nets(kind):
-    assert_same_as_oracle(compose_network(racing_pair()), kind, {})
+    assert_same_as_oracle(tuple(racing_pair()), kind, {})
     modules, constants = synced_pair()
-    assert_same_as_oracle(compose_network(modules), kind, constants)
+    assert_same_as_oracle(tuple(modules), kind, constants)
     module, constants = mixed_guards_module()
-    got = assert_same_as_oracle(compose_network([module]), kind, constants)
+    got = assert_same_as_oracle((module,), kind, constants)
     assert len(got[1]) > 5
     silent_only = PrismModule("m", racing_pair()[0].var_decls, racing_pair()[0].commands[:1])
-    assert_same_as_oracle(compose_network([silent_only]), kind, {})
+    assert_same_as_oracle((silent_only,), kind, {})
 
 
 def test_renormalization_finding_matches_oracle():
-    _, _, _, findings = assert_same_as_oracle(compose_network(racing_pair()), "dtmc", {})
+    _, _, _, findings = assert_same_as_oracle(tuple(racing_pair()), "dtmc", {})
     assert findings == ["dtmc_renormalized: outgoing probability mass 3 at state x=0,y=0"]
 
 
@@ -411,10 +419,10 @@ def one_command(guard, update, weight=Lit(1), decls=None):
     second is the one under test. Nothing ever writes ``z``, so ``z = 1``
     never holds: a conjunct the index files the command under."""
     decls = decls or (VarDecl("s", "m", 0, 0, 1), VarDecl("z", "m", 0, 0, 1))
-    return compose_network([PrismModule("m", decls, (
+    return (PrismModule("m", decls, (
         PrismCommand(None, eq("s", 0), ((Lit(1), (Assign("s", Lit(1)),)),)),
         PrismCommand(None, guard, ((weight, update),)),
-    ))])
+    )),)
 
 
 def assert_raises_like_oracle(net, error, match, **kw):
@@ -474,7 +482,7 @@ def test_bad_weight_raises_where_it_is_reached():
 
 
 def test_tiny_state_budget_raises_and_verify_exits_3(capsys, data_path):
-    net = compose_network(racing_pair())
+    net = tuple(racing_pair())
     assert_raises_like_oracle(net, StateBudgetExceeded, "budget of 2 states", max_states=2)
     assert main(["verify", data_path("example2.chor"), "--max-states", "2"]) == 3
     assert "error:" in capsys.readouterr().err

@@ -16,8 +16,9 @@ from chorprism import (
     project,
     proj_update,
 )
-from chorprism.prism import alphabet, network_modules
+from chorprism.prism import alphabet
 from chorprism.projection import alloc_defs
+from chorprism.sugar import branch_label
 from chorprism.syntax import Assign, Binary, Lit, Var, subterms, Interaction
 
 
@@ -46,7 +47,7 @@ def counter_targets(cmd, counter):
 
 
 def module_of(net, name):
-    (m,) = [m for m in network_modules(net) if m.name == name]
+    (m,) = [m for m in net if m.name == name]
     return m
 
 
@@ -79,9 +80,11 @@ def test_counter_names_dodge_declared_variables():
 
 def test_branch_labels_come_from_annotations_or_source(data_text):
     prog = load(data_text, "thinkteam.chor")
-    ctx = alloc_defs(prog)
-    assert set(ctx.label_map[prog.defs["C0"].annotation]) == {"MMHOL", "FFSFW"}
-    assert set(ctx.label_map[prog.defs["C2"].annotation]) == {"YHHWG", "XWSAO"}
+    net, _ = project(prog)
+    assert [branch_label(prog.defs["C0"], j) for j in (0, 1)] == ["MMHOL", "FFSFW"]
+    assert [branch_label(prog.defs["C2"], j) for j in (0, 1)] == ["YHHWG", "XWSAO"]
+    # every label the network synchronizes on is one written in the source
+    assert alphabet(net) == {"MMHOL", "FFSFW", "ULCFN", "YHHWG", "XWSAO"}
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def test_conditional_projects_to_silent_hops_of_the_decider(data_text):
 def test_all_roles_hop_on_calls(data_text):
     prog = load(data_text, "sconn_pos.chor")
     net, ctx = project(prog)
-    for m in network_modules(net):
+    for m in net:
         counter = m.var_decls[0].name
         calls = [
             c for c in m.commands
@@ -240,16 +243,16 @@ def test_discrete_initiator_commits_internally_first(data_text):
 )
 def test_labels_span_exactly_the_participants(name, data_text):
     prog = load(data_text, name)
-    net, ctx = project(prog, require_sconn=False)
+    net, _ = project(prog, require_sconn=False)
     participant_count = {}
     for name_, body in prog.defs.items():
         for t in subterms(body):
             if isinstance(t, Interaction) and t.receivers:
-                for lbl in ctx.label_map[t.annotation]:
-                    participant_count[lbl] = 1 + len(t.receivers)
+                for j in range(len(t.branches)):
+                    participant_count[branch_label(t, j)] = 1 + len(t.receivers)
     for lbl, expected in participant_count.items():
         carrying = [
-            m.name for m in network_modules(net)
+            m.name for m in net
             if any(c.label == lbl for c in m.commands)
         ]
         assert len(carrying) == expected, lbl
@@ -259,7 +262,7 @@ def test_counter_slots_stay_inside_the_allocated_range(data_text):
     for name in ("example2.chor", "thinkteam.chor", "sconn_pos.chor", "p2p.chor"):
         prog = load(data_text, name)
         net, ctx = project(prog, require_sconn=False)
-        for m in network_modules(net):
+        for m in net:
             counter = m.var_decls[0].name
             assert (m.var_decls[0].lo, m.var_decls[0].hi) == (0, ctx.counter_max)
             for c in m.commands:
@@ -272,7 +275,7 @@ def test_self_messages_project_to_silent_commands(data_text):
     prog = load(data_text, "p2p.chor")
     net, _ = project(prog, require_sconn=False)
     assert alphabet(net) == frozenset()
-    for m in network_modules(net):
+    for m in net:
         assert all(c.label is None for c in m.commands)
 
 
@@ -281,7 +284,7 @@ def test_projection_outside_the_fragment_is_refused(data_text):
     with pytest.raises(NotStronglyConnected):
         project(prog)
     net, _ = project(prog, require_sconn=False)
-    assert len(network_modules(net)) == 4
+    assert len(net) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,7 @@ def test_fusion_preserves_behaviour(data_text):
     slim = collapse(
         build_network_chain(fuse_resets(net), prog.kind, prog.constants), obs
     )
-    same, _ = bisimilar(raw, slim, obs, exclude_own_block=True)
+    same, _ = bisimilar(raw, slim, obs)
     assert same
 
 
