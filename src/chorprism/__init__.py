@@ -33,7 +33,7 @@ from .prism import (
     derive_commands,
 )
 from .projection import ProjectionContext, fuse_resets, proj_update, project
-from .semantics import build_chain, eval_expr, eval_weight, step
+from .semantics import build_chain, eval_expr, eval_weight
 from .sugar import (
     auto_annotate,
     desugar_allsynch,
@@ -88,7 +88,6 @@ __all__ = [
     "require_annotated",
     "require_well_formed",
     "s_conn",
-    "step",
     "surface_to_core",
     "verify_projection",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import AnnotationError, UnguardedRecursion, WellFormednessError
+from .parser import assign_to_str
 from .syntax import (
     Assign,
     Binary,
@@ -265,6 +266,7 @@ def check_well_formed(program: ChorProgram) -> list[str]:
         return w
 
     def check_update(update: tuple[Assign, ...], participants, where: str):
+        written = {a.var for a in update}
         for a in update:
             if a.var not in owners:
                 findings.append(f"{where}: update assigns undeclared {a.var}")
@@ -275,6 +277,14 @@ def check_well_formed(program: ChorProgram) -> list[str]:
                     f"{owners[a.var]}"
                 )
             check_expr(a.expr, where, "bool" if var_types[a.var] == "bool" else "numeric")
+            # projection splits an update by owner, losing the order between
+            # the parts, so no assignment may read another owner's write
+            for v in dict.fromkeys(expr_vars(a.expr)):
+                if v in written and v in owners and owners[v] != owners[a.var]:
+                    findings.append(
+                        f"{where}: update {assign_to_str(a)} reads {v}, which "
+                        f"{owners[v]} writes in the same update"
+                    )
 
     def walk(term: ChorTerm, where: str):
         if isinstance(term, Interaction):

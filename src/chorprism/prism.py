@@ -11,15 +11,18 @@ Updates inside a single alternative apply left to right, each assignment
 seeing the effect of the previous one — the same discipline the source
 language uses, which is what makes the two chains comparable.
 
-Exploration compiles the derived commands once per network. Guards and
-updates become closures over state tuples (one slot per variable) with the
-constants folded in, and each alternative's weight is evaluated once, the
-first time its command is enabled. Every command is filed under one
-top-level ``var = literal`` conjunct of its guard — for projected networks,
-the role's program counter — so a state evaluates only the commands its
-slot values allow, in derivation order; the compiled guard still decides.
-The successor function feeds the breadth-first loop shared with the source
-semantics, :func:`chain.explore`.
+Exploration compiles the derived commands once per network into the
+commands of one module. Guards and updates become closures over state
+tuples (one slot per variable) with the constants folded in, and each
+alternative's weight is evaluated once, the first time its command is
+enabled. ``and`` and ``or`` stop at a left operand that decides the result,
+so a command whose leftmost conjunct is ``var = literal`` — for projected
+networks, the role's program counter — is false without evaluating anything
+else wherever that conjunct is false. Such a command is filed under that
+slot value, and a state evaluates only the commands its slot values allow,
+in derivation order. :func:`explore_module` feeds the successor function to
+the breadth-first loop :func:`chain.explore`; the source semantics explores
+its one-module lowering of the choreography the same way.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .analysis import type_of
 from .chain import MarkovChain, explore
-from .errors import ChorError, EvalError, TypeMismatch, WellFormednessError
+from .errors import ChorError, EvalError, TypeMismatch
 from .semantics import (
     DEFAULT_MAX_STATES,
+    SHORT_CIRCUIT,
     STATE_OPS,
     apply_unary,
     assigned_value,
@@ -39,7 +42,7 @@ from .semantics import (
     eval_weight,
     override_initial,
 )
-from .syntax import BOOL_OPS, Assign, Binary, Expr, Lit, Unary, Var, VarDecl
+from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl
 
 #: one probabilistic alternative of a command: (weight, assignments)
 Alt = tuple[Expr, tuple[Assign, ...]]
@@ -205,6 +208,13 @@ def _closure(e: Expr, slot_of: dict[str, int]):
             raise EvalError(message)
 
         return unknown
+    decided = SHORT_CIRCUIT.get(e.op)
+    if decided is not None:
+        def lazy(row):
+            value = left(row)
+            return value if value is decided else fn(value, right(row))
+
+        return lazy
     if isinstance(e.right, Lit):
         value = e.right.value
         return lambda row: fn(left(row), value)
@@ -248,54 +258,23 @@ def _update(update: tuple[Assign, ...], slot_of, decls, constants):
     return apply
 
 
-def _conjuncts(e: Expr):
-    if isinstance(e, Binary) and e.op == "and":
-        yield from _conjuncts(e.left)
-        yield from _conjuncts(e.right)
-    else:
-        yield e
-
-
-def _total(e: Expr) -> bool:
-    """Whether evaluating the well-typed expression ``e`` can never raise:
-    it divides only by non-zero literals."""
-    if isinstance(e, Unary):
-        return _total(e.operand)
-    if isinstance(e, Binary):
-        if e.op in ("/", "mod"):
-            if not (isinstance(e.right, Lit) and e.right.value != 0):
-                return False
-        elif e.op not in BOOL_OPS and e.op not in ("+", "-", "*", "min", "max"):
-            return False
-        return _total(e.left) and _total(e.right)
-    return True
-
-
-def _index_slot(guard: Expr, slot_of: dict[str, int], var_types: dict | None):
-    """``(slot, value)`` of the first top-level ``var = literal`` conjunct
-    of ``guard``, when ``guard`` cannot raise and so may be skipped at a
-    state where that conjunct is false; otherwise None. ``var_types`` is
-    None when some initial value does not have its declared type."""
-    if var_types is None:
-        return None
-    for c in _conjuncts(guard):
-        if (
-            isinstance(c, Binary)
-            and c.op == "="
-            and isinstance(c.left, Var)
-            and isinstance(c.right, Lit)
-        ):
-            break
-    else:
-        return None
-    try:
-        if type_of(guard, var_types) != "bool":
-            return None
-    except WellFormednessError:
-        return None
-    if not _total(guard):
-        return None
-    return slot_of[c.left.name], c.right.value
+def _index_slot(guard: Expr, slot_of: dict[str, int]):
+    """``(slot, value)`` of the leftmost conjunct of ``guard`` when that
+    conjunct is ``var = literal``: where it is false, the guard is false
+    without evaluating anything else, so the command may be skipped there.
+    Otherwise None."""
+    c = guard
+    while isinstance(c, Binary) and c.op == "and":
+        c = c.left
+    if (
+        isinstance(c, Binary)
+        and c.op == "="
+        and isinstance(c.left, Var)
+        and isinstance(c.right, Lit)
+        and c.left.name in slot_of
+    ):
+        return slot_of[c.left.name], c.right.value
+    return None
 
 
 class _Compiled:
@@ -310,31 +289,22 @@ class _Compiled:
         self.alts = [[None, w, _update(u, slot_of, decls, constants)] for w, u in alts]
 
 
-def _successors(net: Network, kind: str, constants: dict, init: tuple, findings: list):
-    """The one-step successor function of the network's chain over state
+def _successors(module: PrismModule, kind: str, constants: dict, findings: list):
+    """The one-step successor function of the module's chain over state
     tuples. Moves into the same state merge; in discrete mode the mass is
     renormalized to 1 where commands race, and the first such state is
     reported in ``findings``."""
-    decls_list = network_var_decls(net)
-    var_names = tuple(d.name for d in decls_list)
+    var_names = tuple(d.name for d in module.var_decls)
     slot_of = {n: i for i, n in enumerate(var_names)}
-    decls = {d.name: d for d in decls_list}
-    commands = derive_commands(net)
+    decls = {d.name: d for d in module.var_decls}
 
-    well_typed = all(
-        isinstance(v, bool) if decls[n].is_bool else isinstance(v, int) and not isinstance(v, bool)
-        for n, v in zip(var_names, init)
-    )
-    var_types = (
-        {n: "bool" if d.is_bool else "int" for n, d in decls.items()} if well_typed else None
-    )
     compiled: list[_Compiled] = []
     always: list[int] = []
     index: dict[int, dict[object, list[int]]] = {}
-    for i, cmd in enumerate(commands):
+    for i, cmd in enumerate(module.commands):
         guard = _fold(cmd.guard, slot_of, constants)
         compiled.append(_Compiled(guard, cmd.alts, slot_of, decls, constants))
-        key = _index_slot(guard, slot_of, var_types)
+        key = _index_slot(guard, slot_of)
         if key is None:
             always.append(i)
         else:
@@ -390,6 +360,17 @@ def _successors(net: Network, kind: str, constants: dict, init: tuple, findings:
     return successors
 
 
+def explore_module(
+    module: PrismModule, kind: str, constants: dict, init: tuple, max_states: int
+) -> MarkovChain:
+    """Breadth-first exploration of the module's chain from the state tuple
+    ``init``, one slot per variable in declaration order."""
+    findings: list[str] = []
+    states, edges = explore(init, _successors(module, kind, constants, findings), max_states)
+    var_names = tuple(d.name for d in module.var_decls)
+    return MarkovChain(kind, var_names, states, 0, edges, findings)
+
+
 def build_network_chain(
     net: Network,
     kind: str,
@@ -398,7 +379,8 @@ def build_network_chain(
     max_states: int = DEFAULT_MAX_STATES,
     init_overrides: dict | None = None,
 ) -> MarkovChain:
-    """Breadth-first exploration of the network's joint state space.
+    """Breadth-first exploration of the network's joint state space: the
+    chain of the single module :func:`derive_commands` flattens it into.
 
     State variables are ordered module by module, declaration order within
     each. In discrete mode, command races can push the outgoing mass of a
@@ -406,9 +388,8 @@ def build_network_chain(
     is reported in the chain's findings.
     """
     decls = network_var_decls(net)
-    var_names = tuple(d.name for d in decls)
-    init_val = override_initial(decls, init_overrides)
-    init = tuple(init_val[n] for n in var_names)
-    findings: list[str] = []
-    states, edges = explore(init, _successors(net, kind, constants, init, findings), max_states)
-    return MarkovChain(kind, var_names, states, 0, edges, findings)
+    init = override_initial(decls, init_overrides)
+    module = PrismModule("network", decls, derive_commands(net))
+    return explore_module(
+        module, kind, constants, tuple(init[d.name] for d in decls), max_states
+    )

@@ -1,31 +1,37 @@
-"""Operational semantics of choreographies: expression evaluation, update
-application, and exhaustive chain construction.
+"""Operational semantics of choreographies: expression evaluation, checked
+assignment, and the chain of a source program.
 
-A chain state is a pair of a term and a valuation. Unfolding a definition
+The source chain is the chain of a one-module network. :func:`build_chain`
+lowers the program into a single guarded-command module over the declared
+variables and a hidden program counter, and explores it with the network's
+compiled successor function. The counter numbers hash-consed subterms, so a
+state is a (term, valuation) pair keyed structurally. Unfolding a definition
 and deciding a conditional are weight-1 moves of their own, mirroring the
 state-counter hops the compiled network makes for them; the equivalence
 checker later contracts both away. Updates apply left to right, each
-assignment seeing the effect of the previous one; the network side applies
-updates the same way, which is what makes the comparison meaningful.
+assignment seeing the effect of the previous one, on both sides.
+
+``and`` and ``or`` stop at a left operand that decides the result, so a
+command guarded by ``pc = k and g`` never evaluates ``g`` while control is
+somewhere else.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable
 
-from .chain import MarkovChain, explore
+from .chain import MarkovChain
 from .errors import EvalError, RangeViolation, TypeMismatch
 from .parser import assign_to_str
 from .syntax import (
     Assign,
+    Binary,
     CallTerm,
     ChorProgram,
     ChorTerm,
     Conditional,
     Expr,
-    Inact,
     Interaction,
     Lit,
     Unary,
@@ -97,6 +103,9 @@ STATE_OPS = {
 }
 #: the same for weight expressions, where division is exact
 WEIGHT_OPS = {**STATE_OPS, "/": _numeric("/", _real_div)}
+#: the left operand value at which ``and``/``or`` return it without
+#: evaluating the right operand
+SHORT_CIRCUIT = {"and": False, "or": True}
 
 
 def apply_unary(op: str, v):
@@ -118,6 +127,8 @@ def _eval(e: Expr, env: dict, ops: dict):
     if isinstance(e, Unary):
         return apply_unary(e.op, _eval(e.operand, env, ops))
     left = _eval(e.left, env, ops)
+    if e.op in SHORT_CIRCUIT and left is SHORT_CIRCUIT[e.op]:
+        return left
     right = _eval(e.right, env, ops)
     fn = ops.get(e.op)
     if fn is None:
@@ -139,7 +150,7 @@ def eval_weight(e: Expr, constants: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# updates
+# assignments
 # ---------------------------------------------------------------------------
 
 def assigned_value(a: Assign, decl: VarDecl, v):
@@ -159,66 +170,6 @@ def assigned_value(a: Assign, decl: VarDecl, v):
     if not decl.contains(v):
         raise RangeViolation(a.var, v, decl.lo, decl.hi, assign_to_str(a))
     return v
-
-
-def apply_assignments(
-    update: tuple[Assign, ...],
-    valuation: dict,
-    decl_of: Callable[[str], VarDecl],
-    constants: dict,
-) -> dict:
-    """Apply assignments left to right, returning a fresh valuation.
-
-    Later assignments see earlier ones. Every written value is checked
-    against the variable's declared range.
-    """
-    out = dict(valuation)
-    env = dict(constants)
-    env.update(out)
-    for a in update:
-        v = eval_expr(a.expr, env)
-        v = assigned_value(a, decl_of(a.var), v)
-        out[a.var] = v
-        env[a.var] = v
-    return out
-
-
-def apply_update(update: tuple[Assign, ...], valuation: dict, program: ChorProgram) -> dict:
-    return apply_assignments(update, valuation, program.var, program.constants)
-
-
-# ---------------------------------------------------------------------------
-# small-step behaviour
-# ---------------------------------------------------------------------------
-
-def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[float, dict, ChorTerm]]:
-    """Outgoing moves of a configuration: (weight, valuation, continuation).
-
-    Unfolding a named definition and deciding a conditional are both explicit
-    weight-1 moves that leave the valuation untouched, so (S, X) and
-    (S, body-of-X) are distinct states of the chain. Zero-weight interaction
-    branches are dropped.
-    """
-    if isinstance(term, Inact):
-        return []
-    if isinstance(term, CallTerm):
-        return [(1.0, valuation, program.defs[term.name])]
-    if isinstance(term, Conditional):
-        env = dict(program.constants)
-        env.update(valuation)
-        g = eval_expr(term.guard, env)
-        if not isinstance(g, bool):
-            raise TypeMismatch("conditional guard is not boolean")
-        return [(1.0, valuation, term.then_term if g else term.else_term)]
-    if not isinstance(term, Interaction):
-        raise EvalError(f"cannot step term {type(term).__name__}")
-    moves = []
-    for b in term.branches:
-        w = eval_weight(b.weight, program.constants)
-        if w == 0.0:
-            continue
-        moves.append((w, apply_update(b.update, valuation, program), b.cont))
-    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +194,8 @@ def override_initial(decls: tuple[VarDecl, ...], overrides: dict | None) -> dict
     return val
 
 
-def initial_valuation(program: ChorProgram, overrides: dict | None = None) -> dict:
-    return override_initial(program.var_decls, overrides)
+#: the source chain's hidden program counter; not a name the parser accepts
+PC = "#pc"
 
 
 def build_chain(
@@ -255,26 +206,54 @@ def build_chain(
 ) -> MarkovChain:
     """Breadth-first exploration of the reachable behaviour.
 
-    States are (term, valuation) pairs keyed structurally, so revisiting a
-    configuration folds back into the chain. Exploration begins at the body
-    of the entry definition (the entry call itself is unfolded for free).
-    In discrete mode states with no moves become absorbing via a
-    probability-1 self-loop.
+    The program is lowered into one module over the declared variables and
+    the counter :data:`PC`, which numbers hash-consed subterms in order of
+    discovery from the body of the entry definition (the entry call itself
+    is unfolded for free). An interaction is one command with one
+    alternative per branch, a call a weight-1 hop to the body, a conditional
+    two weight-1 hops guarded by the guard and its negation; ``end`` has no
+    command, so in discrete mode it absorbs via a probability-1 self-loop.
+    The counter is dropped from the chain's states after exploration.
     """
-    var_names = tuple(d.name for d in program.var_decls)
-    start_val = initial_valuation(program, init_overrides)
+    # local import: prism imports this module
+    from .prism import PrismCommand, PrismModule, explore_module
 
-    def successors(key):
-        term, row = key
-        for w, new_val, cont in step(term, dict(zip(var_names, row)), program):
-            yield (cont, tuple(new_val[n] for n in var_names)), w
+    init = override_initial(program.var_decls, init_overrides)
+    pc_of: dict[ChorTerm, int] = {}
+    terms: list[ChorTerm] = []
 
-    start = (program.defs[program.main], tuple(start_val[n] for n in var_names))
-    keys, edges = explore(start, successors, max_states)
+    def hop(term: ChorTerm) -> Assign:
+        k = pc_of.get(term)
+        if k is None:
+            k = pc_of[term] = len(terms)
+            terms.append(term)
+        return Assign(PC, Lit(k))
 
-    if program.kind == "dtmc":
-        for sid, succ in enumerate(edges):
-            if not succ:
-                succ[sid] = 1.0
+    def goto(guard: Expr, term: ChorTerm) -> PrismCommand:
+        return PrismCommand(None, guard, ((Lit(1), (hop(term),)),))
 
-    return MarkovChain(program.kind, var_names, [row for _, row in keys], 0, edges)
+    hop(program.defs[program.main])
+    commands: list[PrismCommand] = []
+    for k, term in enumerate(terms):  # terms grows as continuations are found
+        at = Binary("=", Var(PC), Lit(k))
+        if isinstance(term, Interaction):
+            alts = tuple((b.weight, b.update + (hop(b.cont),)) for b in term.branches)
+            commands.append(PrismCommand(None, at, alts))
+        elif isinstance(term, CallTerm):
+            commands.append(goto(at, program.defs[term.name]))
+        elif isinstance(term, Conditional):
+            commands.append(goto(Binary("and", at, term.guard), term.then_term))
+            commands.append(goto(Binary("and", at, Unary("not", term.guard)), term.else_term))
+
+    decls = program.var_decls + (VarDecl(PC, "", 0, 0, len(terms) - 1),)
+    start = tuple(init[d.name] for d in program.var_decls) + (0,)
+    chain = explore_module(
+        PrismModule("chor", decls, tuple(commands)),
+        program.kind,
+        program.constants,
+        start,
+        max_states,
+    )
+    chain.var_names = chain.var_names[:-1]
+    chain.states = [row[:-1] for row in chain.states]
+    return chain

@@ -1,9 +1,10 @@
 """Core abstract syntax for choreographies and their expressions.
 
-All term and expression nodes are frozen dataclasses: the semantics keys
-explored configurations on (valuation, term) pairs, so structural equality
-and hashability are load-bearing. A call node is deliberately distinct from
-the body it names — unfolding is an observable step.
+All term and expression nodes are frozen dataclasses: the source semantics
+hash-conses terms, giving structurally equal terms one program-counter
+value, so structural equality and hashability are load-bearing. A call node
+is deliberately distinct from the body it names — unfolding is an
+observable step.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class Binary:
 
 
 Expr = Union[Lit, Var, Unary, Binary]
-
-#: operators whose result is boolean
-BOOL_OPS = {"=", "!=", "<", "<=", ">", ">=", "and", "or"}
 
 
 # ---------------------------------------------------------------------------

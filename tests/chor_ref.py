@@ -1,0 +1,113 @@
+"""The reference tree-walking semantics of choreographies that
+``chorprism.semantics.build_chain`` is compared against: each configuration
+is a (term, valuation) pair, stepped by walking the term and evaluating its
+expressions against dict valuations."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+from chorprism.chain import MarkovChain, explore
+from chorprism.errors import EvalError, TypeMismatch
+from chorprism.semantics import (
+    DEFAULT_MAX_STATES,
+    assigned_value,
+    eval_expr,
+    eval_weight,
+    override_initial,
+)
+from chorprism.syntax import (
+    Assign,
+    CallTerm,
+    ChorProgram,
+    ChorTerm,
+    Conditional,
+    Inact,
+    Interaction,
+    VarDecl,
+)
+
+
+def apply_assignments(
+    update: tuple[Assign, ...],
+    valuation: dict,
+    decl_of: Callable[[str], VarDecl],
+    constants: dict,
+) -> dict:
+    """Apply assignments left to right, returning a fresh valuation.
+
+    Later assignments see earlier ones. Every written value is checked
+    against the variable's declared range.
+    """
+    out = dict(valuation)
+    env = dict(constants)
+    env.update(out)
+    for a in update:
+        v = eval_expr(a.expr, env)
+        v = assigned_value(a, decl_of(a.var), v)
+        out[a.var] = v
+        env[a.var] = v
+    return out
+
+
+def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[float, dict, ChorTerm]]:
+    """Outgoing moves of a configuration: (weight, valuation, continuation).
+
+    Unfolding a named definition and deciding a conditional are both explicit
+    weight-1 moves that leave the valuation untouched, so (S, X) and
+    (S, body-of-X) are distinct states of the chain. Zero-weight interaction
+    branches are dropped.
+    """
+    if isinstance(term, Inact):
+        return []
+    if isinstance(term, CallTerm):
+        return [(1.0, valuation, program.defs[term.name])]
+    if isinstance(term, Conditional):
+        env = dict(program.constants)
+        env.update(valuation)
+        g = eval_expr(term.guard, env)
+        if not isinstance(g, bool):
+            raise TypeMismatch("conditional guard is not boolean")
+        return [(1.0, valuation, term.then_term if g else term.else_term)]
+    if not isinstance(term, Interaction):
+        raise EvalError(f"cannot step term {type(term).__name__}")
+    moves = []
+    for b in term.branches:
+        w = eval_weight(b.weight, program.constants)
+        if w == 0.0:
+            continue
+        new_val = apply_assignments(b.update, valuation, program.var, program.constants)
+        moves.append((w, new_val, b.cont))
+    return moves
+
+
+def ref_chain(
+    program: ChorProgram,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    init_overrides: dict | None = None,
+) -> MarkovChain:
+    """The source chain built with :func:`step`: what ``build_chain`` must
+    return, state numbering, bit-exact weights and findings included.
+
+    States are (term, valuation) pairs keyed structurally. Exploration
+    begins at the body of the entry definition; in discrete mode states
+    with no moves become absorbing via a probability-1 self-loop.
+    """
+    var_names = tuple(d.name for d in program.var_decls)
+    start_val = override_initial(program.var_decls, init_overrides)
+
+    def successors(key):
+        term, row = key
+        for w, new_val, cont in step(term, dict(zip(var_names, row)), program):
+            yield (cont, tuple(new_val[n] for n in var_names)), w
+
+    start = (program.defs[program.main], tuple(start_val[n] for n in var_names))
+    keys, edges = explore(start, successors, max_states)
+
+    if program.kind == "dtmc":
+        for sid, succ in enumerate(edges):
+            if not succ:
+                succ[sid] = 1.0
+
+    return MarkovChain(program.kind, var_names, [row for _, row in keys], 0, edges)

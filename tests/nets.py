@@ -13,14 +13,10 @@ from chorprism.prism import (
     derive_commands,
     network_var_decls,
 )
-from chorprism.semantics import (
-    DEFAULT_MAX_STATES,
-    apply_assignments,
-    eval_expr,
-    eval_weight,
-    override_initial,
-)
+from chorprism.semantics import DEFAULT_MAX_STATES, eval_expr, eval_weight, override_initial
 from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl
+
+from chor_ref import apply_assignments
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +66,8 @@ def oracle_step(
     var_names: tuple[str, ...],
 ) -> tuple[list[tuple[dict, float]], float | None]:
     """One-step successors with merged weights, every guard of every
-    command evaluated at every state.
+    command evaluated at every state (up to a conjunct or disjunct that
+    decides it).
 
     Returns the moves and, in discrete mode, the raw outgoing mass whenever
     it had to be renormalized to 1.

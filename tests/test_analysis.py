@@ -153,7 +153,8 @@ def test_missing_annotations_reported_then_filled(data_text):
 # ---------------------------------------------------------------------------
 
 def test_clean_programs_have_no_findings(data_text):
-    for name in ("example1.chor", "example2.chor", "thinkteam.chor", "p2p.chor"):
+    for name in ("example1.chor", "example2.chor", "thinkteam.chor", "p2p.chor",
+                 "dispatcher.chor", "guarded_division.chor"):
         assert check_well_formed(load_program(data_text(name))) == []
 
 
@@ -241,6 +242,30 @@ def test_guard_must_be_boolean():
     """
     findings = check_well_formed(load_program(src))
     assert any("expected bool" in f for f in findings)
+
+
+READ_AFTER_WRITE = """
+ctmc;
+role p, q;
+var x @ p : [0..2] init 0;
+var y @ q : [0..2] init 0;
+var z @ p : [0..2] init 0;
+def C = p -> q : { rate 2 : {UPDATE}; C | rate 3 : {x'=0, y'=0}; C };
+main C;
+"""
+
+
+@pytest.mark.parametrize("update, finding", [
+    ("y'=1, x'=y", "C/branch1: update x'=y reads y, which q writes in the same update"),
+    ("x'=y+y, y'=1", "C/branch1: update x'=y + y reads y, which q writes in the same update"),
+    ("x'=1, y'=min(x, z)", "C/branch1: update y'=min(x, z) reads x, which p writes in the same update"),
+    ("x'=1, z'=x", None),  # the same owner keeps its order
+    ("x'=y, z'=y", None),  # y is not written here
+    ("x'=x+1, y'=y", None),
+])
+def test_cross_role_read_after_write_is_rejected(update, finding):
+    findings = check_well_formed(load_program(READ_AFTER_WRITE.replace("UPDATE", update)))
+    assert findings == ([] if finding is None else [finding])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from chorprism import equivalence
 from chorprism.cli import main
+from chorprism.semantics import PC
 
 
 def run(capsys, *argv):
@@ -176,6 +177,39 @@ def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, 
     assert code == 1
     assert out == ""
     assert err == "error: no variable named nope\n"
+    if "prism" not in argv:
+        # the source chain's hidden program counter is not a variable either
+        code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", f"{PC}=1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: no variable named {PC}\n"
+
+
+READ_AFTER_WRITE = """ctmc;
+role p, q;
+var x @ p : [0..2] init 0;
+var y @ q : [0..2] init 0;
+def C = p -> q : { rate 2 : {y'=1, x'=y}; C | rate 3 : {x'=0, y'=0}; C };
+main C;
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check",), ("verify",), ("chain", "--side", "chor"), ("compile",)],
+    ids=["check", "verify", "chain-chor", "compile"],
+)
+def test_cross_role_read_after_write_is_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "raw.chor"
+    path.write_text(READ_AFTER_WRITE, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    finding = "C/branch1: update x'=y reads y, which q writes in the same update"
+    assert code == 1
+    if argv == ("check",):
+        assert out == f"well-formedness: {finding}\n"
+    else:
+        assert out == ""
+        assert err == f"error: {finding}\n"
 
 
 OVERFLOW = """ctmc;
@@ -233,6 +267,14 @@ def test_chain_findings_go_to_stderr(capsys, data_path):
     assert code == 0
     assert "finding: dtmc_renormalized" in err
     assert "dtmc_renormalized" not in out
+
+
+def test_guarded_division_verifies(capsys, data_path):
+    code, out, err = run(capsys, "verify", data_path("guarded_division.chor"))
+    assert code == 0
+    assert err == ""
+    assert "states: source 5 (2 collapsed), network 10 (2 collapsed)" in out
+    assert out.endswith("equivalent: yes\n")
 
 
 def test_chain_requires_well_formedness(capsys, data_path):

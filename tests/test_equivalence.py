@@ -285,6 +285,20 @@ def test_verify_example2_dtmc_report(data_text):
     )
 
 
+@pytest.mark.parametrize("name, states", [
+    # thinkteam.chor with its counts kept in range
+    ("dispatcher.chor", (64, 32, 389, 32)),
+    # the guard divides by a variable that is 0 while control is elsewhere
+    ("guarded_division.chor", (5, 2, 10, 2)),
+])
+def test_verify_fixture_reports(name, states, data_text):
+    report = verify_projection(load_program(data_text(name)))
+    assert report["equivalent"] is True
+    assert report["findings"] == []
+    st = report["states"]
+    assert (st["chor_raw"], st["chor_collapsed"], st["net_raw"], st["net_collapsed"]) == states
+
+
 GRID3_DTMC = """
 dtmc;
 role p, q, r;

@@ -152,6 +152,8 @@ def test_comments_and_whitespace_are_ignored(data_text):
         "example2.chor",
         "example2_dtmc.chor",
         "thinkteam.chor",
+        "dispatcher.chor",
+        "guarded_division.chor",
         "sconn_pos.chor",
         "annot_ok.chor",
         "allsynch.chor",

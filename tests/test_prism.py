@@ -417,7 +417,8 @@ def test_renormalization_finding_matches_oracle():
 def one_command(guard, update, weight=Lit(1), decls=None):
     """A module whose first command moves ``s`` from 0 to 1 and whose
     second is the one under test. Nothing ever writes ``z``, so ``z = 1``
-    never holds: a conjunct the index files the command under."""
+    never holds: as a leftmost conjunct, it keeps the rest of the guard
+    from ever being evaluated."""
     decls = decls or (VarDecl("s", "m", 0, 0, 1), VarDecl("z", "m", 0, 0, 1))
     return (PrismModule("m", decls, (
         PrismCommand(None, eq("s", 0), ((Lit(1), (Assign("s", Lit(1)),)),)),
@@ -438,9 +439,14 @@ def test_out_of_range_assignment_raises_range_violation():
 
 @pytest.mark.parametrize("op, message", [("mod", "mod by zero"), ("/", "division by zero")])
 def test_division_by_zero_raises_eval_error(op, message):
-    # in a guard whose other conjunct never holds: the oracle evaluates
-    # both sides of 'and', so the command may not be skipped
+    # in a guard, where its leftmost conjunct holds
+    guard = Binary("and", eq("s", 1), Binary("=", Binary(op, Var("s"), Var("z")), Lit(0)))
+    assert_raises_like_oracle(one_command(guard, ()), EvalError, message)
+    # behind a false leftmost conjunct the division is never evaluated
     guard = Binary("and", eq("z", 1), Binary("=", Binary(op, Var("s"), Var("z")), Lit(0)))
+    assert assert_same_as_oracle(one_command(guard, ()), "ctmc", {})[1] == [(0, 0), (1, 0)]
+    # ahead of a false conjunct it is, at the initial state already
+    guard = Binary("and", Binary("=", Binary(op, Var("s"), Var("z")), Lit(0)), eq("z", 1))
     assert_raises_like_oracle(one_command(guard, ()), EvalError, message)
     # in an update, on reaching it
     update = (Assign("s", Binary(op, Lit(1), Var("z"))),)
@@ -452,20 +458,33 @@ def test_division_by_zero_raises_eval_error(op, message):
 
 @pytest.mark.parametrize("guard, message", [
     (Binary("+", Var("s"), Lit(1)), "command guard is not boolean"),
-    (Binary("and", eq("z", 1), Var("s")), "'and' applied to non-bool value"),
-    (Binary("and", eq("z", 1), Binary("<", Lit(True), Var("s"))), "'<' applied to bool value"),
+    (Binary("and", eq("s", 1), Var("s")), "'and' applied to non-bool value"),
+    (Binary("and", eq("s", 1), Binary("<", Lit(True), Var("s"))), "'<' applied to bool value"),
 ])
 def test_non_bool_guard_raises_type_mismatch(guard, message):
     assert_raises_like_oracle(one_command(guard, ()), TypeMismatch, message)
 
 
-def test_ill_typed_initial_value_disables_the_index():
-    # z starts as a bool although declared int: a well-typed guard can
-    # still raise, so no command may be skipped
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_a_deciding_left_operand_skips_the_right_one(op):
+    # the right operand would raise; neither left operand is an equality,
+    # so the command is evaluated at every state
+    left = Binary(">" if op == "and" else "<", Var("z"), Lit(1))
+    guard = Binary(op, left, Binary("<", Lit(True), Var("s")))
+    net = one_command(guard, (Assign("s", Lit(0)),))
+    assert assert_same_as_oracle(net, "ctmc", {})[1] == [(0, 0), (1, 0)]
+
+
+def test_ill_typed_initial_value_raises_where_a_guard_reaches_it():
+    # z starts as a bool although declared int: the guard raises once its
+    # leftmost conjunct holds, and is skipped where that conjunct is false
     decls = (VarDecl("s", "m", 0, 0, 1), VarDecl("z", "m", True, 0, 1))
-    guard = Binary("and", Binary("=", Var("s"), Lit(7)), Binary("<", Var("z"), Lit(1)))
+    guard = Binary("and", Binary("=", Var("s"), Lit(1)), Binary("<", Var("z"), Lit(1)))
     net = one_command(guard, (), decls=decls)
     assert_raises_like_oracle(net, TypeMismatch, "'<' applied to bool value")
+    guard = Binary("and", Binary("=", Var("s"), Lit(7)), Binary("<", Var("z"), Lit(1)))
+    got = assert_same_as_oracle(one_command(guard, (), decls=decls), "ctmc", {})
+    assert got[1] == [(0, True), (1, True)]
 
 
 def test_assignment_to_undeclared_variable_raises_eval_error():

@@ -320,15 +320,16 @@ def test_fusion_is_idempotent_and_label_preserving(data_text):
 
 
 def test_fusion_preserves_behaviour(data_text):
-    prog = load(data_text, "example2.chor")
-    net, _ = project(prog)
-    obs = tuple(d.name for d in prog.var_decls)
-    raw = collapse(build_network_chain(net, prog.kind, prog.constants), obs)
-    slim = collapse(
-        build_network_chain(fuse_resets(net), prog.kind, prog.constants), obs
-    )
-    same, _ = bisimilar(raw, slim, obs)
-    assert same
+    for name in ("example2.chor", "dispatcher.chor"):
+        prog = load(data_text, name)
+        net, _ = project(prog)
+        obs = tuple(d.name for d in prog.var_decls)
+        raw = collapse(build_network_chain(net, prog.kind, prog.constants), obs)
+        slim = collapse(
+            build_network_chain(fuse_resets(net), prog.kind, prog.constants), obs
+        )
+        same, _ = bisimilar(raw, slim, obs)
+        assert same, name
 
 
 def test_fusion_keeps_pure_counter_cycles(data_text):

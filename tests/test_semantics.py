@@ -1,11 +1,16 @@
-"""Behavioural semantics: expression evaluation, update application, and
-exhaustive chain construction."""
+"""Behavioural semantics: expression evaluation, the reference
+tree-walking semantics in ``tests/chor_ref.py``, and exhaustive chain
+construction compared against it."""
 
 from __future__ import annotations
+
+import pathlib
+import random
 
 import pytest
 
 from chorprism import (
+    ChorError,
     EvalError,
     RangeViolation,
     StateBudgetExceeded,
@@ -15,7 +20,7 @@ from chorprism import (
     eval_weight,
     load_program,
 )
-from chorprism.semantics import apply_update, initial_valuation, step
+from chorprism.semantics import PC, override_initial
 from chorprism.syntax import (
     Assign,
     Binary,
@@ -30,6 +35,9 @@ from chorprism.syntax import (
     Var,
     VarDecl,
 )
+
+from chor_ref import apply_assignments, ref_chain, step
+from corpus import random_program_pair
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +70,20 @@ def test_eval_expr_errors():
     with pytest.raises(TypeMismatch):
         eval_expr(Binary("and", Lit(1), Lit(True)), {})
     with pytest.raises(TypeMismatch):
+        eval_expr(Binary("and", Lit(True), Lit(1)), {})
+    with pytest.raises(TypeMismatch):
         eval_expr(Binary("<", Lit(True), Lit(1)), {})
+
+
+def test_and_or_stop_at_a_deciding_left_operand():
+    div0 = Binary("=", Binary("/", Lit(1), Var("x")), Lit(0))
+    env = {"x": 0}
+    assert eval_expr(Binary("and", Lit(False), div0), env) is False
+    assert eval_expr(Binary("or", Lit(True), div0), env) is True
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(Binary("and", Lit(True), div0), env)
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(Binary("or", Lit(False), div0), env)
 
 
 def test_eval_weight_divides_exactly():
@@ -73,7 +94,7 @@ def test_eval_weight_divides_exactly():
 
 
 # ---------------------------------------------------------------------------
-# updates
+# updates, in the reference semantics
 # ---------------------------------------------------------------------------
 
 def two_var_program(**kw):
@@ -87,6 +108,10 @@ def two_var_program(**kw):
         defs={"M": kw.get("body", Inact())},
         main="M",
     )
+
+
+def apply_update(update, valuation, prog):
+    return apply_assignments(update, valuation, prog.var, prog.constants)
 
 
 def test_updates_apply_left_to_right():
@@ -110,17 +135,17 @@ def test_update_type_errors():
 
 
 def test_initial_valuation_overrides():
-    prog = two_var_program()
-    assert initial_valuation(prog) == {"x": 0, "y": 0}
-    assert initial_valuation(prog, {"x": 2}) == {"x": 2, "y": 0}
+    decls = two_var_program().var_decls
+    assert override_initial(decls, None) == {"x": 0, "y": 0}
+    assert override_initial(decls, {"x": 2}) == {"x": 2, "y": 0}
     with pytest.raises(RangeViolation):
-        initial_valuation(prog, {"x": 9})
+        override_initial(decls, {"x": 9})
     with pytest.raises(EvalError, match="no variable named nope"):
-        initial_valuation(prog, {"nope": 1})
+        override_initial(decls, {"nope": 1})
 
 
 # ---------------------------------------------------------------------------
-# small steps
+# small steps, in the reference semantics
 # ---------------------------------------------------------------------------
 
 def test_unfolding_a_call_is_an_explicit_move():
@@ -228,3 +253,60 @@ def test_initial_overrides_flow_into_the_chain(data_text):
     assert c.states[c.init] == (3, 1)
     # (3,1) is also a reachable interior valuation, so the chain shrinks
     assert c.num_states == 4
+
+
+def test_non_boolean_conditional_guard_raises_the_shared_message():
+    # the lowered guard is 'pc = k and g', as in the projected network's
+    # deciding role, so the conjunction reports the non-bool operand
+    t = Conditional(Binary("+", Var("x"), Lit(1)), "p", Inact(), Inact())
+    with pytest.raises(TypeMismatch, match="^'and' applied to non-bool value$"):
+        build_chain(two_var_program(body=t))
+
+
+# ---------------------------------------------------------------------------
+# build_chain against the tree-walking reference
+# ---------------------------------------------------------------------------
+
+def outcome(build, prog, **kw):
+    """Everything a chain build yields, edge insertion order and weights
+    bit for bit included, or the class and message of the error it raised."""
+    try:
+        c = build(prog, **kw)
+    except ChorError as e:
+        return type(e), str(e)
+    edges = [[(dst, w.hex()) for dst, w in row.items()] for row in c.edges]
+    return c.kind, c.var_names, c.states, c.init, edges, c.findings
+
+
+def assert_same_as_reference(prog, **kw):
+    got = outcome(build_chain, prog, **kw)
+    assert got == outcome(ref_chain, prog, **kw)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_build_chain_matches_the_reference_on_random_programs(seed):
+    for prog in random_program_pair(random.Random(seed)):
+        got = assert_same_as_reference(prog)
+        assert isinstance(got[2], list)  # a chain, not an error
+
+
+FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_build_chain_matches_the_reference_on_fixtures(name, data_text):
+    assert_same_as_reference(load_program(data_text(name)))
+
+
+def test_build_chain_matches_the_reference_on_errors_and_limits(data_text):
+    # thinkteam.chor overflows x; the budget and overrides bound the rest
+    got = assert_same_as_reference(load_program(data_text("thinkteam.chor")))
+    assert got == (RangeViolation, "update x'=x + 1 assigns 11 to x, outside [0..10]")
+    prog = load_program(data_text("example2.chor"))
+    assert assert_same_as_reference(prog, max_states=3)[0] is StateBudgetExceeded
+    assert_same_as_reference(prog, init_overrides={"x": 3, "y": 1})
+    assert assert_same_as_reference(prog, init_overrides={"nope": 1})[0] is EvalError
+    # the hidden program counter is not a variable either
+    got = assert_same_as_reference(prog, init_overrides={PC: 1})
+    assert got == (EvalError, f"no variable named {PC}")
