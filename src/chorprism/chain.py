@@ -116,17 +116,3 @@ def explore(
         frontier += 1
     return keys, edges
 
-
-def reachable(chain: MarkovChain) -> MarkovChain:
-    """The part of ``chain`` its initial state reaches, renumbered in
-    breadth-first order. Every row keeps its edge order and weights."""
-    edges = chain.edges
-    order, trimmed = explore(chain.init, lambda x: edges[x].items(), chain.num_states)
-    return MarkovChain(
-        chain.kind,
-        chain.var_names,
-        [chain.states[x] for x in order],
-        0,
-        trimmed,
-        list(chain.findings),
-    )

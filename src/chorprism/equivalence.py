@@ -11,8 +11,9 @@ therefore runs in three stages:
 2. (discrete only) jump chains — replace each state's distribution with the
    distribution over where the *first observation-changing* move lands;
    probability of never changing the observation becomes a self-loop.
-   Interior states of a stutter run are then unreachable, so each jump
-   chain is cut to the part its initial state reaches before stage 3.
+   The jump chain is explored from the initial state, so interior states of
+   a stutter run never enter it; each state reached is solved together with
+   the states it reaches without changing its observation.
 3. partition-refinement bisimulation on the disjoint union, starting from
    observation equality. In continuous mode the refinement ignores each
    state's rate into its own class (ordinary lumpability), which is what
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import s_conn
-from .chain import MarkovChain, explore, reachable, render_value
+from .chain import MarkovChain, explore, render_value
 from .errors import NotStronglyConnected, StutterGroupTooLarge
 from .prism import build_network_chain
 from .projection import project
@@ -107,98 +108,99 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
 
 def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     """Replace each state's one-step distribution with the distribution of
-    where the first observation-changing move lands.
+    where the first observation-changing move lands, for the states the
+    initial state reaches, numbered breadth-first.
 
-    Within each group of states connected by observation-preserving edges
-    the jump probabilities solve (I - P)X = B, restricted to states that
-    can actually reach an observation change; the remaining probability
-    mass (never changing the observation) sits on a self-loop, a slot no
-    genuine jump can occupy.
+    A state's jump distribution depends only on its forward stutter closure,
+    the states it reaches by moves that keep its observation. The first time
+    a state without a row is reached, its closure is solved as one system
+    (I - P)X = B, restricted to the members that can reach an observation
+    change, and every member's row is stored. The remaining probability mass
+    (never changing the observation) sits on a self-loop, a slot no genuine
+    jump can occupy.
     """
-    n = chain.num_states
     obs = chain.observations(obs_names)
-    stutter: list[dict[int, float]] = []
-    exits: list[dict[int, float]] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
+    edges = chain.edges
+    rows: dict[int, dict[int, float]] = {}
+
+    def solve_closure(x: int) -> None:
         ox = obs[x]
-        stay: dict[int, float] = {}
-        leave: dict[int, float] = {}
-        for y, w in chain.edges[x].items():
-            if obs[y] != ox:
-                leave[y] = w
-                continue
-            stay[y] = w
-            if y != x:
-                adj[x].append(y)
-                adj[y].append(x)
-                preds[y].append(x)
-        stutter.append(stay)
-        exits.append(leave)
-    comp = [-1] * n
-    groups: list[list[int]] = []
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        members = [s]
-        comp[s] = len(groups)
-        qi = 0
-        while qi < len(members):
-            for y in adj[members[qi]]:
-                if comp[y] == -1:
-                    comp[y] = len(groups)
-                    members.append(y)
-            qi += 1
-        groups.append(members)
+        members = [x]
+        pos = {x: 0}
+        stay: list[list[tuple[int, float]]] = []
+        exits: list[list[tuple[int, float]]] = []
+        preds: list[list[int]] = [[]]
+        for i, y in enumerate(members):
+            s, e = [], []
+            for z, w in edges[y].items():
+                j = pos.get(z)
+                if j is None:
+                    if obs[z] != ox:
+                        e.append((z, w))
+                        continue
+                    j = pos[z] = len(members)
+                    members.append(z)
+                    preds.append([])
+                s.append((j, w))
+                if j != i:
+                    preds[j].append(i)
+            stay.append(s)
+            exits.append(e)
+        # the members with a stutter path to an observation change: one
+        # backward search from every member that has an exit
+        can = [bool(e) for e in exits]
+        solvable = [i for i, e in enumerate(exits) if e]
+        for i in solvable:
+            for j in preds[i]:
+                if not can[j]:
+                    can[j] = True
+                    solvable.append(j)
 
-    # states with a stutter path to an observation change: one backward
-    # search from every state that has an exit
-    can = [bool(e) for e in exits]
-    frontier = [x for x in range(n) if can[x]]
-    for x in frontier:
-        for y in preds[x]:
-            if not can[y]:
-                can[y] = True
-                frontier.append(y)
-
-    # a state with no such path diverges inside its observation
-    new_edges = [{} if can[x] else {x: 1.0} for x in range(n)]
-    for members in groups:
-        solvable = [x for x in members if can[x]]
+        # a member with no such path diverges inside its observation
+        for i, y in enumerate(members):
+            if not can[i]:
+                rows[y] = {y: 1.0}
         if not solvable:
-            continue
-        if len(solvable) > MAX_DENSE_GROUP:
-            raise StutterGroupTooLarge(len(solvable), MAX_DENSE_GROUP)
-        pos = {x: i for i, x in enumerate(solvable)}
-        targets = sorted({t for x in solvable for t in exits[x]})
+            return
+        n = len(solvable)
+        if n > MAX_DENSE_GROUP:
+            raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
+        spos = {i: k for k, i in enumerate(solvable)}
+        targets = sorted({t for i in solvable for t, _ in exits[i]})
         tpos = {t: j for j, t in enumerate(targets)}
-        P = np.zeros((len(solvable), len(solvable)))
-        B = np.zeros((len(solvable), len(targets)))
-        for i, x in enumerate(solvable):
-            for y, w in stutter[x].items():
-                j = pos.get(y)
-                if j is not None:
-                    P[i, j] += w
-            for t, w in exits[x].items():
-                B[i, tpos[t]] += w
-        X = np.linalg.solve(np.eye(len(solvable)) - P, B)
-        for i, x in enumerate(solvable):
+        A = np.eye(n)  # I - P
+        B = np.zeros((n, len(targets)))
+        for k, i in enumerate(solvable):
+            for j, w in stay[i]:
+                col = spos.get(j)
+                if col is not None:
+                    A[k, col] -= w
+            for t, w in exits[i]:
+                B[k, tpos[t]] += w
+        for i, xs in zip(solvable, np.linalg.solve(A, B).tolist()):
+            row: dict[int, float] = {}
             total = 0.0
-            for j, t in enumerate(targets):
-                v = float(X[i, j])
+            for t, v in zip(targets, xs):
                 if v > 1e-12:
-                    new_edges[x][t] = new_edges[x].get(t, 0.0) + v
+                    row[t] = v
                     total += v
+            y = members[i]
             if total < 1.0 - TOL:
-                new_edges[x][x] = new_edges[x].get(x, 0.0) + (1.0 - total)
+                row[y] = 1.0 - total
+            rows[y] = row
 
+    def successors(x: int):
+        if x not in rows:
+            solve_closure(x)
+        return rows[x].items()
+
+    order, jumps = explore(chain.init, successors, chain.num_states)
     return MarkovChain(
         "dtmc",
         chain.var_names,
-        list(chain.states),
-        chain.init,
-        new_edges,
+        [chain.states[x] for x in order],
+        0,
+        jumps,
         list(chain.findings),
     )
 
@@ -214,6 +216,22 @@ def _ignores_own_block(c1: MarkovChain, c2: MarkovChain) -> bool:
     if c1.kind != c2.kind:
         raise ValueError(f"cannot compare a {c1.kind} chain with a {c2.kind} chain")
     return c1.kind == "ctmc"
+
+
+def _signature(
+    row: dict[int, float], blocks: list[int], offset: int, own: int | None
+) -> tuple[tuple[int, float], ...]:
+    """The weight ``row`` sends into each block, rounded to 9 digits, as
+    sorted (block, weight) pairs without zeros. The weight into block
+    ``own`` is dropped (pass None to keep every block); ``offset`` shifts
+    the row's state ids into the numbering of ``blocks``."""
+    sums: dict[int, float] = {}
+    for y, w in row.items():
+        b = blocks[y + offset]
+        sums[b] = sums.get(b, 0.0) + w
+    sums.pop(own, None)
+    rounded = ((b, round(v, 9)) for b, v in sums.items())
+    return tuple(sorted((b, v) for b, v in rounded if v != 0))
 
 
 def bisimilar(
@@ -247,16 +265,8 @@ def bisimilar(
         sig_ids: dict = {}
         new_blocks = []
         for x in range(total):
-            sums: dict[int, float] = {}
-            for y, w in edges[x].items():
-                b = blocks[y]
-                sums[b] = sums.get(b, 0.0) + w
-            if ignore_own:
-                sums.pop(blocks[x], None)
-            sig = (
-                blocks[x],
-                tuple(sorted((b, round(v, 9)) for b, v in sums.items() if round(v, 9) != 0)),
-            )
+            own = blocks[x]
+            sig = (own, _signature(edges[x], blocks, 0, own if ignore_own else None))
             if sig not in sig_ids:
                 sig_ids[sig] = len(sig_ids)
             new_blocks.append(sig_ids[sig])
@@ -293,24 +303,19 @@ def explain_difference(
             f"network at {_obs_text(o2, obs_names)}"
         )
 
-    def block_sums(chain: MarkovChain, offset: int) -> dict[int, float]:
-        sums: dict[int, float] = {}
-        for y, w in chain.edges[chain.init].items():
-            b = blocks[y + offset]
-            sums[b] = sums.get(b, 0.0) + w
-        if ignore_own:
-            sums.pop(blocks[chain.init + offset], None)
-        return sums
+    def block_weights(chain: MarkovChain, offset: int) -> dict[int, float]:
+        own = blocks[chain.init + offset] if ignore_own else None
+        return dict(_signature(chain.edges[chain.init], blocks, offset, own))
 
-    s1 = block_sums(c1, 0)
-    s2 = block_sums(c2, n1)
+    s1 = block_weights(c1, 0)
+    s2 = block_weights(c2, n1)
 
     def block_obs(b: int) -> tuple:
         return obs[blocks.index(b)]
 
     for b in sorted(set(s1) | set(s2)):
-        w1 = round(s1.get(b, 0.0), 9)
-        w2 = round(s2.get(b, 0.0), 9)
+        w1 = s1.get(b, 0.0)
+        w2 = s2.get(b, 0.0)
         if w1 != w2:
             return (
                 f"from the initial state, total weight into states observing "
@@ -338,7 +343,8 @@ def verify_projection(
 
     Returns a report: ``equivalent``, ``kind``, ``sconn``, raw/collapsed
     state counts for both sides (in discrete mode also the sizes of the
-    trimmed jump chains), accumulated findings, and a
+    jump chains, which hold only what the initial state reaches),
+    accumulated findings, and a
     ``counterexample`` description when the check fails.
     """
     prog = auto_annotate(prog)
@@ -371,8 +377,8 @@ def verify_projection(
         "net_collapsed": c2.num_states,
     }
     if prog.kind == "dtmc":
-        c1 = reachable(jump_chain(c1, obs_names))
-        c2 = reachable(jump_chain(c2, obs_names))
+        c1 = jump_chain(c1, obs_names)
+        c2 = jump_chain(c2, obs_names)
         states["chor_jump"] = c1.num_states
         states["net_jump"] = c2.num_states
     equivalent, blocks = bisimilar(c1, c2, obs_names)

@@ -146,7 +146,7 @@ def test_criterion_4_verified_pair(acceptance_log, data_text):
     prog = load_program(data_text("example2.chor"))
     report = verify_projection(prog)
     collapsed = collapse(build_chain(prog), ("x", "y"))
-    obs = {collapsed.observation(s, ("x", "y")) for s in range(collapsed.num_states)}
+    obs = set(collapsed.observations(("x", "y")))
     ok = (
         report["equivalent"] is True
         and report["states"]["chor_collapsed"] == 3

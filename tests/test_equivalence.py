@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
 
 from chorprism import equivalence
-from chorprism.chain import MarkovChain, reachable
+from chorprism.chain import MarkovChain
 from chorprism.equivalence import (
     bisimilar,
     collapse,
@@ -22,6 +23,7 @@ from chorprism.projection import project
 from chorprism.semantics import build_chain
 from chorprism.sugar import auto_annotate, load_program
 
+import jump_ref
 from corpus import random_program
 
 OBS = ("x",)
@@ -113,7 +115,7 @@ def test_collapse_example2_reaches_three_observation_classes(data_text):
     prog = load_program(data_text("example2.chor"))
     got = collapse(build_chain(prog), ("x", "y"))
     assert got.num_states == 3
-    obs = [got.observation(s, ("x", "y")) for s in range(3)]
+    obs = got.observations(("x", "y"))
     assert len(set(obs)) == 3
     by_obs = {
         obs[s]: {obs[t]: w for t, w in got.edges[s].items()} for s in range(3)
@@ -133,9 +135,13 @@ def test_collapse_example2_reaches_three_observation_classes(data_text):
 def test_jump_chain_absorbs_stutter_prefix():
     c = mk("dtmc", [(0,), (0,), (1,)], [{1: 0.5, 2: 0.5}, {2: 1.0}, {2: 1.0}])
     got = jump_chain(c, OBS)
-    assert got.edges[0] == pytest.approx({2: 1.0})
-    assert got.edges[1] == pytest.approx({2: 1.0})
-    assert got.edges[2] == pytest.approx({2: 1.0})  # absorbing: diverges
+    # the interior state 1 is never reached
+    assert got.states == [(0,), (1,)]
+    assert got.edges[0] == pytest.approx({1: 1.0})
+    assert got.edges[1] == pytest.approx({1: 1.0})  # absorbing: diverges
+    from_interior = jump_chain(dataclasses.replace(c, init=1), OBS)
+    assert from_interior.states == [(0,), (1,)]
+    assert from_interior.edges[0] == pytest.approx({1: 1.0})
 
 
 def test_jump_chain_splits_mass_after_stutter_loop():
@@ -147,15 +153,18 @@ def test_jump_chain_splits_mass_after_stutter_loop():
 def test_jump_chain_divergence_becomes_self_loop():
     c = mk("dtmc", [(0,), (0,)], [{1: 1.0}, {0: 1.0}])
     got = jump_chain(c, OBS)
-    assert got.edges == [{0: 1.0}, {1: 1.0}]
+    assert got.states == [(0,)]
+    assert got.edges == [{0: 1.0}]
 
 
 def test_jump_chain_partial_divergence_keeps_mass_on_self_loop():
     # half the mass reaches the observation change, half gets stuck
     c = mk("dtmc", [(0,), (0,), (1,)], [{1: 0.5, 2: 0.5}, {1: 1.0}, {}])
     got = jump_chain(c, OBS)
-    assert got.edges[0] == pytest.approx({2: 0.5, 0: 0.5})
-    assert got.edges[1] == pytest.approx({1: 1.0})
+    assert got.states == [(0,), (1,)]
+    assert got.edges[0] == pytest.approx({1: 0.5, 0: 0.5})
+    assert got.edges[1] == {1: 1.0}
+    assert jump_chain(dataclasses.replace(c, init=1), OBS).edges == [{0: 1.0}]
 
 
 def test_jump_chain_refuses_a_stutter_group_past_the_dense_limit(monkeypatch):
@@ -166,24 +175,39 @@ def test_jump_chain_refuses_a_stutter_group_past_the_dense_limit(monkeypatch):
     assert isinstance(exc.value, StateBudgetExceeded)
     assert exc.value.exit_code == 3
     monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 3)
-    assert jump_chain(c, OBS).edges[0] == {3: 1.0}
+    assert jump_chain(c, OBS).edges[0] == {1: 1.0}
 
 
-def test_reachable_renumbers_breadth_first_and_keeps_rows():
-    # state 1 is unreachable; 3 is reached before 2
+def test_jump_chain_dense_limit_counts_one_forward_closure(monkeypatch):
+    # 0, 1 and 2 form one undirected stutter group of three states that
+    # can all leave it, but 0 and 2 each reach only themselves and 1
+    c = mk(
+        "dtmc",
+        [(0,), (0,), (0,), (1,)],
+        [{1: 0.5, 3: 0.5}, {3: 1.0}, {1: 0.5, 3: 0.5}, {2: 1.0}],
+    )
+    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 2)
+    monkeypatch.setattr(jump_ref, "MAX_DENSE_GROUP", 2)
+    with pytest.raises(StutterGroupTooLarge, match="group of 3 states"):
+        jump_ref.jump_chain(c, OBS)
+    got = jump_chain(c, OBS)
+    assert got.states == [(0,), (1,), (0,)]
+    assert got.edges == [pytest.approx({1: 1.0}), {2: 1.0}, pytest.approx({1: 1.0})]
+
+
+def test_jump_chain_numbers_states_breadth_first():
+    # state 1 is unreachable; jumps are listed by target id, so 2 is
+    # reached before 3
     c = mk(
         "dtmc",
         [(0,), (5,), (2,), (3,)],
         [{3: 0.25, 2: 0.75}, {0: 1.0}, {2: 1.0}, {0: 0.5, 3: 0.5}],
     )
-    got = reachable(c)
-    assert got.states == [(0,), (3,), (2,)]
+    got = jump_chain(c, OBS)
+    assert got.states == [(0,), (2,), (3,)]
     assert got.init == 0
-    assert [list(row.items()) for row in got.edges] == [
-        [(1, 0.25), (2, 0.75)],
-        [(0, 0.5), (1, 0.5)],
-        [(2, 1.0)],
-    ]
+    assert [list(row) for row in got.edges] == [[1, 2], [1], [0]]
+    assert got.edges == [pytest.approx({1: 0.75, 2: 0.25}), {1: 1.0}, pytest.approx({0: 1.0})]
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +489,16 @@ def test_discrete_verdict_needs_collapse_before_jump_chains():
     assert report["equivalent"] is True
     assert [f.split(":")[0] for f in report["findings"]] == ["dtmc_renormalized"]
 
+    # Without collapse the reference's jump chains are told apart, but only
+    # by a rounding tie (see the reference test below); the jump chains
+    # solved per forward closure are not.
     obs = tuple(d.name for d in prog.var_decls)
     net, _ = project(prog)
     source, network = build_chain(prog), build_network_chain(net, "dtmc", prog.constants)
-    ok, _ = bisimilar(jump_chain(source, obs), jump_chain(network, obs), obs)
+    ok, _ = bisimilar(jump_ref.jump_chain(source, obs), jump_ref.jump_chain(network, obs), obs)
     assert not ok
-
-
-def _full_and_trimmed_verdicts(source, network, obs):
-    """(verdict, explanation) of bisimilar on the full jump chains, then on
-    the same chains cut to their reachable part."""
-    j1, j2 = jump_chain(source, obs), jump_chain(network, obs)
-    out = []
-    for j1, j2 in ((j1, j2), (reachable(j1), reachable(j2))):
-        ok, blocks = bisimilar(j1, j2, obs)
-        out.append((ok, None if ok else explain_difference(j1, j2, blocks, obs)))
-    return out
+    ok, _ = bisimilar(jump_chain(source, obs), jump_chain(network, obs), obs)
+    assert ok
 
 
 def _discrete_chains(prog):
@@ -490,21 +508,81 @@ def _discrete_chains(prog):
     return build_chain(prog), build_network_chain(net, "dtmc", prog.constants), obs
 
 
-def test_trimming_jump_chains_keeps_verdicts():
+def _reference_jump_chain(chain, obs):
+    """jump_chain of ``chain``, checked against the reference: the same
+    states, the same row key order and weights within 1e-12."""
+    got, want = jump_chain(chain, obs), jump_ref.trimmed_jump_chain(chain, obs)
+    assert got.states == want.states
+    assert got.init == want.init == 0
+    assert [list(row) for row in got.edges] == [list(row) for row in want.edges]
+    for g, w in zip(got.edges, want.edges):
+        assert all(abs(g[t] - w[t]) <= 1e-12 for t in g)
+    return got, want
+
+
+def _assert_same_verdicts(source, network, obs):
+    """The two chains' jump chains match the reference, and bisimilar gives
+    the same verdict and explanation on them as on the reference's."""
+    (j1, r1), (j2, r2) = _reference_jump_chain(source, obs), _reference_jump_chain(network, obs)
+    verdicts = []
+    for c1, c2 in ((j1, j2), (r1, r2)):
+        ok, blocks = bisimilar(c1, c2, obs)
+        verdicts.append((ok, None if ok else explain_difference(c1, c2, blocks, obs)))
+    assert verdicts[0] == verdicts[1]
+    return verdicts[0]
+
+
+def test_jump_chain_matches_the_reference_on_programs(data_text):
     programs = [random_program(random.Random(seed), "dtmc") for seed in range(200)]
     programs += [load_program(GRID3_DTMC), load_program(PAIR65_DTMC)]
+    programs.append(load_program(data_text("example2_dtmc.chor")))
     for prog in programs:
         source, network, obs = _discrete_chains(prog)
-        full, trimmed = _full_and_trimmed_verdicts(
-            collapse(source, obs), collapse(network, obs), obs
-        )
-        assert trimmed == full
+        _assert_same_verdicts(collapse(source, obs), collapse(network, obs), obs)
 
 
-def test_trimming_jump_chains_keeps_the_explanation():
-    # without collapse, pair65's jump chains differ (see above)
+def test_jump_chain_matches_the_reference_without_collapse():
+    """pair65's uncollapsed network jump chain holds 9/1024 = 0.0087890625,
+    a tie of round(v, 9). The reference's whole-group solve puts some copies
+    one ulp above it, which bisimilar rounds up and so splits their blocks;
+    the forward-closure solves hit the tie exactly."""
     source, network, obs = _discrete_chains(load_program(PAIR65_DTMC))
-    full, trimmed = _full_and_trimmed_verdicts(source, network, obs)
-    assert full[0] is False
-    assert full[1].startswith("from the initial state, total weight into states observing")
-    assert trimmed == full
+    (j1, r1), (j2, r2) = _reference_jump_chain(source, obs), _reference_jump_chain(network, obs)
+    tie = 9 / 1024
+    split = {
+        (g[t], w[t])
+        for g, w in zip(j1.edges + j2.edges, r1.edges + r2.edges)
+        for t in g
+        if round(g[t], 9) != round(w[t], 9)
+    }
+    assert split == {(tie, math.nextafter(tie, 1.0))}
+    ok, blocks = bisimilar(r1, r2, obs)
+    assert ok is False
+    why = explain_difference(r1, r2, blocks, obs)
+    assert why.startswith("from the initial state, total weight into states observing")
+    assert bisimilar(j1, j2, obs)[0] is True
+
+
+def random_substochastic_chain(rng: random.Random) -> MarkovChain:
+    """A dtmc whose rows sum to at most 1, with stutter cycles, states that
+    never leave their observation, and an initial state that need not be 0."""
+    n = rng.randint(1, 9)
+    states = [(rng.randint(0, 2),) for _ in range(n)]
+    edges = []
+    for _ in range(n):
+        out = {}
+        for _ in range(rng.randint(0, 3)):
+            y = rng.randrange(n)
+            out[y] = out.get(y, 0.0) + rng.choice([0.125, 0.25, 0.5, 1.0, rng.random()])
+        total = sum(out.values())
+        mass = rng.choice([1.0, 1.0, rng.uniform(0.25, 1.0)])
+        edges.append({y: w / total * mass for y, w in out.items()})
+    return mk("dtmc", states, edges, init=rng.randrange(n))
+
+
+def test_jump_chain_matches_the_reference_on_random_chains():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        _assert_same_verdicts(
+            random_substochastic_chain(rng), random_substochastic_chain(rng), OBS
+        )
