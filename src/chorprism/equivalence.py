@@ -12,8 +12,8 @@ therefore runs in three stages:
    distribution over where the *first observation-changing* move lands;
    probability of never changing the observation becomes a self-loop.
    The jump chain is explored from the initial state, so interior states of
-   a stutter run never enter it; each state reached is solved together with
-   the states it reaches without changing its observation.
+   a stutter run never enter it; each state's row is solved once, one
+   strongly connected component of stutter moves at a time.
 3. partition-refinement bisimulation on the disjoint union, starting from
    observation equality. In continuous mode the refinement ignores each
    state's rate into its own class (ordinary lumpability), which is what
@@ -57,13 +57,15 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     n = chain.num_states
     obs = chain.observations(obs_names)
 
-    def admin(x: int, y: int, w: float) -> bool:
-        return abs(w - 1.0) <= TOL and obs[x] == obs[y]
-
-    contractible = [
-        bool(chain.edges[x]) and all(admin(x, y, w) for y, w in chain.edges[x].items())
-        for x in range(n)
-    ]
+    # contractible: every move is administrative (weight 1, observation kept)
+    contractible = []
+    for succ, o in zip(chain.edges, obs):
+        admin = bool(succ)
+        for y, w in succ.items():
+            if abs(w - 1.0) > TOL or obs[y] != o:
+                admin = False
+                break
+        contractible.append(admin)
     nf: dict[int, int] = {x: x for x in range(n) if not contractible[x]}
     pending = [x for x in range(n) if contractible[x]]
     progress = True
@@ -111,88 +113,109 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     where the first observation-changing move lands, for the states the
     initial state reaches, numbered breadth-first.
 
-    A state's jump distribution depends only on its forward stutter closure,
-    the states it reaches by moves that keep its observation. The first time
-    a state without a row is reached, its closure is solved as one system
-    (I - P)X = B, restricted to the members that can reach an observation
-    change, and every member's row is stored. The remaining probability mass
-    (never changing the observation) sits on a self-loop, a slot no genuine
-    jump can occupy.
+    A state's exit row, the mass it takes to each observation change,
+    depends only on the states it reaches by stutter moves (moves that keep
+    its observation). The first time a state without a row is reached, one
+    iterative Tarjan walk over stutter moves gives it and every state it
+    stutters to a row. The walk finishes strongly connected components
+    sinks first, so each component is solved once, from the rows of the
+    components below it: a single state by adding up, a larger one as one
+    system (I - P)X = B. The mass a state cannot take to an observation
+    change (it diverges) sits on a self-loop, a slot no genuine jump can
+    occupy.
     """
     obs = chain.observations(obs_names)
     edges = chain.edges
-    rows: dict[int, dict[int, float]] = {}
+    out: dict[int, dict[int, float]] = {}  # exit rows, before the 1e-12 cut
 
-    def solve_closure(x: int) -> None:
-        ox = obs[x]
-        members = [x]
-        pos = {x: 0}
-        stay: list[list[tuple[int, float]]] = []
-        exits: list[list[tuple[int, float]]] = []
-        preds: list[list[int]] = [[]]
-        for i, y in enumerate(members):
-            s, e = [], []
-            for z, w in edges[y].items():
-                j = pos.get(z)
-                if j is None:
-                    if obs[z] != ox:
-                        e.append((z, w))
-                        continue
-                    j = pos[z] = len(members)
-                    members.append(z)
-                    preds.append([])
-                s.append((j, w))
-                if j != i:
-                    preds[j].append(i)
-            stay.append(s)
-            exits.append(e)
-        # the members with a stutter path to an observation change: one
-        # backward search from every member that has an exit
-        can = [bool(e) for e in exits]
-        solvable = [i for i, e in enumerate(exits) if e]
-        for i in solvable:
-            for j in preds[i]:
-                if not can[j]:
-                    can[j] = True
-                    solvable.append(j)
+    def solve(parts: list[tuple[int, dict[int, float], list[tuple[int, float]]]]) -> None:
+        """Exit rows of one component of several states, given per member
+        its row through exits and solved successors, and its moves inside
+        the component. Either every member reaches an exit or none does."""
+        comp = [y for y, _, _ in parts]
+        rows = [row for _, row, _ in parts]
+        targets = sorted({t for row in rows for t in row})
+        if targets:
+            n = len(comp)
+            if n > MAX_DENSE_GROUP:
+                raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
+            pos = {y: i for i, y in enumerate(comp)}
+            tpos = {t: j for j, t in enumerate(targets)}
+            A = np.eye(n)  # I - P
+            B = np.zeros((n, len(targets)))
+            for i, (_, row, stay) in enumerate(parts):
+                for z, w in stay:
+                    A[i, pos[z]] -= w
+                for t, v in row.items():
+                    B[i, tpos[t]] = v
+            rows = [dict(zip(targets, xs)) for xs in np.linalg.solve(A, B).tolist()]
+        out.update(zip(comp, rows))
 
-        # a member with no such path diverges inside its observation
-        for i, y in enumerate(members):
-            if not can[i]:
-                rows[y] = {y: 1.0}
-        if not solvable:
-            return
-        n = len(solvable)
-        if n > MAX_DENSE_GROUP:
-            raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
-        spos = {i: k for k, i in enumerate(solvable)}
-        targets = sorted({t for i in solvable for t, _ in exits[i]})
-        tpos = {t: j for j, t in enumerate(targets)}
-        A = np.eye(n)  # I - P
-        B = np.zeros((n, len(targets)))
-        for k, i in enumerate(solvable):
-            for j, w in stay[i]:
-                col = spos.get(j)
-                if col is not None:
-                    A[k, col] -= w
-            for t, w in exits[i]:
-                B[k, tpos[t]] += w
-        for i, xs in zip(solvable, np.linalg.solve(A, B).tolist()):
-            row: dict[int, float] = {}
-            total = 0.0
-            for t, v in zip(targets, xs):
-                if v > 1e-12:
-                    row[t] = v
-                    total += v
-            y = members[i]
-            if total < 1.0 - TOL:
-                row[y] = 1.0 - total
-            rows[y] = row
+    def walk(root: int) -> None:
+        """Give ``root``, and every state it reaches by stutter moves that
+        has no row yet, its exit row."""
+        num = {root: 0}  # Tarjan's visit order and low links
+        low = [0]
+        parts = []  # finished states of components not yet solved
+        work = [(root, iter(edges[root]))]
+        while work:
+            y, it = work[-1]
+            oy = obs[y]
+            i = num[y]
+            for z in it:
+                if z in out or obs[z] != oy:
+                    continue
+                k = num.get(z)
+                if k is None:  # descend
+                    num[z] = len(low)
+                    low.append(len(low))
+                    work.append((z, iter(edges[z])))
+                    break
+                if k < low[i]:  # z is in y's component
+                    low[i] = k
+            else:
+                work.pop()
+                if work:
+                    p = num[work[-1][0]]
+                    if low[i] < low[p]:
+                        low[p] = low[i]
+                # every stutter successor now has a row or shares y's component
+                row: dict[int, float] = {}
+                stay = []
+                for z, w in edges[y].items():
+                    if obs[z] != oy:
+                        row[z] = row.get(z, 0.0) + w
+                    elif z in out:
+                        for t, v in out[z].items():
+                            row[t] = row.get(t, 0.0) + w * v
+                    else:
+                        stay.append((z, w))
+                if low[i] != i:
+                    parts.append((y, row, stay))
+                elif not parts or num[parts[-1][0]] < i:  # y alone
+                    if stay and row:  # stay is y's self-loop
+                        row = {t: v / (1.0 - stay[0][1]) for t, v in row.items()}
+                    out[y] = row
+                else:  # y roots the component of the parts visited after it
+                    at = len(parts)
+                    while at and num[parts[at - 1][0]] > i:
+                        at -= 1
+                    parts.append((y, row, stay))
+                    solve(parts[at:])
+                    del parts[at:]
 
     def successors(x: int):
-        if x not in rows:
-            solve_closure(x)
-        return rows[x].items()
+        if x not in out:
+            walk(x)
+        row: dict[int, float] = {}
+        total = 0.0
+        for t, v in sorted(out[x].items()):
+            if v > 1e-12:
+                row[t] = v
+                total += v
+        if total < 1.0 - TOL:
+            row[x] = 1.0 - total
+        return row.items()
 
     order, jumps = explore(chain.init, successors, chain.num_states)
     return MarkovChain(

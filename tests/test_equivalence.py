@@ -168,14 +168,40 @@ def test_jump_chain_partial_divergence_keeps_mass_on_self_loop():
 
 
 def test_jump_chain_refuses_a_stutter_group_past_the_dense_limit(monkeypatch):
-    c = mk("dtmc", [(0,), (0,), (0,), (1,)], [{1: 1.0}, {2: 1.0}, {3: 1.0}, {}])
+    # the limit counts one stutter cycle: 0 -> 1 -> 2 -> 0, each leaving to 3
+    cycle = mk(
+        "dtmc",
+        [(0,), (0,), (0,), (1,)],
+        [{1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, {0: 0.5, 3: 0.5}, {}],
+    )
     monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 2)
     with pytest.raises(StutterGroupTooLarge, match="group of 3 states") as exc:
-        jump_chain(c, OBS)
+        jump_chain(cycle, OBS)
     assert isinstance(exc.value, StateBudgetExceeded)
     assert exc.value.exit_code == 3
+    # a run of three stutter states without a cycle needs no dense solve
+    run = mk("dtmc", [(0,), (0,), (0,), (1,)], [{1: 1.0}, {2: 1.0}, {3: 1.0}, {}])
+    assert jump_chain(run, OBS).edges[0] == {1: 1.0}
     monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 3)
-    assert jump_chain(c, OBS).edges[0] == {1: 1.0}
+    assert jump_chain(cycle, OBS).edges[0] == pytest.approx({1: 1.0})
+
+
+def test_jump_chain_walks_a_deep_stutter_run_without_recursion(monkeypatch):
+    n = 20_000
+    line = mk(
+        "dtmc",
+        [(0,)] * n + [(1,)],
+        [{x + 1: 1.0} for x in range(n)] + [{}],
+    )
+
+    def no_dense_solve(*_):
+        raise AssertionError("a stutter run without cycles needs no dense solve")
+
+    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+    monkeypatch.setattr(equivalence.np.linalg, "solve", no_dense_solve)
+    got = jump_chain(line, OBS)
+    assert got.states == [(0,), (1,)]
+    assert got.edges == [{1: 1.0}, {1: 1.0}]
 
 
 def test_jump_chain_dense_limit_counts_one_forward_closure(monkeypatch):
@@ -491,7 +517,7 @@ def test_discrete_verdict_needs_collapse_before_jump_chains():
 
     # Without collapse the reference's jump chains are told apart, but only
     # by a rounding tie (see the reference test below); the jump chains
-    # solved per forward closure are not.
+    # solved one stutter component at a time are not.
     obs = tuple(d.name for d in prog.var_decls)
     net, _ = project(prog)
     source, network = build_chain(prog), build_network_chain(net, "dtmc", prog.constants)
