@@ -36,8 +36,6 @@ from .projection import ProjectionContext, fuse_resets, proj_update, project
 from .semantics import build_chain, eval_expr, eval_weight
 from .sugar import (
     auto_annotate,
-    desugar_allsynch,
-    expand_foreach,
     expand_indices,
     load_program,
     surface_to_core,
@@ -71,11 +69,9 @@ __all__ = [
     "check_well_formed",
     "collapse",
     "derive_commands",
-    "desugar_allsynch",
     "emit",
     "eval_expr",
     "eval_weight",
-    "expand_foreach",
     "expand_indices",
     "fuse_resets",
     "jump_chain",

@@ -37,12 +37,6 @@ def _load(args) -> ChorProgram:
     return prog
 
 
-def _annotate(prog: ChorProgram, args) -> ChorProgram:
-    if args.seed is not None:
-        return auto_annotate(prog, scheme="seeded-random", seed=args.seed)
-    return auto_annotate(prog)
-
-
 def _parse_init(spec: str | None) -> dict | None:
     if not spec:
         return None
@@ -70,7 +64,7 @@ def cmd_check(args) -> int:
     if findings:
         return 1
     print("well-formedness: ok")
-    prog = _annotate(prog, args)
+    prog = auto_annotate(prog, args.seed)
     ann = check_annotations(prog)
     for f in ann:
         print(f"annotations: {f}")
@@ -85,7 +79,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    prog = _annotate(_load(args), args)
+    prog = auto_annotate(_load(args), args.seed)
     net, _ctx = project(prog, require_sconn=not args.override_sconn)
     if not args.no_fuse_resets:
         net = fuse_resets(net)
@@ -115,7 +109,7 @@ def cmd_chain(args) -> int:
     if args.side == "chor":
         c = build_chain(prog, max_states=args.max_states, init_overrides=overrides)
     else:
-        prog = _annotate(prog, args)
+        prog = auto_annotate(prog, args.seed)
         net, _ctx = project(prog, require_sconn=not args.override_sconn)
         c = build_network_chain(
             net,

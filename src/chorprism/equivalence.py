@@ -25,8 +25,6 @@ Observable means: the program's declared variables. Counters are invisible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .analysis import s_conn
 from .chain import MarkovChain, explore, render_value
 from .errors import NotStronglyConnected, StutterGroupTooLarge
@@ -139,6 +137,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             n = len(comp)
             if n > MAX_DENSE_GROUP:
                 raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
+            import numpy as np  # only a stutter cycle needs it
+
             pos = {y: i for i, y in enumerate(comp)}
             tpos = {t: j for j, t in enumerate(targets)}
             A = np.eye(n)  # I - P

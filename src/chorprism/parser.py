@@ -150,7 +150,7 @@ class AllSynchEntry:
 @dataclass(frozen=True)
 class AllSynch:
     """Synchronised guarded choice across roles; lowered to nested
-    conditionals by :func:`chorprism.sugar.desugar_allsynch`."""
+    conditionals by :func:`chorprism.sugar.expand_indices`."""
     entries: tuple[AllSynchEntry, ...]
     cont: ChorTerm
 
@@ -188,8 +188,6 @@ class SurfaceProgram:
     var_families: list[VarFamily] = field(default_factory=list)
     defs: dict[str, ChorTerm] = field(default_factory=dict)
     main: str = ""
-    #: index range of every family expanded so far, kept for expand_foreach
-    family_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

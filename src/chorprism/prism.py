@@ -258,22 +258,18 @@ def _update(update: tuple[Assign, ...], slot_of, decls, constants):
     return apply
 
 
-def _index_slot(guard: Expr, slot_of: dict[str, int]):
-    """``(slot, value)`` of the leftmost conjunct of ``guard`` when that
-    conjunct is ``var = literal``: where it is false, the guard is false
-    without evaluating anything else, so the command may be skipped there.
-    Otherwise None."""
+def slot_test(guard: Expr) -> tuple[str, object, list[Expr]] | None:
+    """``(var, literal, rest)`` when the leftmost conjunct of ``guard`` is
+    ``var = literal``, else None; ``guard`` is that test and-ed with each
+    of ``rest`` in turn. Where the test is false, the guard is false
+    without evaluating anything else."""
+    rest = []
     c = guard
     while isinstance(c, Binary) and c.op == "and":
+        rest.append(c.right)
         c = c.left
-    if (
-        isinstance(c, Binary)
-        and c.op == "="
-        and isinstance(c.left, Var)
-        and isinstance(c.right, Lit)
-        and c.left.name in slot_of
-    ):
-        return slot_of[c.left.name], c.right.value
+    if isinstance(c, Binary) and c.op == "=" and isinstance(c.left, Var) and isinstance(c.right, Lit):
+        return c.left.name, c.right.value, rest[::-1]
     return None
 
 
@@ -304,11 +300,11 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
     for i, cmd in enumerate(module.commands):
         guard = _fold(cmd.guard, slot_of, constants)
         compiled.append(_Compiled(guard, cmd.alts, slot_of, decls, constants))
-        key = _index_slot(guard, slot_of)
-        if key is None:
+        test = slot_test(guard)
+        if test is None or test[0] not in slot_of:
             always.append(i)
         else:
-            index.setdefault(key[0], {}).setdefault(key[1], []).append(i)
+            index.setdefault(slot_of[test[0]], {}).setdefault(test[1], []).append(i)
     tables = list(index.items())
     # the candidates depend only on the indexed slots, so they are worked
     # out once per combination of their values

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import nodes, require_annotated, require_well_formed, s_conn
 from .errors import NotStronglyConnected
-from .prism import Network, PrismCommand, PrismModule
+from .prism import Network, PrismCommand, PrismModule, slot_test
 from .sugar import branch_label
 from .syntax import (
     Assign,
@@ -228,18 +228,8 @@ def project(
 
 def _guard_value(cmd: PrismCommand, counter: str) -> int | None:
     """Counter slot a projected command is guarded on (leftmost conjunct)."""
-    g = cmd.guard
-    while isinstance(g, Binary) and g.op == "and":
-        g = g.left
-    if (
-        isinstance(g, Binary)
-        and g.op == "="
-        and isinstance(g.left, Var)
-        and g.left.name == counter
-        and isinstance(g.right, Lit)
-    ):
-        return g.right.value
-    return None
+    test = slot_test(cmd.guard)
+    return test[1] if test is not None and test[0] == counter else None
 
 
 def _strip_cycles(removed: dict[int, int]) -> dict[int, int]:
@@ -311,9 +301,11 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     remap = {v: i for i, v in enumerate(sorted(used))}
 
     def remap_guard(g):
-        if isinstance(g, Binary) and g.op == "and":
-            return Binary("and", remap_guard(g.left), g.right)
-        return Binary("=", g.left, Lit(remap[g.right.value]))
+        name, v, rest = slot_test(g)
+        g = Binary("=", Var(name), Lit(remap[v]))
+        for r in rest:
+            g = Binary("and", g, r)
+        return g
 
     def remap_cmd(c: PrismCommand) -> PrismCommand:
         alts = tuple(

@@ -1,17 +1,19 @@
-"""Lowering passes from the surface language to the core representation.
+"""Lowering from the surface language to the core representation.
 
-Pipeline order matters: ``expand_indices`` concretises role/variable families
-and replicates indexed statements (recording family ranges for later passes),
-``expand_foreach`` then instantiates foreach clauses over those ranges, and
-``desugar_allsynch`` rewrites synchronised choices into conditional ladders.
-``load_program`` runs the whole pipeline on source text.
+``expand_indices`` removes all sugar in one walk over the definitions: it
+concretises role/variable families, replicates indexed statements, and, at
+the node where it resolves references, instantiates foreach clauses over
+their family's range and rewrites synchronised choices into conditional
+ladders. ``load_program`` runs it and ``to_core`` on source text.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import re
+import string
 from typing import Callable
 
 from .analysis import expr_vars
@@ -199,32 +201,63 @@ class _Expander:
 
     def resolve_item(self, item, subst: dict[str, int]):
         if isinstance(item, ForeachAssign):
+            # the clause's binder shadows an enclosing index of the same name
             inner = {k: v for k, v in subst.items() if k != item.binder}
-            bound = item.bound
-            if isinstance(bound, str) and bound in subst:
-                bound = subst[bound]
-            return ForeachAssign(item.binder, item.op, bound,
+            return ForeachAssign(item.binder, item.op, subst.get(item.bound, item.bound),
                                  item.var, self.resolve_expr(item.expr, inner))
         return Assign(self.resolve_ref(item.var, subst),
                       self.resolve_expr(item.expr, subst))
 
-    def resolve(self, node: ChorTerm, subst: dict[str, int]) -> ChorTerm:
-        """``node`` with its own references resolved under ``subst``;
-        its continuations stay as they are."""
-        if isinstance(node, Interaction):
-            branches = tuple(
-                Branch(
-                    self.resolve_expr(br.weight, subst),
-                    tuple(self.resolve_item(item, subst) for item in br.update),
-                    br.cont,
-                    br.label,
+    def instantiate(self, items) -> tuple[Assign, ...]:
+        """Resolved ``items`` with each foreach clause replaced by one
+        assignment per index of its family that satisfies the bound."""
+        out = []
+        for item in items:
+            if not isinstance(item, ForeachAssign):
+                out.append(item)
+                continue
+            base, idx = split_ref(item.var)
+            if idx != item.binder:
+                raise WellFormednessError(
+                    f"foreach over {item.binder} must assign {base}[{item.binder}]"
                 )
-                for br in node.branches
+            if base not in self.families:
+                raise WellFormednessError(f"{base} is not a declared family")
+            bound = item.bound
+            if isinstance(bound, str):
+                # resolve_item substituted the statement's index; what is
+                # left is a constant or a name bound nowhere (j <= j)
+                if bound not in self.constants:
+                    raise NonStaticIndex(
+                        f"foreach bound {bound} is not a constant or enclosing index"
+                    )
+                bound = self.constants[bound]
+            if not isinstance(bound, int):
+                raise NonStaticIndex(f"foreach bound {bound} is not an integer")
+            lo, hi = self.families[base]
+            out.extend(
+                Assign(f"{base}{k}", self.resolve_expr(item.expr, {item.binder: k}))
+                for k in range(lo, hi + 1)
+                if _cmp(k, item.op, bound)
             )
+        return tuple(out)
+
+    def resolve(self, node: ChorTerm, subst: dict[str, int]) -> ChorTerm:
+        """``node`` with its own references resolved under ``subst`` and its
+        foreach clauses instantiated; its continuations stay as they are.
+        Every reference is resolved before any clause is instantiated, so
+        a statement's index faults come before its foreach faults."""
+        if isinstance(node, Interaction):
+            resolved = [
+                (self.resolve_expr(br.weight, subst),
+                 [self.resolve_item(item, subst) for item in br.update])
+                for br in node.branches
+            ]
             return Interaction(
                 self.resolve_ref(node.initiator, subst),
                 tuple(self.resolve_ref(r, subst) for r in node.receivers),
-                branches,
+                tuple(Branch(weight, self.instantiate(items), br.cont, br.label)
+                      for br, (weight, items) in zip(node.branches, resolved)),
                 node.annotation,
             )
         if isinstance(node, Conditional):
@@ -251,7 +284,8 @@ class _Expander:
 
     def expand_term(self, term: ChorTerm) -> ChorTerm:
         if not isinstance(term, Interaction):
-            return _map_conts(self.resolve(term, {}), self.expand_term)
+            term = _map_conts(self.resolve(term, {}), self.expand_term)
+            return _lower_allsynch(term) if isinstance(term, AllSynch) else term
         binders = self.binders(term)
         if not binders:
             return self.resolve(_map_conts(term, self.expand_term), {})
@@ -280,13 +314,70 @@ class _Expander:
         return cur
 
 
+def _cmp(a: int, op: str, b: int) -> bool:
+    return {
+        "=": a == b, "!=": a != b,
+        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
+    }[op]
+
+
+def _fold_mul(a: Expr, b: Expr) -> Expr:
+    if isinstance(a, Lit) and isinstance(b, Lit) \
+            and not isinstance(a.value, bool) and not isinstance(b.value, bool):
+        return Lit(a.value * b.value)
+    return Binary("*", a, b)
+
+
+def _lower_allsynch(node: AllSynch) -> ChorTerm:
+    """Rewrite an allsynch block into nested conditionals over per-role choices.
+
+    Roles are considered in order of first appearance; a role's alternatives
+    are tried in source order. Every combination of satisfied guards yields
+    one interaction (initiated by the first role) whose weight is the product
+    of the chosen weights and whose update concatenates the chosen updates;
+    falling off a role's alternatives ends the protocol. A literal ``true``
+    guard short-circuits its ladder, pruning the conditional around it.
+    """
+    groups: dict[str, list[AllSynchEntry]] = {}
+    for e in node.entries:
+        groups.setdefault(e.role, []).append(e)
+    order = list(groups)
+
+    def build(i: int, chosen: list[AllSynchEntry]) -> ChorTerm:
+        if i == len(order):
+            weight = chosen[0].weight
+            update: tuple[Assign, ...] = chosen[0].update
+            for e in chosen[1:]:
+                weight = _fold_mul(weight, e.weight)
+                update = update + e.update
+            return Interaction(
+                order[0],
+                tuple(order[1:]),
+                (Branch(weight, update, node.cont),),
+            )
+        ladder: ChorTerm = Inact()
+        for e in reversed(groups[order[i]]):
+            taken = build(i + 1, chosen + [e])
+            if e.guard == Lit(True):
+                ladder = taken
+            else:
+                ladder = Conditional(e.guard, order[i], taken, ladder)
+        return ladder
+
+    return build(0, [])
+
+
 def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
-    """Concretise families and replicate indexed statements.
+    """Lower every piece of sugar: families, indexed statements, foreach
+    clauses and allsynch blocks.
 
     Each indexed statement becomes one copy per index value, copies chained
     in sequence; a statement's original continuation follows the last copy.
     Literal indices must lie within the family range; binder arithmetic wraps
-    around it. Family ranges are kept (``family_ranges``) for expand_foreach.
+    around it. A foreach clause becomes one assignment per index of its
+    family that satisfies the bound. The walk expands a statement's
+    continuations before the statement itself, so of two faults in different
+    statements the one met first that way is reported.
     """
     ex = _Expander(prog)
     roles = list(prog.roles)
@@ -316,130 +407,20 @@ def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
         var_decls=var_decls,
         var_families=[],
         defs={name: ex.expand_term(body) for name, body in prog.defs.items()},
-        family_ranges={**prog.family_ranges, **ex.families},
     )
-
-
-def _cmp(a: int, op: str, b: int) -> bool:
-    return {
-        "=": a == b, "!=": a != b,
-        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]
-
-
-def expand_foreach(prog: SurfaceProgram) -> SurfaceProgram:
-    """Instantiate foreach clauses over their variable family's index range."""
-    ranges = {**prog.family_ranges, **{f.base: (f.lo, f.hi) for f in prog.var_families}}
-    ex = _Expander(prog)
-    ex.families.update(ranges)
-
-    def lower_item(item) -> list[Assign]:
-        if not isinstance(item, ForeachAssign):
-            return [item]
-        base, idx = split_ref(item.var)
-        if idx != item.binder:
-            raise WellFormednessError(
-                f"foreach over {item.binder} must assign {base}[{item.binder}]"
-            )
-        if base not in ranges:
-            raise WellFormednessError(f"{base} is not a declared family")
-        bound = item.bound
-        if isinstance(bound, str):
-            if bound not in prog.constants:
-                raise NonStaticIndex(
-                    f"foreach bound {bound} is not a constant or enclosing index"
-                )
-            bound = prog.constants[bound]
-        if not isinstance(bound, int):
-            raise NonStaticIndex(f"foreach bound {bound} is not an integer")
-        lo, hi = ranges[base]
-        return [
-            Assign(f"{base}{k}", ex.resolve_expr(item.expr, {item.binder: k}))
-            for k in range(lo, hi + 1)
-            if _cmp(k, item.op, bound)
-        ]
-
-    def walk(term: ChorTerm) -> ChorTerm:
-        if not isinstance(term, Interaction):
-            return _map_conts(term, walk)
-        # a branch's clauses lower before its continuation, so that of two
-        # faulty clauses the first in source order is the one reported
-        branches = tuple(
-            Branch(b.weight, tuple(a for item in b.update for a in lower_item(item)),
-                   walk(b.cont), b.label)
-            for b in term.branches
-        )
-        return Interaction(term.initiator, term.receivers, branches, term.annotation)
-
-    defs = {name: walk(body) for name, body in prog.defs.items()}
-    return dataclasses.replace(prog, defs=defs, family_ranges=ranges)
-
-
-def _fold_mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit) and isinstance(b, Lit) \
-            and not isinstance(a.value, bool) and not isinstance(b.value, bool):
-        return Lit(a.value * b.value)
-    return Binary("*", a, b)
-
-
-def desugar_allsynch(prog: SurfaceProgram) -> SurfaceProgram:
-    """Rewrite allsynch blocks into nested conditionals over per-role choices.
-
-    Roles are considered in order of first appearance; a role's alternatives
-    are tried in source order. Every combination of satisfied guards yields
-    one interaction (initiated by the first role) whose weight is the product
-    of the chosen weights and whose update concatenates the chosen updates;
-    falling off a role's alternatives ends the protocol. A literal ``true``
-    guard short-circuits its ladder, pruning the conditional around it.
-    """
-
-    def lower(node: AllSynch) -> ChorTerm:
-        groups: dict[str, list[AllSynchEntry]] = {}
-        for e in node.entries:
-            groups.setdefault(e.role, []).append(e)
-        order = list(groups)
-
-        def build(i: int, chosen: list[AllSynchEntry]) -> ChorTerm:
-            if i == len(order):
-                weight = chosen[0].weight
-                update: tuple[Assign, ...] = chosen[0].update
-                for e in chosen[1:]:
-                    weight = _fold_mul(weight, e.weight)
-                    update = update + e.update
-                return Interaction(
-                    order[0],
-                    tuple(order[1:]),
-                    (Branch(weight, update, node.cont),),
-                )
-            ladder: ChorTerm = Inact()
-            for e in reversed(groups[order[i]]):
-                taken = build(i + 1, chosen + [e])
-                if e.guard == Lit(True):
-                    ladder = taken
-                else:
-                    ladder = Conditional(e.guard, order[i], taken, ladder)
-            return ladder
-
-        return build(0, [])
-
-    def walk(term: ChorTerm) -> ChorTerm:
-        term = _map_conts(term, walk)
-        return lower(term) if isinstance(term, AllSynch) else term
-
-    return dataclasses.replace(prog, defs={name: walk(body) for name, body in prog.defs.items()})
 
 
 # ---------------------------------------------------------------------------
 # annotation
 # ---------------------------------------------------------------------------
 
-def auto_annotate(program: ChorProgram, scheme: str = "deterministic",
-                  seed: int | None = None) -> ChorProgram:
+def auto_annotate(program: ChorProgram, seed: int | None = None) -> ChorProgram:
     """Give every unannotated interaction a fresh label.
 
-    The deterministic scheme numbers interactions ``A1, A2, …`` in preorder
-    over the definitions; the seeded-random scheme draws five uppercase
-    letters. Existing labels are kept and never collided with.
+    With no seed, interactions are numbered ``A1, A2, …`` in preorder over
+    the definitions; with a seed, labels are five uppercase letters drawn
+    from a generator seeded with it. Existing labels are kept and never
+    collided with.
     """
     used = {
         name
@@ -448,19 +429,17 @@ def auto_annotate(program: ChorProgram, scheme: str = "deterministic",
         for name in (t.annotation, *(b.label for b in t.branches)) if name
     }
 
-    rng = random.Random(seed) if scheme == "seeded-random" else None
-    counter = [0]
+    if seed is None:
+        names = (f"A{i}" for i in itertools.count(1))
+    else:
+        rng = random.Random(seed)
+        names = ("".join(rng.choice(string.ascii_uppercase) for _ in range(5))
+                 for _ in itertools.count())
 
     def fresh() -> str:
-        while True:
-            if scheme == "seeded-random":
-                name = "".join(rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZ") for _ in range(5))
-            else:
-                counter[0] += 1
-                name = f"A{counter[0]}"
-            if name not in used:
-                used.add(name)
-                return name
+        name = next(n for n in names if n not in used)
+        used.add(name)
+        return name
 
     def walk(term: ChorTerm) -> ChorTerm:
         if isinstance(term, Interaction) and not term.annotation:
@@ -487,7 +466,7 @@ def branch_label(inter: Interaction, j: int) -> str:
 # ---------------------------------------------------------------------------
 
 def surface_to_core(prog: SurfaceProgram) -> ChorProgram:
-    return to_core(desugar_allsynch(expand_foreach(expand_indices(prog))))
+    return to_core(expand_indices(prog))
 
 
 def load_program(text: str) -> ChorProgram:

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 
+import numpy
 import pytest
 
 from chorprism import equivalence
@@ -198,7 +199,7 @@ def test_jump_chain_walks_a_deep_stutter_run_without_recursion(monkeypatch):
         raise AssertionError("a stutter run without cycles needs no dense solve")
 
     monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
-    monkeypatch.setattr(equivalence.np.linalg, "solve", no_dense_solve)
+    monkeypatch.setattr(numpy.linalg, "solve", no_dense_solve)
     got = jump_chain(line, OBS)
     assert got.states == [(0,), (1,)]
     assert got.edges == [{1: 1.0}, {1: 1.0}]
@@ -347,6 +348,26 @@ def test_verify_fixture_reports(name, states, data_text):
     assert report["findings"] == []
     st = report["states"]
     assert (st["chor_raw"], st["chor_collapsed"], st["net_raw"], st["net_collapsed"]) == states
+
+
+def test_verify_families_foreach_report(data_text):
+    # the only fixture whose foreach clauses go through verify
+    report = verify_projection(load_program(data_text("families_foreach.chor")))
+    assert report["equivalent"] is True
+    assert report["counterexample"] is None
+    assert report["states"] == {
+        "chor_raw": 31,
+        "chor_collapsed": 21,
+        "net_raw": 605,
+        "net_collapsed": 534,
+        "chor_jump": 17,
+        "net_jump": 94,
+    }
+    # moves of total weight 4 race at one network state; the builder rescales
+    assert report["findings"] == [
+        "dtmc_renormalized: outgoing probability mass 4 at state "
+        "m_STATE=3,k=0,c1_STATE=1,f1=0,c2_STATE=1,f2=0,c3_STATE=1,f3=0"
+    ]
 
 
 GRID3_DTMC = """

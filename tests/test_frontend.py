@@ -8,7 +8,6 @@ import pytest
 from chorprism import (
     ParseError,
     auto_annotate,
-    expand_foreach,
     expand_indices,
     load_program,
     parse,
@@ -258,12 +257,10 @@ REACHES = "index i reaches into a branch continuation of a choice"
                  WFE, "foreach over j must assign f[j]", id="foreach-assigns-other"),
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) g[j]'=1 }; end }"),
                  WFE, "g is not a declared family", id="foreach-undeclared"),
-    # through load_program a non-constant bound is an index variable, so
-    # only a direct call of the pass reaches this check
-    pytest.param(lambda: expand_foreach(parse(
-                     FAMILIES + "def M = c[1] -> m : { rate 1 : { foreach (j <= N) f[j]'=1 }; end };"
-                     "\nmain M;\n")),
-                 NonStaticIndex, "foreach bound N is not a constant or enclosing index",
+    # a bound that names the clause's own binder is neither a constant
+    # nor an index of the statement
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= j) f[j]'=1 }; end }"),
+                 NonStaticIndex, "foreach bound j is not a constant or enclosing index",
                  id="foreach-bound-unknown"),
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= K) f[j]'=1 }; end }", K_REAL),
                  NonStaticIndex, "foreach bound 1.5 is not an integer", id="foreach-bound-not-int"),
@@ -276,6 +273,16 @@ REACHES = "index i reaches into a branch continuation of a choice"
                          " c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end }"
                          " | rate 2 : { foreach (j <= 1.5) f[j]'=1 }; end }"),
                  WFE, "foreach over j must assign f[j]", id="first-error-branch-order"),
+    # within one statement every index fault comes before a foreach fault
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end"
+                         " | rate 2 : {f[5]'=1}; end }"),
+                 IndexOutOfFamily, "index 5 outside f[1..2]", id="first-error-index-before-foreach"),
+    # one walk over the definitions in source order: a foreach fault in M
+    # comes before the out-of-range index in the later N
+    pytest.param(lambda: load_program(
+                     FAMILIES + "def M = c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; N };\n"
+                     "def N = c[3] -> m : { rate 1 : {}; M };\nmain M;\n"),
+                 WFE, "foreach over j must assign f[j]", id="first-error-definition-order"),
     pytest.param(lambda: branch_label(Interaction("p", ("q",), (Branch(Lit(1), (), Inact()),)), 0),
                  WFE, "interaction has neither labels nor annotation", id="label-without-annotation"),
 ])
@@ -286,6 +293,38 @@ def test_lowering_errors(lower, error, message):
     assert str(exc.value) == message
 
 
+FAMILIES_FOREACH_LOWERED = """\
+dtmc;
+const N = 3;
+role m, c1, c2, c3;
+var k @ m : [0..3] init 0;
+var f1 @ c1 : [0..1] init 0;
+var f2 @ c2 : [0..1] init 0;
+var f3 @ c3 : [0..1] init 0;
+def Reset =
+  m -> c1, c2, c3 : {
+      rate 0.25 : {f1'=0, f2'=0, f3'=0, k'=0}; Step
+    | rate 0.75 : {f2'=1, f3'=1}; Step
+  };
+def Step =
+  c1 -> m : {
+      rate 1 : {f1'=1, k'=mod(k + 1, 4)}; c2 -> m : {
+        rate 1 : {f2'=1, k'=mod(k + 1, 4)}; c3 -> m : {
+          rate 1 : {f3'=1, k'=mod(k + 1, 4)}; Reset
+      }
+    }
+  };
+main Reset;
+"""
+
+
+def test_foreach_bounds_lower_in_the_walk(data_text):
+    # a constant bound, a comparison with a literal, and the index of the
+    # replicated statement around the clause
+    prog = load_program(data_text("families_foreach.chor"))
+    assert pretty_print(prog) == FAMILIES_FOREACH_LOWERED
+
+
 def test_foreach_expands_over_the_family_range():
     src = (
         "ctmc;\nrole c[1..3], m;\n"
@@ -293,8 +332,7 @@ def test_foreach_expands_over_the_family_range():
         "def M = c[1] -> m : { rate 1 : { foreach (j <= 2) f[j]'=1 }; end };\n"
         "main M;\n"
     )
-    surf = expand_foreach(expand_indices(parse(src)))
-    upd = surf.defs["M"].branches[0].update
+    upd = load_program(src).defs["M"].branches[0].update
     assert upd == (Assign("f1", Lit(1)), Assign("f2", Lit(1)))
 
 
@@ -394,12 +432,12 @@ def test_auto_annotate_keeps_existing_and_avoids_collisions():
 
 def test_seeded_labels_are_reproducible(data_text):
     prog = load_program(data_text("example2.chor"))
-    a = auto_annotate(prog, scheme="seeded-random", seed=7)
-    b = auto_annotate(prog, scheme="seeded-random", seed=7)
+    a = auto_annotate(prog, seed=7)
+    b = auto_annotate(prog, seed=7)
     assert a == b
     ann = a.defs["C"].annotation
     assert len(ann) == 5 and ann.isalpha() and ann.isupper()
-    c = auto_annotate(prog, scheme="seeded-random", seed=8)
+    c = auto_annotate(prog, seed=8)
     assert c.defs["C"].annotation != ann
 
 
