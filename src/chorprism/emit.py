@@ -15,15 +15,12 @@ whereas weight expressions keep ``/`` (weights divide exactly).
 from __future__ import annotations
 
 from .prism import Network, PrismCommand
-from .syntax import Assign, Binary, ChorProgram, Expr, Lit, Unary, Var, VarDecl
+from .syntax import FUNCTIONS, PREC, Assign, ChorProgram, Expr, Lit, Unary, Var, VarDecl
 
 
-_PREC = {
-    "|": 1, "&": 2, "!": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7,
-}
-_OPS = {"or": "|", "and": "&", "not": "!"}
+#: PRISM's spelling of the operators whose source spelling differs; PRISM
+#: binds its operators in the order of :data:`PREC`
+_OPS = {"or": "|", "and": "&", "not": "!", "neg": "-"}
 
 
 def _num(v) -> str:
@@ -42,12 +39,10 @@ def render_expr(e: Expr, *, weight: bool = False, parent_prec: int = 0) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
-        op = _OPS.get(e.op, e.op)
-        p = _PREC["!" if op == "!" else "neg"]
-        inner = render_expr(e.operand, weight=weight, parent_prec=p)
-        s = f"{op}{inner}"
+        p = PREC[e.op]
+        s = _OPS[e.op] + render_expr(e.operand, weight=weight, parent_prec=p)
         return f"({s})" if p < parent_prec else s
-    if e.op in ("mod", "min", "max"):
+    if e.op in FUNCTIONS:
         left = render_expr(e.left, weight=weight)
         right = render_expr(e.right, weight=weight)
         return f"{e.op}({left},{right})"
@@ -56,7 +51,7 @@ def render_expr(e: Expr, *, weight: bool = False, parent_prec: int = 0) -> str:
         right = render_expr(e.right)
         return f"floor({left}/{right})"
     op = _OPS.get(e.op, e.op)
-    p = _PREC[op]
+    p = PREC[e.op]
     left = render_expr(e.left, weight=weight, parent_prec=p)
     right = render_expr(e.right, weight=weight, parent_prec=p + 1)
     s = f"{left}{op}{right}"

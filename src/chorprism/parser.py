@@ -1,34 +1,40 @@
 """Concrete syntax: lexer, recursive-descent parser, and pretty-printer.
 
 The surface language extends the core with indexed role/variable families
-(``client[1..N]``), ``foreach`` update clauses, and ``allsynch`` blocks; the
-passes in :mod:`chorprism.sugar` lower these to the core. Indexed references
-are carried textually (``"q[i+1]"``) inside the ordinary name slots until
-expansion rewrites them to concrete names like ``q2``.
+(``client[1..N]``), ``foreach`` update clauses, and ``allsynch`` blocks;
+:func:`chorprism.sugar.expand_indices` lowers these to the core. Indexed
+references are carried textually (``"q[i+1]"``) inside the ordinary name
+slots until expansion rewrites them to concrete names like ``q2``.
 
 Grammar sketch (comments are ``// …``)::
 
     program   := ("ctmc"|"dtmc") ";" decl*
     decl      := "const" NAME "=" number ";"
                | "role" rolespec ("," rolespec)* ";"
-               | "var" varspec "@" ref ":" vtype "init" value ";"
+               | "var" NAME range? "@" ref ":" (range | "bool") "init" value ";"
                | "def" NAME "=" term ";"
                | "main" NAME ";"
-    rolespec  := NAME ("[" bound ".." bound "]")?
-    vtype     := "[" bound ".." bound "]" | "bool"
-    term      := ref "->" [ref ("," ref)*] ":" annot? "{" branch ("|" branch)* "}"
+    rolespec  := NAME range?
+    range     := "[" bound ".." bound "]"
+    term      := ref "->" [ref ("," ref)*] ":" label? "{" branch ("|" branch)* "}"
                | "if" expr "@" ref "then" "{" term "}" "else" "{" term "}"
                | "allsynch" "{" entry ("|" entry)* "}" ";" term
                | "end" | NAME
-    branch    := ("[" NAME "]")? "rate" expr ":" update ";" term
+    label     := "[" NAME "]"
+    branch    := label? "rate" expr ":" update ";" term
     entry     := ref ":" expr "->" "rate" expr ":" update
     update    := "{" (uitem ("," uitem)*)? "}"
     uitem     := "foreach" "(" NAME cmpop (NAME|INT) ")" assign | assign
     assign    := ref "'" "=" expr
     ref       := NAME ("[" (INT | NAME (("+"|"-") INT)?) "]")?
+    expr      := ("not" | "-") expr | expr binop expr | atom
+    atom      := number | "true" | "false" | "(" expr ")" | ref
+               | ("mod"|"min"|"max") "(" expr "," expr ")"
 
-Expressions use keywords ``and``/``or``/``not`` (the PRISM symbols would
-collide with the branch separator) and function-style ``mod``/``min``/``max``.
+``syntax.PREC`` sets how tightly each operator of ``expr`` binds; binary
+operators group to the left and comparisons do not chain. Expressions use
+keywords ``and``/``or``/``not`` (the PRISM symbols would collide with the
+branch separator) and function-style ``mod``/``min``/``max``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, WellFormednessError
 from .syntax import (
+    FUNCTIONS,
+    PREC,
     Assign,
     Binary,
     Branch,
@@ -60,14 +68,15 @@ KEYWORDS = {
     "and", "or", "not", "true", "false", "bool",
 }
 
-PUNCT = [
-    "->", "..", "!=", "<=", ">=",
-    ";", ",", ":", "|", "{", "}", "[", "]", "(", ")", "@", "'",
-    "=", "<", ">", "+", "-", "*", "/",
-]
-
-_NUMBER = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one alternative per token class, multi-character punctuation first
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<punct>->|\.\.|!=|<=|>=|[;,:|{}\[\]()@'=<>+\-*/])
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -80,45 +89,22 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, bol = 0, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            bol = i
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        col = i - bol + 1
-        m = _NUMBER.match(text, i)
-        if m:
-            raw = m.group(0)
-            value = float(raw) if ("." in raw or "e" in raw or "E" in raw) else int(raw)
-            toks.append(Token("number", value, line, col))
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = word if word in KEYWORDS else "name"
-            toks.append(Token(kind, word, line, col))
-            i = m.end()
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", None, line, (n - bol) + 1))
+    pos, line, bol = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
+        kind, raw, col = m.lastgroup, m.group(), pos - bol + 1
+        pos = m.end()
+        if kind == "newline":
+            line, bol = line + 1, pos
+        elif kind == "number":
+            toks.append(Token(kind, int(raw) if raw.isdecimal() else float(raw), line, col))
+        elif kind == "name":
+            toks.append(Token(raw if raw in KEYWORDS else kind, raw, line, col))
+        elif kind == "punct":
+            toks.append(Token(raw, raw, line, col))
+    toks.append(Token("eof", None, line, len(text) - bol + 1))
     return toks
 
 
@@ -134,9 +120,6 @@ class ForeachAssign:
     bound: object  # int literal, constant name, or enclosing family index
     var: str  # textual indexed reference, e.g. "set[k]"
     expr: Expr
-
-    def __str__(self):
-        return f"foreach ({self.binder} {self.op} {self.bound}) {self.var}'={self.expr}"
 
 
 @dataclass(frozen=True)
@@ -160,10 +143,6 @@ class RoleFamily:
     base: str
     lo: int
     hi: int
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
 
 @dataclass(frozen=True)
@@ -292,16 +271,21 @@ class _Parser:
             raise ParseError(f"range endpoint {v} is not an integer", t.line, t.col)
         return v
 
+    def range(self, constants) -> tuple[int, int]:
+        """``"[" bound ".." bound "]"``"""
+        self.expect("[")
+        lo = self.bound(constants)
+        self.expect("..")
+        hi = self.bound(constants)
+        self.expect("]")
+        return lo, hi
+
     def role_decl(self, prog: SurfaceProgram):
         self.expect("role")
         while True:
             name = self.expect("name").value
-            if self.accept("["):
-                lo = self.bound(prog.constants)
-                self.expect("..")
-                hi = self.bound(prog.constants)
-                self.expect("]")
-                prog.role_families.append(RoleFamily(name, lo, hi))
+            if self.peek().kind == "[":
+                prog.role_families.append(RoleFamily(name, *self.range(prog.constants)))
             else:
                 prog.roles.append(name)
             if not self.accept(","):
@@ -312,24 +296,14 @@ class _Parser:
         self.expect("var")
         t = self.expect("name")
         name = t.value
-        fam_range = None
-        if self.accept("["):
-            lo = self.bound(prog.constants)
-            self.expect("..")
-            hi = self.bound(prog.constants)
-            self.expect("]")
-            fam_range = (lo, hi)
+        fam_range = self.range(prog.constants) if self.peek().kind == "[" else None
         self.expect("@")
         owner, owner_idx = self.name_with_index()
         self.expect(":")
         if self.accept("bool"):
             is_bool, vlo, vhi = True, 0, 0
         else:
-            self.expect("[")
-            vlo = self.bound(prog.constants)
-            self.expect("..")
-            vhi = self.bound(prog.constants)
-            self.expect("]")
+            vlo, vhi = self.range(prog.constants)
             is_bool = False
         self.expect("init")
         if self.accept("true"):
@@ -414,11 +388,7 @@ class _Parser:
         while self.accept(","):
             receivers.append(self.ref())
         self.expect(":")
-        annotation = None
-        if self.peek().kind == "[":
-            self.next()
-            annotation = self.expect("name").value
-            self.expect("]")
+        annotation = self.label()
         self.expect("{")
         branches = [self.branch()]
         while self.accept("|"):
@@ -428,12 +398,16 @@ class _Parser:
             receivers = []  # degenerate self-step, e.g. client[i] -> client[i]
         return Interaction(initiator, tuple(receivers), tuple(branches), annotation)
 
+    def label(self) -> str | None:
+        """An optional ``"[" NAME "]"``: an annotation or a branch label."""
+        if not self.accept("["):
+            return None
+        name = self.expect("name").value
+        self.expect("]")
+        return name
+
     def branch(self) -> Branch:
-        label = None
-        if self.peek().kind == "[":
-            self.next()
-            label = self.expect("name").value
-            self.expect("]")
+        label = self.label()
         self.expect("rate")
         weight = self.expr()
         self.expect(":")
@@ -456,8 +430,7 @@ class _Parser:
         if self.accept("foreach"):
             self.expect("(")
             binder = self.expect("name").value
-            t = self.peek()
-            if t.kind not in ("=", "!=", "<", "<=", ">", ">="):
+            if PREC.get(self.peek().kind) != PREC["="]:
                 self.fail("a comparison operator")
             op = self.next().kind
             if self.peek().kind == "number":
@@ -518,52 +491,27 @@ class _Parser:
 
     # ---- expressions ----------------------------------------------------------
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.accept("or"):
-            e = Binary("or", e, self.and_expr())
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.not_expr()
-        while self.accept("and"):
-            e = Binary("and", e, self.not_expr())
-        return e
-
-    def not_expr(self) -> Expr:
-        if self.accept("not"):
-            return Unary("not", self.not_expr())
-        return self.cmp_expr()
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        k = self.peek().kind
-        if k in ("=", "!=", "<", "<=", ">", ">="):
+    def expr(self, prec: int = 1) -> Expr:
+        """An expression whose infix operators bind at least as tightly as
+        level ``prec`` of :data:`PREC`; binary operators group to the left.
+        ``limit`` is the tightest level that may still follow: after an
+        operator, its own level, and after a comparison the level below,
+        so comparisons do not chain."""
+        limit = PREC["neg"]
+        if prec <= PREC["not"] and self.accept("not"):
+            left, limit = Unary("not", self.expr(PREC["not"])), PREC["not"]
+        elif self.accept("-"):
+            left = Unary("neg", self.expr(PREC["neg"]))
+        else:
+            left = self.atom()
+        while True:
+            op = self.peek().kind
+            level = PREC.get(op, 0) if op != "not" else 0
+            if not prec <= level <= limit:
+                return left
             self.next()
-            return Binary(k, e, self.add_expr())
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            e = Binary(op, e, self.mul_expr())
-        return e
-
-    def mul_expr(self) -> Expr:
-        e = self.unary_expr()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            e = Binary(op, e, self.unary_expr())
-        return e
-
-    def unary_expr(self) -> Expr:
-        if self.accept("-"):
-            return Unary("neg", self.unary_expr())
-        return self.atom()
+            left = Binary(op, left, self.expr(level + 1))
+            limit = level - 1 if level == PREC["="] else level
 
     def atom(self) -> Expr:
         t = self.peek()
@@ -582,7 +530,7 @@ class _Parser:
             self.expect(")")
             return e
         if t.kind == "name":
-            if t.value in ("mod", "min", "max") and self.peek(1).kind == "(":
+            if t.value in FUNCTIONS and self.peek(1).kind == "(":
                 self.next()
                 self.next()
                 left = self.expr()
@@ -646,13 +594,6 @@ def to_core(prog: SurfaceProgram) -> ChorProgram:
 # pretty-printer (inverse of parse for core programs)
 # ---------------------------------------------------------------------------
 
-_PREC = {
-    "or": 1, "and": 2, "not": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7,
-}
-
-
 def render_number(v) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
@@ -667,14 +608,15 @@ def expr_to_str(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Unary):
-        p = _PREC[e.op if e.op == "not" else "neg"]
+        p = PREC[e.op]
         inner = expr_to_str(e.operand, p)
         s = f"not {inner}" if e.op == "not" else f"-{inner}"
         return f"({s})" if p < parent_prec else s
-    if e.op in ("mod", "min", "max"):
+    if e.op in FUNCTIONS:
         return f"{e.op}({expr_to_str(e.left)}, {expr_to_str(e.right)})"
-    p = _PREC[e.op]
-    s = f"{expr_to_str(e.left, p)} {e.op} {expr_to_str(e.right, p + 1)}"
+    p = PREC[e.op]
+    left_prec = p + 1 if p == PREC["="] else p  # comparisons do not chain
+    s = f"{expr_to_str(e.left, left_prec)} {e.op} {expr_to_str(e.right, p + 1)}"
     return f"({s})" if p < parent_prec else s
 
 

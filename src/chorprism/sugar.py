@@ -26,6 +26,7 @@ from .parser import (
     parse,
     to_core,
 )
+from .semantics import STATE_OPS
 from .syntax import (
     Assign,
     Binary,
@@ -234,12 +235,12 @@ class _Expander:
                 bound = self.constants[bound]
             if not isinstance(bound, int):
                 raise NonStaticIndex(f"foreach bound {bound} is not an integer")
+            # resolve at every index of the family, so that a bound which
+            # selects none still reports the families the expression reaches
             lo, hi = self.families[base]
-            out.extend(
-                Assign(f"{base}{k}", self.resolve_expr(item.expr, {item.binder: k}))
-                for k in range(lo, hi + 1)
-                if _cmp(k, item.op, bound)
-            )
+            exprs = {k: self.resolve_expr(item.expr, {item.binder: k}) for k in range(lo, hi + 1)}
+            out.extend(Assign(f"{base}{k}", e) for k, e in exprs.items()
+                       if STATE_OPS[item.op](k, bound))
         return tuple(out)
 
     def resolve(self, node: ChorTerm, subst: dict[str, int]) -> ChorTerm:
@@ -312,13 +313,6 @@ class _Expander:
         for v in range(hi, lo - 1, -1):
             cur = _map_conts(self.resolve(term, {binder: v}), lambda _, nxt=cur: nxt)
         return cur
-
-
-def _cmp(a: int, op: str, b: int) -> bool:
-    return {
-        "=": a == b, "!=": a != b,
-        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]
 
 
 def _fold_mul(a: Expr, b: Expr) -> Expr:

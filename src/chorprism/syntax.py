@@ -44,6 +44,17 @@ class Binary:
 
 Expr = Union[Lit, Var, Unary, Binary]
 
+#: binding strength of every operator, loosest first; ``not`` and ``neg``
+#: are the prefix ones. The parser and both printers read this one table.
+#: Comparisons share a level and do not chain.
+PREC = {
+    "or": 1, "and": 2, "not": 3,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7,
+}
+#: binary operators written in call syntax, ``mod(a, b)``
+FUNCTIONS = ("mod", "min", "max")
+
 
 # ---------------------------------------------------------------------------
 # updates and choreography terms

@@ -73,6 +73,14 @@ def test_render_expr_operators():
     assert render_expr(Binary("-", x, Binary("-", y, Lit(1)))) == "x-(y-1)"
 
 
+def test_unary_minus_is_prism_minus():
+    x = Var("x")
+    assert render_expr(Unary("neg", x)) == "-x"
+    assert render_expr(Unary("neg", Binary("+", x, Lit(1)))) == "-(x+1)"
+    assert render_expr(Binary("*", Lit(2), Unary("neg", x))) == "2*-x"
+    assert render_expr(Unary("not", Binary("<", Unary("neg", x), Lit(0)))) == "!-x<0"
+
+
 def test_integer_division_floors_in_state_expressions_only():
     e = Binary("/", Var("x"), Lit(2))
     assert render_expr(e) == "floor(x/2)"
@@ -137,6 +145,21 @@ def test_emitted_text_reparses_to_the_same_chain(name, fused, data_text):
     prog, net = compiled(data_text, name)
     if fused:
         net = fuse_resets(net)
+    assert_reparses_to_the_same_chain(prog, net)
+
+
+def test_unary_minus_reparses_to_the_same_chain():
+    prog = auto_annotate(load_program(
+        "ctmc;\nrole p, q;\nvar x @ p : [0..3] init 1;\n"
+        "def M = p -> q : { rate 1 : {x'=-x+3}; if -x < -1 @ p then { M } else { end } };\n"
+        "main M;\n"
+    ))
+    net, _ = project(prog, require_sconn=False)
+    assert "(x'=-x+3)" in emit(net, prog)
+    assert_reparses_to_the_same_chain(prog, net)
+
+
+def assert_reparses_to_the_same_chain(prog, net):
     kind, constants, net2 = reparse(emit(net, prog))
 
     assert kind == prog.kind

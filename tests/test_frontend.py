@@ -3,6 +3,8 @@ guarded-choice table lowering, and automatic labelling."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chorprism import (
@@ -14,9 +16,11 @@ from chorprism import (
     pretty_print,
 )
 from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
-from chorprism.parser import term_to_str
+from chorprism.parser import expr_to_str, term_to_str
 from chorprism.sugar import branch_label, surface_to_core
 from chorprism.syntax import (
+    FUNCTIONS,
+    PREC,
     Assign,
     Binary,
     Branch,
@@ -25,6 +29,7 @@ from chorprism.syntax import (
     Inact,
     Interaction,
     Lit,
+    Unary,
     Var,
     subterms,
 )
@@ -80,16 +85,71 @@ def test_self_message_normalizes_to_no_receivers():
     assert t.initiator == "p" and t.receivers == ()
 
 
-def test_operator_precedence_and_floor_division():
-    prog = load_program(
-        "ctmc;\nrole p, q;\nvar x @ p : [0..9] init 0;\n"
-        "def M = if x+1*2 = 3 and not x>5 @ p then { end } else { end };\nmain M;\n"
-    )
-    g = prog.defs["M"].guard
-    # and(=(+(x, *(1,2)), 3), not(>(x,5)))
-    assert g.op == "and"
-    assert g.left == Binary("=", Binary("+", Var("x"), Binary("*", Lit(1), Lit(2))), Lit(3))
-    assert g.right.op == "not" and g.right.operand == Binary(">", Var("x"), Lit(5))
+x, y, z = Var("x"), Var("y"), Var("z")
+
+
+def guard_program(guard: str) -> str:
+    return f"ctmc;\nrole p;\ndef M = if {guard} @ p then {{ end }} else {{ end }};\nmain M;\n"
+
+
+@pytest.mark.parametrize("guard, tree", [
+    pytest.param("x+1*2 = 3 and not x>5",
+                 Binary("and", Binary("=", Binary("+", x, Binary("*", Lit(1), Lit(2))), Lit(3)),
+                        Unary("not", Binary(">", x, Lit(5)))), id="mixed"),
+    pytest.param("x - y - z = 0", Binary("=", Binary("-", Binary("-", x, y), z), Lit(0)),
+                 id="minus-groups-left"),
+    pytest.param("x / y / z = 0", Binary("=", Binary("/", Binary("/", x, y), z), Lit(0)),
+                 id="division-groups-left"),
+    pytest.param("x = 0 or y = 0 and z = 0",
+                 Binary("or", Binary("=", x, Lit(0)),
+                        Binary("and", Binary("=", y, Lit(0)), Binary("=", z, Lit(0)))),
+                 id="or-looser-than-and"),
+    pytest.param("-x * y < -(x + y)",
+                 Binary("<", Binary("*", Unary("neg", x), y), Unary("neg", Binary("+", x, y))),
+                 id="unary-minus-tightest"),
+    pytest.param("not x = y and z",
+                 Binary("and", Unary("not", Binary("=", x, y)), z), id="not-takes-one-comparison"),
+    pytest.param("(x = y) = z", Binary("=", Binary("=", x, y), z), id="parenthesised-comparison"),
+    pytest.param("mod(x, 2) < min(y, -z)",
+                 Binary("<", Binary("mod", x, Lit(2)), Binary("min", y, Unary("neg", z))),
+                 id="functions"),
+])
+def test_operator_precedence_and_floor_division(guard, tree):
+    assert parse(guard_program(guard)).defs["M"].guard == tree
+
+
+@pytest.mark.parametrize("guard, message", [
+    pytest.param("x < y < z", "3:18: expected '@', found '<'", id="comparisons-do-not-chain"),
+    pytest.param("not x = y = z", "3:22: expected '@', found '='", id="not-takes-one-comparison"),
+    pytest.param("b and x < y < z", "3:24: expected '@', found '<'", id="no-chain-after-and"),
+    pytest.param("x and not", "3:22: expected an expression, found '@'", id="not-needs-an-operand"),
+    pytest.param("x + not y", "3:16: expected an expression, found 'not'", id="not-is-not-an-operand"),
+])
+def test_expression_errors_point_at_the_offending_token(guard, message):
+    with pytest.raises(ParseError) as exc:
+        parse(guard_program(guard))
+    assert str(exc.value) == message
+
+
+def random_expr(rng: random.Random, depth: int):
+    """A random expression tree over every operator; literals are ones the
+    parser produces (no negative numbers, no integral floats)."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.2:
+        return rng.choice([Lit(0), Lit(7), Lit(0.5), Lit(1e-05), Lit(True), Lit(False),
+                           x, y, Var("f[i+1]"), Var("g[2]")])
+    if pick < 0.35:
+        return Unary(rng.choice(["not", "neg"]), random_expr(rng, depth - 1))
+    op = rng.choice([*(op for op in PREC if op not in ("not", "neg")), *FUNCTIONS])
+    return Binary(op, random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_printed_expressions_parse_back_to_the_same_tree(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        e = random_expr(rng, 5)
+        assert parse(guard_program(expr_to_str(e))).defs["M"].guard == e
 
 
 @pytest.mark.parametrize(
@@ -257,6 +317,10 @@ REACHES = "index i reaches into a branch continuation of a choice"
                  WFE, "foreach over j must assign f[j]", id="foreach-assigns-other"),
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) g[j]'=1 }; end }"),
                  WFE, "g is not a declared family", id="foreach-undeclared"),
+    # the clause's expression is resolved at every index, also where the
+    # bound selects none
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j > 5) f[j]'=g[j] }; end }"),
+                 WFE, "g is not a declared family", id="foreach-expr-undeclared-empty-bound"),
     # a bound that names the clause's own binder is neither a constant
     # nor an index of the statement
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= j) f[j]'=1 }; end }"),
