@@ -10,6 +10,7 @@ weight maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from .errors import StateBudgetExceeded
@@ -55,8 +56,10 @@ class MarkovChain:
 
     def observations(self, names: tuple[str, ...]) -> list[tuple]:
         """:meth:`observation` of every state, in state order."""
-        pos = [self.var_names.index(n) for n in names]
-        return [tuple(row[p] for p in pos) for row in self.states]
+        if not names:
+            return [()] * len(self.states)
+        columns = (map(itemgetter(self.var_names.index(n)), self.states) for n in names)
+        return list(zip(*columns))
 
     def to_text(self) -> str:
         lines = [f"# {self.kind} {self.num_states} states {self.num_transitions} transitions"]
@@ -101,18 +104,17 @@ def explore(
     index: dict = {init: 0}
     keys: list = [init]
     edges: list[dict[int, float]] = [{}]
-    frontier = 0
-    while frontier < len(keys):
-        row = edges[frontier]
-        for k, w in successors(keys[frontier]):
+    count = 1
+    for key, row in zip(keys, edges):  # both lists grow as states are found
+        for k, w in successors(key):
             dst = index.get(k)
             if dst is None:
-                if len(keys) >= max_states:
+                if count >= max_states:
                     raise StateBudgetExceeded(max_states)
-                dst = index[k] = len(keys)
+                dst = index[k] = count
+                count += 1
                 keys.append(k)
                 edges.append({})
             row[dst] = row.get(dst, 0.0) + w
-        frontier += 1
     return keys, edges
 

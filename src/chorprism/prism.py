@@ -15,12 +15,16 @@ Exploration compiles the derived commands once per network into the
 commands of one module. Guards and updates become closures over state
 tuples (one slot per variable) with the constants folded in, and each
 alternative's weight is evaluated once, the first time its command is
-enabled. ``and`` and ``or`` stop at a left operand that decides the result,
-so a command whose leftmost conjunct is ``var = literal`` — for projected
-networks, the role's program counter — is false without evaluating anything
-else wherever that conjunct is false. Such a command is filed under that
-slot value, and a state evaluates only the commands its slot values allow,
-in derivation order. :func:`explore_module` feeds the successor function to
+enabled; a literal assignment stores its checked value without a call.
+``and`` and ``or`` stop at a left operand that decides the result, so a
+guard that starts with ``var = literal`` tests is false without evaluating
+anything else wherever one of them is false. The slots that some command
+tests in its leftmost conjunct — for projected networks, the roles' program
+counters — index the commands: a command's leading tests of index slots are
+decided once per counter tuple (one value per index slot), and a state
+evaluates, in derivation order, only the commands whose tests hold there,
+each with just the rest of its guard (none for a projected command guarded
+by counters alone). :func:`explore_module` feeds the successor function to
 the breadth-first loop :func:`chain.explore`; the source semantics explores
 its one-module lowering of the choreography the same way.
 """
@@ -28,9 +32,10 @@ its one-module lowering of the choreography the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from operator import itemgetter
 
-from .chain import MarkovChain, explore
+from .chain import MarkovChain, Successors, explore
 from .errors import ChorError, EvalError, TypeMismatch
 from .semantics import (
     DEFAULT_MAX_STATES,
@@ -222,14 +227,14 @@ def _closure(e: Expr, slot_of: dict[str, int]):
 
 
 def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], constants):
-    """``(slot, value_fn)`` for one assignment: ``value_fn`` maps the row
-    being updated to the checked value to store in ``slot``."""
+    """``(slot, value, value_fn)`` for one assignment: ``value`` is the
+    checked value to store in ``slot`` when it is a constant; otherwise
+    ``value_fn`` maps the row being updated to that value."""
     expr = _fold(a.expr, slot_of, constants)
     decl = decls.get(a.var)
     if decl is not None and isinstance(expr, Lit):
         try:
-            value = assigned_value(a, decl, expr.value)
-            return slot_of[a.var], lambda row: value
+            return slot_of[a.var], assigned_value(a, decl, expr.value), None
         except ChorError:
             pass  # raise on reaching it, as the tree-walker does
     fn = _closure(expr, slot_of)
@@ -240,8 +245,14 @@ def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], c
             fn(row)
             raise EvalError(message)
 
-        return None, undeclared
-    return slot_of[a.var], lambda row: assigned_value(a, decl, fn(row))
+        return None, None, undeclared
+    lo, hi = (1, 0) if decl.is_bool else (decl.lo, decl.hi)  # no int passes for a bool
+
+    def checked(row):  # an int in range is stored as it is
+        v = fn(row)
+        return v if type(v) is int and lo <= v <= hi else assigned_value(a, decl, v)
+
+    return slot_of[a.var], None, checked
 
 
 def _update(update: tuple[Assign, ...], slot_of, decls, constants):
@@ -251,41 +262,31 @@ def _update(update: tuple[Assign, ...], slot_of, decls, constants):
 
     def apply(row: tuple) -> tuple:
         cur = list(row)
-        for slot, value in steps:
-            cur[slot] = value(cur)
+        for slot, value, fn in steps:
+            cur[slot] = value if fn is None else fn(cur)
         return tuple(cur)
 
     return apply
 
 
-def slot_test(guard: Expr) -> tuple[str, object, list[Expr]] | None:
-    """``(var, literal, rest)`` when the leftmost conjunct of ``guard`` is
-    ``var = literal``, else None; ``guard`` is that test and-ed with each
-    of ``rest`` in turn. Where the test is false, the guard is false
-    without evaluating anything else."""
-    rest = []
-    c = guard
-    while isinstance(c, Binary) and c.op == "and":
-        rest.append(c.right)
-        c = c.left
-    if isinstance(c, Binary) and c.op == "=" and isinstance(c.left, Var) and isinstance(c.right, Lit):
-        return c.left.name, c.right.value, rest[::-1]
-    return None
+def split_tests(guard: Expr) -> tuple[list[Binary], list[Expr]]:
+    """The conjuncts of ``guard`` along its left spine, split into their
+    leading run of ``var = literal`` tests and the rest; ``guard`` is the
+    first conjunct and-ed with each later one in turn. Where a leading test
+    is false, the guard is false without evaluating anything after it."""
+    tests, rest = [], []
+    if isinstance(guard, Binary) and guard.op == "and":
+        tests, rest = split_tests(guard.left)
+        guard = guard.right
+    if (not rest and isinstance(guard, Binary) and guard.op == "="
+            and isinstance(guard.left, Var) and isinstance(guard.right, Lit)):
+        tests.append(guard)
+    else:
+        rest.append(guard)
+    return tests, rest
 
 
-class _Compiled:
-    """One derived command, compiled from its folded guard. ``alts`` holds
-    a mutable ``[weight or None, weight expression, update function]`` per
-    alternative; the weight is filled in the first time it is needed."""
-
-    __slots__ = ("guard", "alts")
-
-    def __init__(self, guard: Expr, alts: tuple[Alt, ...], slot_of, decls, constants):
-        self.guard = _closure(guard, slot_of)
-        self.alts = [[None, w, _update(u, slot_of, decls, constants)] for w, u in alts]
-
-
-def _successors(module: PrismModule, kind: str, constants: dict, findings: list):
+def _successors(module: PrismModule, kind: str, constants: dict, findings: list) -> Successors:
     """The one-step successor function of the module's chain over state
     tuples. Moves into the same state merge; in discrete mode the mass is
     renormalized to 1 where commands race, and the first such state is
@@ -294,24 +295,41 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
     slot_of = {n: i for i, n in enumerate(var_names)}
     decls = {d.name: d for d in module.var_decls}
 
-    compiled: list[_Compiled] = []
+    split = [split_tests(_fold(c.guard, slot_of, constants)) for c in module.commands]
+    # the index slots: those some command tests in its leftmost conjunct
+    index: dict[int, dict[object, list[int]]] = {
+        slot_of[t[0].left.name]: {} for t, _ in split if t and t[0].left.name in slot_of
+    }
+    # per command, the closure of its guard less the tests decided per
+    # counter tuple (None if nothing is left) and a mutable [weight or None,
+    # weight expression, update function] per alternative; the weight is
+    # filled in the first time it is needed
+    compiled: list[tuple] = []
     always: list[int] = []
-    index: dict[int, dict[object, list[int]]] = {}
-    for i, cmd in enumerate(module.commands):
-        guard = _fold(cmd.guard, slot_of, constants)
-        compiled.append(_Compiled(guard, cmd.alts, slot_of, decls, constants))
-        test = slot_test(guard)
-        if test is None or test[0] not in slot_of:
-            always.append(i)
+    hoisted: list[list[tuple[int, object]]] = []  # held tests after the filed one
+    for i, (cmd, (tests, rest)) in enumerate(zip(module.commands, split)):
+        # the leading tests of index slots are held; where they all hold,
+        # the guard is true and-ed with the rest
+        held = [(slot_of[t.left.name], t.right.value)
+                for t in takewhile(lambda t: slot_of.get(t.left.name) in index, tests)]
+        rest = tests[len(held):] + rest
+        guard = Lit(True) if held else rest.pop(0)
+        for c in rest:
+            guard = Binary("and", guard, c)
+        alts = [[None, w, _update(u, slot_of, decls, constants)] for w, u in cmd.alts]
+        compiled.append((None if held and not rest else _closure(guard, slot_of), alts))
+        if held:
+            index[held[0][0]].setdefault(held[0][1], []).append(i)
         else:
-            index.setdefault(slot_of[test[0]], {}).setdefault(test[1], []).append(i)
+            always.append(i)
+        hoisted.append(held[1:])
     tables = list(index.items())
     # the candidates depend only on the indexed slots, so they are worked
     # out once per combination of their values
     indexed = itemgetter(*index) if index else (lambda row: ())
-    by_indexed: dict[object, list[_Compiled]] = {}
+    by_indexed: dict[object, list[tuple]] = {}
 
-    def candidates(row: tuple) -> list[_Compiled]:
+    def candidates(row: tuple) -> list[tuple]:
         key = indexed(row)
         found = by_indexed.get(key)
         if found is None:
@@ -319,18 +337,21 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
             for slot, table in tables:
                 picked.extend(table.get(row[slot], ()))
             picked.sort()
-            found = by_indexed[key] = [compiled[i] for i in picked]
+            found = by_indexed[key] = [
+                compiled[i] for i in picked if all(row[s] == v for s, v in hoisted[i])
+            ]
         return found
 
-    def successors(row: tuple) -> list[tuple[tuple, float]]:
+    def successors(row: tuple):
         acc: dict[tuple, float] = {}
-        for cmd in candidates(row):
-            g = cmd.guard(row)
-            if g is not True:
-                if g is False:
-                    continue
-                raise TypeMismatch("command guard is not boolean")
-            for alt in cmd.alts:
+        for guard, alts in candidates(row):
+            if guard is not None:
+                g = guard(row)
+                if g is not True:
+                    if g is False:
+                        continue
+                    raise TypeMismatch("command guard is not boolean")
+            for alt in alts:
                 w = alt[0]
                 if w is None:
                     w = alt[0] = eval_weight(alt[1], constants)
@@ -338,11 +359,12 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                     continue
                 nxt = alt[2](row)
                 acc[nxt] = acc.get(nxt, 0.0) + w
-        moves = [(k, w) for k, w in acc.items() if w != 0.0]
+        if 0.0 in acc.values():  # weights that cancel out
+            acc = {k: w for k, w in acc.items() if w != 0.0}
         if kind == "dtmc":
-            if not moves:
+            if not acc:
                 return [(row, 1.0)]
-            mass = sum(w for _, w in moves)
+            mass = sum(acc.values())
             if abs(mass - 1.0) > 1e-9:
                 if not findings:
                     where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
@@ -350,8 +372,8 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                         f"dtmc_renormalized: outgoing probability mass {mass:.10g} "
                         f"at state {where}"
                     )
-                moves = [(k, w / mass) for k, w in moves]
-        return moves
+                return [(k, w / mass) for k, w in acc.items()]
+        return acc.items()
 
     return successors
 

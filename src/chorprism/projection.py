@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import nodes, require_annotated, require_well_formed, s_conn
 from .errors import NotStronglyConnected
-from .prism import Network, PrismCommand, PrismModule, slot_test
+from .prism import Network, PrismCommand, PrismModule, split_tests
 from .sugar import branch_label
 from .syntax import (
     Assign,
@@ -228,8 +228,8 @@ def project(
 
 def _guard_value(cmd: PrismCommand, counter: str) -> int | None:
     """Counter slot a projected command is guarded on (leftmost conjunct)."""
-    test = slot_test(cmd.guard)
-    return test[1] if test is not None and test[0] == counter else None
+    tests, _ = split_tests(cmd.guard)
+    return tests[0].right.value if tests and tests[0].left.name == counter else None
 
 
 def _strip_cycles(removed: dict[int, int]) -> dict[int, int]:
@@ -301,9 +301,9 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     remap = {v: i for i, v in enumerate(sorted(used))}
 
     def remap_guard(g):
-        name, v, rest = slot_test(g)
-        g = Binary("=", Var(name), Lit(remap[v]))
-        for r in rest:
+        tests, rest = split_tests(g)
+        g = Binary("=", tests[0].left, Lit(remap[tests[0].right.value]))
+        for r in tests[1:] + rest:
             g = Binary("and", g, r)
         return g
 

@@ -500,6 +500,81 @@ def test_bad_weight_raises_where_it_is_reached():
     assert assert_same_as_oracle(never, "ctmc", {})[1] == [(0, 0), (1, 0)]
 
 
+def counter_module(guard, update=(), x_init=1):
+    """A module with counters ``p`` and ``q``, which the first two commands
+    make index slots by testing them leftmost (neither is ever enabled),
+    a slot ``z`` that no command tests leftmost and that the third command
+    sets to 1, an int ``x`` and the command under test, last."""
+    decls = (
+        VarDecl("p", "m", 0, 0, 1),
+        VarDecl("q", "m", 0, 0, 1),
+        VarDecl("z", "m", 0, 0, 1),
+        VarDecl("x", "m", x_init, 0, 3),
+    )
+    return (PrismModule("m", decls, (
+        PrismCommand(None, eq("p", 1), ((Lit(1), (Assign("p", Lit(0)),)),)),
+        PrismCommand(None, eq("q", 1), ((Lit(1), (Assign("q", Lit(0)),)),)),
+        PrismCommand(None, Binary(">=", Var("x"), Lit(0)), ((Lit(1), (Assign("z", Lit(1)),)),)),
+        PrismCommand(None, guard, ((Lit(1), update),)),
+    )),)
+
+
+def conj(*parts):
+    """``parts`` and-ed together left to right, as derivation builds them."""
+    guard = parts[0]
+    for part in parts[1:]:
+        guard = Binary("and", guard, part)
+    return guard
+
+
+def test_counter_tests_then_a_non_bool_conjunct_raise_the_and_message():
+    # p = 0 and q = 0 are decided per counter tuple; x is an int, and the
+    # division after it would raise a different error if it were reached
+    division = Binary("=", Binary("/", Var("x"), Var("z")), Lit(0))
+    guard = conj(eq("p", 0), eq("q", 0), Var("x"), division)
+    assert_raises_like_oracle(counter_module(guard), TypeMismatch,
+                              "'and' applied to non-bool value")
+    assert_raises_like_oracle(counter_module(conj(eq("p", 0), Var("x"))), TypeMismatch,
+                              "'and' applied to non-bool value")
+
+
+def test_a_counter_test_after_a_raising_conjunct_is_not_decided_early():
+    # q = 1 never holds, but the division ahead of it raises first
+    division = Binary(">", Binary("/", Var("x"), Lit(0)), Lit(1))
+    for guard in (conj(division, eq("p", 1)), conj(eq("p", 0), division, eq("q", 1))):
+        assert_raises_like_oracle(counter_module(guard), EvalError, "division by zero")
+
+
+def test_a_leading_test_outside_the_index_stays_in_the_guard():
+    # z is no index slot: z = 1 holds only after the third command, at the
+    # same counter tuple as the initial state
+    net = counter_module(conj(eq("p", 0), eq("z", 1), eq("q", 0)), (Assign("x", Lit(2)),))
+    got = assert_same_as_oracle(net, "ctmc", {})
+    assert got[1] == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 2)]
+    net = counter_module(conj(eq("p", 0), eq("z", 1), Var("x")))
+    assert_raises_like_oracle(net, TypeMismatch, "'and' applied to non-bool value")
+    net = counter_module(conj(eq("p", 0), eq("z", 1), eq("q", 0), Var("x")), x_init=0)
+    assert_raises_like_oracle(net, TypeMismatch, "'and' applied to non-bool value")
+
+
+def test_computed_assignments_are_checked_like_the_oracle():
+    # an integral float is narrowed to int, a bool or a fraction is refused
+    bump = (Assign("x", Binary("+", Var("x"), Lit(1.0))),)
+    below = conj(eq("z", 1), Binary("<", Var("x"), Lit(3)))
+    got = assert_same_as_oracle(counter_module(below, bump), "ctmc", {})
+    assert got[1][-1] == (0, 0, 1, 3) and all(type(v) is int for row in got[1] for v in row)
+    to_bool = (Assign("x", Binary("=", Var("x"), Lit(1))),)
+    assert_raises_like_oracle(counter_module(eq("z", 1), to_bool), TypeMismatch,
+                              "assigning bool value to x")
+    half = (Assign("x", Binary("+", Var("x"), Lit(0.5))),)
+    assert_raises_like_oracle(counter_module(eq("z", 1), half), TypeMismatch,
+                              "assigning non-integer 1.5 to x")
+    decls = (VarDecl("s", "m", 0, 0, 1), VarDecl("b", "m", False, is_bool=True))
+    to_int = (Assign("b", Binary("-", Var("s"), Lit(1))),)
+    assert_raises_like_oracle(one_command(eq("s", 1), to_int, decls=decls), TypeMismatch,
+                              "assigning non-bool value to b")
+
+
 def test_tiny_state_budget_raises_and_verify_exits_3(capsys, data_path):
     net = tuple(racing_pair())
     assert_raises_like_oracle(net, StateBudgetExceeded, "budget of 2 states", max_states=2)
