@@ -10,6 +10,7 @@ from typing import Iterator
 
 from .errors import AnnotationError, UnguardedRecursion, WellFormednessError
 from .parser import assign_to_str
+from .semantics import TOL, eval_weight
 from .syntax import (
     Assign,
     Binary,
@@ -25,8 +26,6 @@ from .syntax import (
     Unary,
     Var,
 )
-
-WEIGHT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,6 @@ def type_of(e: Expr, var_types: dict[str, str]) -> str:
 
 def check_well_formed(program: ChorProgram) -> list[str]:
     """Collect static findings; an empty list means the program is usable."""
-    from .semantics import eval_weight  # local import: no cycle at module load
-
     findings: list[str] = []
     roles = set(program.roles)
     if len(roles) != len(program.roles):
@@ -308,7 +305,7 @@ def check_well_formed(program: ChorProgram) -> list[str]:
                     total += w
                 check_update(b.update, term.participants, bw)
                 walk(b.cont, bw)
-            if program.kind == "dtmc" and evaluable and abs(total - 1.0) > WEIGHT_TOL:
+            if program.kind == "dtmc" and evaluable and abs(total - 1.0) > TOL:
                 findings.append(
                     f"{where}: branch probabilities sum to {total}, expected 1"
                 )

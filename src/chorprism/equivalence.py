@@ -30,11 +30,10 @@ from .chain import MarkovChain, explore, render_value
 from .errors import NotStronglyConnected, StutterGroupTooLarge
 from .prism import build_network_chain
 from .projection import project
-from .semantics import DEFAULT_MAX_STATES, build_chain
+from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
 from .syntax import ChorProgram
 
-TOL = 1e-9
 # Largest system jump_chain solves densely: one 3000 x 3000 float64 matrix
 # takes 72 MB, and the solve holds a few of them at once.
 MAX_DENSE_GROUP = 3000

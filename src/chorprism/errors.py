@@ -67,14 +67,13 @@ class TypeMismatch(EvalError):
 
 
 class RangeViolation(ChorError):
-    """An update drove a variable outside its declared range."""
+    """An update or an initial override drove a variable outside its
+    declared range; ``what`` names which, as the message's leading phrase."""
 
-    def __init__(self, var: str, value, lo, hi, update: str):
+    def __init__(self, var: str, value, lo, hi, what: str):
         self.var = var
         self.value = value
-        super().__init__(
-            f"update {update} assigns {value} to {var}, outside [{lo}..{hi}]"
-        )
+        super().__init__(f"{what} assigns {value} to {var}, outside [{lo}..{hi}]")
 
 
 class StateBudgetExceeded(ChorError):

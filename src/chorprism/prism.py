@@ -41,6 +41,7 @@ from .semantics import (
     DEFAULT_MAX_STATES,
     SHORT_CIRCUIT,
     STATE_OPS,
+    TOL,
     apply_unary,
     assigned_value,
     eval_expr,
@@ -365,7 +366,7 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
             if not acc:
                 return [(row, 1.0)]
             mass = sum(acc.values())
-            if abs(mass - 1.0) > 1e-9:
+            if abs(mass - 1.0) > TOL:
                 if not findings:
                     where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
                     findings.append(

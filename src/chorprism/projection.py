@@ -2,23 +2,30 @@
 guarded-command module per role.
 
 Every role gets a reserved counter variable tracking its position in the
-program; interactions become commands synchronized on per-branch labels,
-conditionals become silent counter hops of the deciding role, and a call to
-a named definition becomes a silent reset of the counter to the slot where
-that definition's commands start. The counter slots for each definition body
-are allocated once, globally, and shared by every role; within a body the
-numbering is per-role (roles not involved in an interaction skip its slot),
-which is harmless because counters are module-local.
+program, and each construct has one rule. In an interaction every
+participant takes one command per branch, synchronized on the branch's
+label, and a role outside it goes straight on to the continuations. A
+conditional is two silent counter hops of the deciding role, guarded by the
+guard and by its negation. A call to a named definition is a silent reset of
+the counter to the slot where that definition's commands start. The counter
+slots for each definition body are allocated once, globally, and shared by
+every role; within a body the numbering is per-role (roles not involved in
+an interaction or a decision skip its slot), which is harmless because
+counters are module-local.
 
-In discrete-time mode an interaction first takes an internal probabilistic
-hop of the initiator onto one of |branches| reserved intermediate slots and
-only then synchronizes, so that receivers follow the initiator's choice with
-probability 1; the interaction therefore occupies 1+|branches| slots plus
-its continuations, instead of the continuous-time 1.
+In discrete-time mode the initiator of an interaction first takes an
+internal probabilistic hop onto one of |branches| reserved intermediate
+slots and only then synchronizes, so that receivers follow the initiator's
+choice with probability 1; the interaction therefore occupies 1+|branches|
+slots plus its continuations, instead of the continuous-time 1.
+
+:func:`fuse_resets` then removes the resets that are the only command at
+their slot; ``compile`` prints the fused network unless told not to.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .analysis import nodes, require_annotated, require_well_formed, s_conn
@@ -32,6 +39,7 @@ from .syntax import (
     ChorProgram,
     ChorTerm,
     Conditional,
+    Expr,
     Inact,
     Interaction,
     Lit,
@@ -92,6 +100,12 @@ def _goto(counter: str, v: int, ctx: ProjectionContext) -> Assign:
     return Assign(counter, Lit(v))
 
 
+def _hop(counter: str, guard: Expr, target: int) -> PrismCommand:
+    """The silent weight-1 move of the counter to ``target``: all a call
+    projects to, and either half of a decision."""
+    return PrismCommand(None, guard, ((Lit(1), (Assign(counter, Lit(target)),)),))
+
+
 def _proj(
     role: str,
     term: ChorTerm,
@@ -107,55 +121,31 @@ def _proj(
         return
 
     if isinstance(term, CallTerm):
-        target = ctx.defs_start[term.name]
-        out.append(
-            PrismCommand(None, _eq(s, base, ctx), ((Lit(1), (_goto(s, target, ctx),)),))
-        )
+        out.append(_hop(s, _eq(s, base, ctx), ctx.defs_start[term.name]))
         return
 
     if isinstance(term, Conditional):
-        n1 = nodes(term.then_term, kind)
+        then_at = base + (role == term.role)
+        else_at = then_at + nodes(term.then_term, kind)
         if role == term.role:
             here = _eq(s, base, ctx)
-            out.append(
-                PrismCommand(
-                    None,
-                    Binary("and", here, term.guard),
-                    ((Lit(1), (_goto(s, base + 1, ctx),)),),
-                )
-            )
-            out.append(
-                PrismCommand(
-                    None,
-                    Binary("and", here, Unary("not", term.guard)),
-                    ((Lit(1), (_goto(s, base + n1 + 1, ctx),)),),
-                )
-            )
-            _proj(role, term.then_term, base + 1, ctx, prog, out)
-            _proj(role, term.else_term, base + n1 + 1, ctx, prog, out)
-        else:
-            _proj(role, term.then_term, base, ctx, prog, out)
-            _proj(role, term.else_term, base + n1, ctx, prog, out)
+            out.append(_hop(s, Binary("and", here, term.guard), then_at))
+            out.append(_hop(s, Binary("and", here, Unary("not", term.guard)), else_at))
+        _proj(role, term.then_term, then_at, ctx, prog, out)
+        _proj(role, term.else_term, else_at, ctx, prog, out)
         return
 
     assert isinstance(term, Interaction)
     branches = term.branches
-    if role not in term.participants:
-        at = base
-        for b in branches:
-            _proj(role, b.cont, at, ctx, prog, out)
-            at += nodes(b.cont, kind)
-        return
-
-    if term.receivers:
-        labels = [branch_label(term, j) for j in range(len(branches))]
-    else:
-        # degenerate self-step: nobody to synchronize with, keep it silent
-        labels = [None] * len(branches)
-
-    if kind == "dtmc" and role == term.initiator:
-        n = len(branches)
-        # internal probabilistic hop onto one reserved slot per branch
+    inside = role in term.participants
+    # a discrete initiator first hops onto one reserved slot per branch
+    hop = kind == "dtmc" and role == term.initiator
+    starts = []
+    at = base + inside + (len(branches) if hop else 0)
+    for b in branches:
+        starts.append(at)
+        at += nodes(b.cont, kind)
+    if hop:
         out.append(
             PrismCommand(
                 None,
@@ -163,34 +153,16 @@ def _proj(
                 tuple((b.weight, (_goto(s, base + 1 + j, ctx),)) for j, b in enumerate(branches)),
             )
         )
-        at = base + 1 + n
-        starts = []
-        for b in branches:
-            starts.append(at)
-            at += nodes(b.cont, kind)
+    if inside:
         for j, b in enumerate(branches):
+            # a self-step has nobody to synchronize with, so it stays silent
+            label = branch_label(term, j) if term.receivers else None
+            weight = b.weight if role == term.initiator and not hop else Lit(1)
             upd = proj_update(b.update, role, prog) + (_goto(s, starts[j], ctx),)
-            out.append(
-                PrismCommand(labels[j], _eq(s, base + 1 + j, ctx), ((Lit(1), upd),))
-            )
-        for j, b in enumerate(branches):
-            _proj(role, b.cont, starts[j], ctx, prog, out)
-        return
-
-    # continuous-time participants, and discrete-time receivers, share the
-    # same arithmetic: branch j's commands start at base+1+Σ_{k<j} nodes(C_k)
-    at = base + 1
-    starts = []
-    for b in branches:
-        starts.append(at)
-        at += nodes(b.cont, kind)
-    initiating = role == term.initiator
-    for j, b in enumerate(branches):
-        weight = b.weight if initiating else Lit(1)
-        upd = proj_update(b.update, role, prog) + (_goto(s, starts[j], ctx),)
-        out.append(PrismCommand(labels[j], _eq(s, base, ctx), ((weight, upd),)))
-    for j, b in enumerate(branches):
-        _proj(role, b.cont, starts[j], ctx, prog, out)
+            here = _eq(s, base + 1 + j if hop else base, ctx)
+            out.append(PrismCommand(label, here, ((weight, upd),)))
+    for b, at in zip(branches, starts):
+        _proj(role, b.cont, at, ctx, prog, out)
 
 
 def project(
@@ -223,7 +195,7 @@ def project(
 
 
 # ---------------------------------------------------------------------------
-# reset fusion (cosmetic compile pass)
+# reset fusion
 # ---------------------------------------------------------------------------
 
 def _guard_value(cmd: PrismCommand, counter: str) -> int | None:
@@ -232,108 +204,80 @@ def _guard_value(cmd: PrismCommand, counter: str) -> int | None:
     return tests[0].right.value if tests and tests[0].left.name == counter else None
 
 
-def _strip_cycles(removed: dict[int, int]) -> dict[int, int]:
-    """Drop fusion candidates that form pure counter cycles; fusing them
-    would leave the redirect chasing forever."""
-    out = dict(removed)
-    for start in list(removed):
-        if start not in out:
-            continue
-        pos: dict[int, int] = {}
-        path: list[int] = []
-        cur = start
-        while cur in out:
-            if cur in pos:
-                for x in path[pos[cur] :]:
-                    del out[x]
-                break
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = out[cur]
-    return out
-
-
 def _fuse_module(m: PrismModule) -> PrismModule:
     counter_decl = m.var_decls[0]
     counter = counter_decl.name
     guard_vals = [_guard_value(c, counter) for c in m.commands]
+    at_value = Counter(guard_vals)
 
-    at_value: dict[int, int] = {}
-    for v in guard_vals:
-        if v is not None:
-            at_value[v] = at_value.get(v, 0) + 1
-
-    removed: dict[int, int] = {}
+    # the commands shaped like a call's (see _hop) that are alone at their
+    # slot: silent, guarded by the bare test counter = v, and moving only
+    # the counter with weight 1
+    hops: dict[int, int] = {}
     for c, v in zip(m.commands, guard_vals):
-        if (
-            v is not None
-            and at_value[v] == 1
-            and c.label is None
-            and isinstance(c.guard, Binary)
-            and c.guard.op == "="
-            and len(c.alts) == 1
-            and isinstance(c.alts[0][0], Lit)
-            and c.alts[0][0].value == 1
-            and len(c.alts[0][1]) == 1
-            and c.alts[0][1][0].var == counter
-            and isinstance(c.alts[0][1][0].expr, Lit)
-        ):
-            removed[v] = c.alts[0][1][0].expr.value
-    removed = _strip_cycles(removed)
+        if c.label is None and v is not None and at_value[v] == 1 and c.guard.op == "=":
+            match c.alts:
+                case ((Lit(1), (Assign(x, Lit(t)),)),) if x == counter:
+                    hops[v] = t
+
+    # follow each chain of hops once; the members of a pure counter cycle
+    # stay, and a chain that runs into one ends at its entry
+    final: dict[int, int] = {}
+    for v in hops:
+        path: dict[int, None] = {}
+        while v in hops and v not in final and v not in path:
+            path[v] = None
+            v = hops[v]
+        if v in path:
+            walked = list(path)
+            final.update((x, x) for x in walked[walked.index(v) :])
+        end = final.get(v, v)
+        for x in path:
+            final.setdefault(x, end)
+    removed = {v for v, t in final.items() if t != v}
     if not removed:
         return m
 
-    def final(v: int) -> int:
-        while v in removed:
-            v = removed[v]
-        return v
+    def dest(v: int) -> int:
+        return final.get(v, v)
 
-    kept = [c for c, v in zip(m.commands, guard_vals) if v not in removed]
-    init = final(counter_decl.init)
-
-    used = {init}
-    for c in kept:
-        used.add(_guard_value(c, counter))
-        for _, upd in c.alts:
-            for a in upd:
-                if a.var == counter:
-                    used.add(final(a.expr.value))
+    kept = [(c, v) for c, v in zip(m.commands, guard_vals) if v not in removed]
+    used = {dest(counter_decl.init)}
+    for c, v in kept:
+        used.add(v)
+        used.update(dest(a.expr.value) for _, upd in c.alts for a in upd if a.var == counter)
     remap = {v: i for i, v in enumerate(sorted(used))}
 
-    def remap_guard(g):
-        tests, rest = split_tests(g)
-        g = Binary("=", tests[0].left, Lit(remap[tests[0].right.value]))
+    def move(a: Assign) -> Assign:
+        return Assign(counter, Lit(remap[dest(a.expr.value)])) if a.var == counter else a
+
+    def remap_cmd(c: PrismCommand, v: int) -> PrismCommand:
+        tests, rest = split_tests(c.guard)
+        guard = Binary("=", Var(counter), Lit(remap[v]))
         for r in tests[1:] + rest:
-            g = Binary("and", g, r)
-        return g
+            guard = Binary("and", guard, r)
+        return PrismCommand(c.label, guard, tuple((w, tuple(map(move, upd))) for w, upd in c.alts))
 
-    def remap_cmd(c: PrismCommand) -> PrismCommand:
-        alts = tuple(
-            (
-                w,
-                tuple(
-                    Assign(a.var, Lit(remap[final(a.expr.value)]))
-                    if a.var == counter
-                    else a
-                    for a in upd
-                ),
-            )
-            for w, upd in c.alts
-        )
-        return PrismCommand(c.label, remap_guard(c.guard), alts)
-
-    new_counter = VarDecl(counter, counter_decl.owner, remap[init], 0, len(remap) - 1, False)
-    return PrismModule(m.name, (new_counter,) + m.var_decls[1:], tuple(remap_cmd(c) for c in kept))
+    init = remap[dest(counter_decl.init)]
+    decls = (VarDecl(counter, counter_decl.owner, init, 0, len(remap) - 1, False),)
+    return PrismModule(m.name, decls + m.var_decls[1:], tuple(remap_cmd(c, v) for c, v in kept))
 
 
 def fuse_resets(net: Network) -> Network:
     """Inline weight-1 counter resets that are a slot's only exit.
 
-    A silent command whose guard is a bare counter test, whose single
-    alternative only moves the counter, and whose slot no other command is
-    guarded on, is pure plumbing: every jump onto its slot is redirected to
-    its destination and the slot disappears. Remaining slots are renumbered
-    densely and the counter's declared range shrinks to fit. Purely
-    cosmetic — the verification pipeline always checks the unfused network.
+    A command shaped like a call's projection (silent, guarded by a bare
+    counter test, one weight-1 alternative that only moves the counter),
+    whose slot no other command is guarded on, is pure plumbing: every jump
+    onto its slot is redirected to where its chain of resets ends and the
+    slot disappears. The resets of a pure counter cycle stay. Remaining
+    slots are renumbered densely and the counter's declared range shrinks
+    to fit.
+
+    ``verify`` checks the unfused network, so its verdict is about the
+    network that ``compile --no-fuse-resets`` prints, and the fused one
+    need not share it: on ``tests/data/sconn_pos.chor`` ``verify`` says
+    "not equivalent", while the fused network is bisimilar to the source
+    under the same collapse-and-refine check.
     """
     return tuple(_fuse_module(m) for m in net)

@@ -40,6 +40,9 @@ from .syntax import (
 )
 
 DEFAULT_MAX_STATES = 100_000
+#: how far a probability mass may stray from 1, or a weight from another,
+#: before the difference counts
+TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +171,7 @@ def assigned_value(a: Assign, decl: VarDecl, v):
             raise TypeMismatch(f"assigning non-integer {v} to {a.var}")
         v = int(v)
     if not decl.contains(v):
-        raise RangeViolation(a.var, v, decl.lo, decl.hi, assign_to_str(a))
+        raise RangeViolation(a.var, v, decl.lo, decl.hi, f"update {assign_to_str(a)}")
     return v
 
 
@@ -188,6 +191,8 @@ def override_initial(decls: tuple[VarDecl, ...], overrides: dict | None) -> dict
         if decl.is_bool:
             if not isinstance(v, bool):
                 raise TypeMismatch(f"initial override for {name} is not bool")
+        elif isinstance(v, bool):
+            raise TypeMismatch(f"initial override for {name} is not an integer")
         elif not decl.contains(v):
             raise RangeViolation(name, v, decl.lo, decl.hi, "initial override")
         val[name] = v

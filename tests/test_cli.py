@@ -164,7 +164,11 @@ def test_chain_init_override_rejects_garbage(capsys, data_path):
 
     code, _, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x=9")
     assert code == 1
-    assert "error:" in err
+    assert err == "error: initial override assigns 9 to x, outside [0..3]\n"
+
+    code, _, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x=true")
+    assert code == 1
+    assert err == "error: initial override for x is not an integer\n"
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from chorprism import (
     NotStronglyConnected,
     auto_annotate,
+    build_chain,
     build_network_chain,
     collapse,
     bisimilar,
@@ -16,10 +17,10 @@ from chorprism import (
     project,
     proj_update,
 )
-from chorprism.prism import alphabet
+from chorprism.prism import PrismCommand, PrismModule, alphabet
 from chorprism.projection import alloc_defs
 from chorprism.sugar import branch_label
-from chorprism.syntax import Assign, Binary, Lit, Var, subterms, Interaction
+from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl, subterms, Interaction
 
 
 def load(data_text, name, kind=None):
@@ -332,6 +333,22 @@ def test_fusion_preserves_behaviour(data_text):
         assert same, name
 
 
+def test_fusion_can_change_the_verdict(data_text):
+    # verify checks the unfused network; on sconn_pos.chor that network is
+    # not equivalent to the source, while the fused one is
+    prog = load(data_text, "sconn_pos.chor")
+    net, _ = project(prog)
+    obs = tuple(d.name for d in prog.var_decls)
+    source = collapse(build_chain(prog), obs)
+
+    def matches_source(n):
+        chain = collapse(build_network_chain(n, prog.kind, prog.constants), obs)
+        return bisimilar(source, chain, obs)[0]
+
+    assert not matches_source(net)
+    assert matches_source(fuse_resets(net))
+
+
 def test_fusion_keeps_pure_counter_cycles(data_text):
     # a definition that only calls itself projects to a reset cycle; fusing
     # it away entirely would leave dangling targets, so it must survive
@@ -348,3 +365,69 @@ def test_fusion_keeps_pure_counter_cycles(data_text):
     # the L <-> L2 hops survive fusion as a two-command cycle
     silent = [c for c in p.commands if c.label is None]
     assert len(silent) == 2
+
+
+def test_fusion_follows_a_chain_of_resets():
+    # M's continuation calls A, which calls B, which calls M: three resets
+    # in a row, all fused into one jump back to slot 0
+    src = (
+        "ctmc;\nrole p, q;\nvar x @ q : [0..1] init 0;\n"
+        "def M = p -> q : { rate 2 : {x'=1-x}; A };\n"
+        "def A = B;\ndef B = M;\n"
+        "main M;\n"
+    )
+    net, _ = project(auto_annotate(load_program(src)))
+    for m in net:
+        assert (m.var_decls[0].lo, m.var_decls[0].hi) == (0, 3)
+    for m in fuse_resets(net):
+        counter = m.var_decls[0]
+        assert (counter.init, counter.lo, counter.hi) == (0, 0, 0)
+        assert [c.label for c in m.commands] == ["A1_1"]
+        assert counter_targets(m.commands[0], counter.name) == [0]
+
+
+def test_fusion_ends_a_chain_at_the_entry_of_a_cycle():
+    # L -> L2 -> L3 -> L2: the hop from L is fused into the jump onto L2,
+    # and the L2 <-> L3 cycle stays
+    src = (
+        "ctmc;\nrole p, q;\n"
+        "def M = p -> q : { rate 1 : {}; L };\n"
+        "def L = L2;\ndef L2 = L3;\ndef L3 = L2;\n"
+        "main M;\n"
+    )
+    net, ctx = project(auto_annotate(load_program(src)), require_sconn=False)
+    assert [ctx.defs_start[n] for n in ("L", "L2", "L3")] == [2, 3, 4]
+    p = module_of(fuse_resets(net), "p")
+    assert [(c.label, guard_slot(c), counter_targets(c, "p_STATE")) for c in p.commands] == [
+        ("A1_1", 0, [1]),
+        (None, 1, [2]),
+        (None, 2, [1]),
+    ]
+    assert p.var_decls[0].hi == 2
+
+
+def test_fusion_keeps_a_reset_that_shares_its_slot():
+    # at slot 0 the reset races a labelled command, so it is a choice, not
+    # plumbing; only the reset alone at slot 1 goes
+    def at(v):
+        return Binary("=", Var("s"), Lit(v))
+
+    def goto(v):
+        return ((Lit(1), (Assign("s", Lit(v)),)),)
+
+    m = PrismModule(
+        "p",
+        (VarDecl("s", "p", 0, 0, 2, False),),
+        (
+            PrismCommand(None, at(0), goto(1)),
+            PrismCommand("a", at(0), goto(2)),
+            PrismCommand(None, at(1), goto(2)),
+            PrismCommand("b", at(2), goto(0)),
+        ),
+    )
+    (fused,) = fuse_resets((m,))
+    assert fused.commands == (
+        PrismCommand(None, at(0), goto(1)),
+        PrismCommand("a", at(0), goto(1)),
+        PrismCommand("b", at(1), goto(0)),
+    )
