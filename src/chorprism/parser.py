@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, WellFormednessError
 from .syntax import (
@@ -68,19 +69,21 @@ KEYWORDS = {
     "and", "or", "not", "true", "false", "bool",
 }
 
-# one alternative per token class, multi-character punctuation first
+# one match per token, with the blanks, newlines and comments before it;
+# multi-character punctuation first, ``bad`` is any other character
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<blank>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>->|\.\.|!=|<=|>=|[;,:|{}\[\]()@'=<>+\-*/])
+    (?:[ \t\r\n]+|//[^\n]*)*
+    (?:
+        (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<punct>->|\.\.|!=|<=|>=|[;,:|{}\[\]()@'=<>+\-*/])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword text, punct text, or "name"/"number"/"eof"
     value: object
     line: int
@@ -89,22 +92,24 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - bol + 1)
-        kind, raw, col = m.lastgroup, m.group(), pos - bol + 1
-        pos = m.end()
-        if kind == "newline":
-            line, bol = line + 1, pos
-        elif kind == "number":
-            toks.append(Token(kind, int(raw) if raw.isdecimal() else float(raw), line, col))
+    line, bol = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lead, pos = m.start(), m.start(kind)
+        if pos != lead and (nl := text.count("\n", lead, pos)):
+            line, bol = line + nl, text.rindex("\n", lead, pos) + 1
+        raw, col = m[kind], pos - bol + 1
+        if kind == "punct":
+            toks.append(Token(raw, raw, line, col))
         elif kind == "name":
             toks.append(Token(raw if raw in KEYWORDS else kind, raw, line, col))
-        elif kind == "punct":
-            toks.append(Token(raw, raw, line, col))
-    toks.append(Token("eof", None, line, len(text) - bol + 1))
+        elif kind == "number":
+            toks.append(Token(kind, int(raw) if raw.isdecimal() else float(raw), line, col))
+        elif kind == "eof":  # after trailing blanks it would match once more
+            toks.append(Token(kind, None, line, col))
+            break
+        else:
+            raise ParseError(f"unexpected character {raw!r}", line, col)
     return toks
 
 
@@ -112,7 +117,7 @@ def tokenize(text: str) -> list[Token]:
 # surface-only constructs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ForeachAssign:
     """``foreach (k op bound) base[k]' = expr`` inside an update list."""
     binder: str
@@ -122,7 +127,7 @@ class ForeachAssign:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AllSynchEntry:
     role: str
     guard: Expr
@@ -130,7 +135,7 @@ class AllSynchEntry:
     update: tuple[Assign, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AllSynch:
     """Synchronised guarded choice across roles; lowered to nested
     conditionals by :func:`chorprism.sugar.expand_indices`."""
@@ -138,14 +143,14 @@ class AllSynch:
     cont: ChorTerm
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RoleFamily:
     base: str
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarFamily:
     base: str
     lo: int
@@ -179,6 +184,8 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            return self.toks[self.pos]
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> Token:

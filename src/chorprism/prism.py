@@ -54,7 +54,7 @@ from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl
 Alt = tuple[Expr, tuple[Assign, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrismCommand:
     """A guarded command ``[label] guard -> w1:u1 + w2:u2 + ...``.
 
@@ -67,7 +67,7 @@ class PrismCommand:
     alts: tuple[Alt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrismModule:
     name: str
     var_decls: tuple[VarDecl, ...]

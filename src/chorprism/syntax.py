@@ -1,10 +1,12 @@
 """Core abstract syntax for choreographies and their expressions.
 
-All term and expression nodes are frozen dataclasses: the source semantics
-hash-conses terms, giving structurally equal terms one program-counter
-value, so structural equality and hashability are load-bearing. A call node
-is deliberately distinct from the body it names — unfolding is an
-observable step.
+All term and expression nodes are slotted dataclasses, equal and hashed by
+value: the source semantics hash-conses terms, giving structurally equal
+terms one program-counter value, so structural equality and hashability are
+load-bearing. They are not frozen, which makes them cheap to build, so no
+code assigns a field after construction (``tests/test_nodes.py`` scans the
+package for that). A call node is deliberately distinct from the body it
+names — unfolding is an observable step.
 """
 
 from __future__ import annotations
@@ -19,23 +21,23 @@ Value = Union[int, bool, float]
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unary:
     op: str  # "not" | "neg"
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary:
     op: str  # + - * / mod min max = != < <= > >= and or
     left: "Expr"
@@ -60,7 +62,7 @@ FUNCTIONS = ("mod", "min", "max")
 # updates and choreography terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     """One primed assignment x' = E inside an update list."""
 
@@ -68,7 +70,7 @@ class Assign:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Branch:
     """One weighted alternative of an interaction.
 
@@ -85,7 +87,7 @@ class Branch:
     label: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Interaction:
     initiator: str
     receivers: tuple[str, ...]
@@ -97,7 +99,7 @@ class Interaction:
         return (self.initiator,) + self.receivers
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Conditional:
     guard: Expr
     role: str  # the deciding role
@@ -105,12 +107,12 @@ class Conditional:
     else_term: "ChorTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallTerm:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Inact:
     pass
 
@@ -122,7 +124,7 @@ ChorTerm = Union[Interaction, Conditional, CallTerm, Inact]
 # programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarDecl:
     """An integer-range or boolean state variable owned by one role."""
 

@@ -3,6 +3,8 @@ guarded-choice table lowering, and automatic labelling."""
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from chorprism import (
     pretty_print,
 )
 from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
-from chorprism.parser import expr_to_str, term_to_str
+from chorprism.parser import expr_to_str, term_to_str, tokenize
 from chorprism.sugar import branch_label, surface_to_core
 from chorprism.syntax import (
     FUNCTIONS,
@@ -198,6 +200,86 @@ def test_comments_and_whitespace_are_ignored(data_text):
         if not line.lstrip().startswith("//")
     )
     assert load_program(stripped) == load_program(data_text("example2.chor"))
+
+
+# (token count, sha256 prefix of the (kind, value, line, col) list), recorded
+# from the loop tokenizer that matched one token class per call
+FIXTURE_TOKENS = {
+    "allsynch.chor": (93, "52f93407cb0fad82"),
+    "annot_dup.chor": (94, "60213f2f69e0e814"),
+    "annot_ok.chor": (94, "af50509685e4688a"),
+    "dispatcher.chor": (198, "87b5e014922ba5cd"),
+    "example1.chor": (84, "8fa7ca7a0520ce42"),
+    "example2.chor": (90, "1025d4893d71fc63"),
+    "example2_dtmc.chor": (90, "b50e000103485d09"),
+    "families_foreach.chor": (169, "79057bfc5a5ae133"),
+    "guarded_division.chor": (81, "e6ab45659f380217"),
+    "nonsconn.chor": (83, "ae0fb1a22b52ad4a"),
+    "p2p.chor": (115, "9e4793b6e34b3ebf"),
+    "parametric.chor": (92, "4924015575943643"),
+    "sconn_pos.chor": (116, "f6d0a0ac16d943f3"),
+    "thinkteam.chor": (178, "664ae997875b3fc2"),
+}
+
+
+def _token_tuples(text: str) -> list[tuple]:
+    return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+
+
+def test_every_fixture_has_pinned_tokens():
+    data = pathlib.Path(__file__).parent / "data"
+    assert sorted(FIXTURE_TOKENS) == sorted(p.name for p in data.glob("*.chor"))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TOKENS))
+def test_fixture_tokens_are_pinned(name, data_text):
+    toks = _token_tuples(data_text(name))
+    digest = hashlib.sha256(repr(toks).encode()).hexdigest()[:16]
+    assert (len(toks), digest) == FIXTURE_TOKENS[name]
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("ctmc; // last line",
+         [("ctmc", "ctmc", 1, 1), (";", ";", 1, 5), ("eof", None, 1, 19)]),
+        ("ctmc;\r\nrole p,\r\n  q;\r\n",
+         [("ctmc", "ctmc", 1, 1), (";", ";", 1, 5), ("role", "role", 2, 1),
+          ("name", "p", 2, 6), (",", ",", 2, 7), ("name", "q", 3, 3), (";", ";", 3, 4),
+          ("eof", None, 4, 1)]),
+        ("\tvar\tx @ p :\t[0..1]",
+         [("var", "var", 1, 2), ("name", "x", 1, 6), ("@", "@", 1, 8), ("name", "p", 1, 10),
+          (":", ":", 1, 12), ("[", "[", 1, 14), ("number", 0, 1, 15), ("..", "..", 1, 16),
+          ("number", 1, 1, 18), ("]", "]", 1, 19), ("eof", None, 1, 20)]),
+        ("[0..3] 1e-3 2.5 7E+2 3e x",
+         [("[", "[", 1, 1), ("number", 0, 1, 2), ("..", "..", 1, 3), ("number", 3, 1, 5),
+          ("]", "]", 1, 6), ("number", 0.001, 1, 8), ("number", 2.5, 1, 13),
+          ("number", 700.0, 1, 17), ("number", 3, 1, 22), ("name", "e", 1, 23),
+          ("name", "x", 1, 25), ("eof", None, 1, 26)]),
+        ("end\n\n  ", [("end", "end", 1, 1), ("eof", None, 3, 3)]),
+        ("", [("eof", None, 1, 1)]),
+    ],
+    ids=["comment-at-eof", "crlf", "tabs", "numbers", "eof-after-blank-lines", "empty"],
+)
+def test_token_positions(text, tokens):
+    assert _token_tuples(text) == tokens
+    assert [type(v) for _, v, _, _ in _token_tuples(text)] == [type(v) for _, v, _, _ in tokens]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ctmc;\n\n  // a note\n\n\t $", "5:3: unexpected character '$'"),
+        # numbers are ASCII digits only, not any Unicode decimal digit
+        ("ctmc;\nrole q;\nvar x @ q : [0..\u0663] init 1;", "3:17: unexpected character '\u0663'"),
+        ("ctmc;\nrole q;\nvar x @ q : [0..3] init \u0661;", "3:25: unexpected character '\u0661'"),
+    ],
+    ids=["after-blank-lines-and-comment", "arabic-indic-bound", "arabic-indic-init"],
+)
+def test_tokenizer_errors(text, message):
+    with pytest.raises(ParseError) as exc:
+        tokenize(text)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
