@@ -34,12 +34,7 @@ from .prism import (
 )
 from .projection import ProjectionContext, fuse_resets, proj_update, project
 from .semantics import build_chain, eval_expr, eval_weight
-from .sugar import (
-    auto_annotate,
-    expand_indices,
-    load_program,
-    surface_to_core,
-)
+from .sugar import auto_annotate, expand_indices, load_program
 from .syntax import ChorProgram
 
 __version__ = "0.1.0"
@@ -84,6 +79,5 @@ __all__ = [
     "require_annotated",
     "require_well_formed",
     "s_conn",
-    "surface_to_core",
     "verify_projection",
 ]

@@ -4,17 +4,21 @@ The surface language extends the core with indexed role/variable families
 (``client[1..N]``), ``foreach`` update clauses, and ``allsynch`` blocks;
 :func:`chorprism.sugar.expand_indices` lowers these to the core. Indexed
 references are carried textually (``"q[i+1]"``) inside the ordinary name
-slots until expansion rewrites them to concrete names like ``q2``.
+slots until expansion rewrites them to concrete names like ``q2``. A
+variable family's owner is indexed by a bare index variable (``@ c[i]``),
+which stands for the index of each variable in the family.
 
 Grammar sketch (comments are ``// …``)::
 
     program   := ("ctmc"|"dtmc") ";" decl*
     decl      := "const" NAME "=" number ";"
                | "role" rolespec ("," rolespec)* ";"
-               | "var" NAME range? "@" ref ":" (range | "bool") "init" value ";"
+               | "var" NAME "@" ref ":" vtype "init" value ";"
+               | "var" NAME range "@" NAME "[" NAME "]" ":" vtype "init" value ";"
                | "def" NAME "=" term ";"
                | "main" NAME ";"
     rolespec  := NAME range?
+    vtype     := range | "bool"
     range     := "[" bound ".." bound "]"
     term      := ref "->" [ref ("," ref)*] ":" label? "{" branch ("|" branch)* "}"
                | "if" expr "@" ref "then" "{" term "}" "else" "{" term "}"
@@ -43,7 +47,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ParseError, WellFormednessError
+from .errors import ParseError
 from .syntax import (
     FUNCTIONS,
     PREC,
@@ -327,6 +331,9 @@ class _Parser:
             if owner_idx is None:
                 raise ParseError(f"variable family {name} needs an indexed owner",
                                  t.line, t.col)
+            if not owner_idx.isidentifier() or owner_idx in prog.constants:
+                raise ParseError(f"variable family {name} needs an owner indexed by "
+                                 f"an index variable, not {owner}[{owner_idx}]", t.line, t.col)
             prog.var_families.append(
                 VarFamily(name, fam_range[0], fam_range[1], owner, vlo, vhi, is_bool, init))
         else:
@@ -551,50 +558,6 @@ class _Parser:
 
 def parse(text: str) -> SurfaceProgram:
     return _Parser(tokenize(text)).program()
-
-
-# ---------------------------------------------------------------------------
-# lowering surface programs with no sugar left into the core representation
-# ---------------------------------------------------------------------------
-
-def _check_no_surface(term: ChorTerm, where: str):
-    if isinstance(term, AllSynch):
-        raise WellFormednessError(f"{where}: allsynch not desugared")
-    if isinstance(term, Interaction):
-        for name in (term.initiator, *term.receivers):
-            if "[" in name:
-                raise WellFormednessError(f"{where}: unexpanded index in {name}")
-        for b in term.branches:
-            for item in b.update:
-                if isinstance(item, ForeachAssign):
-                    raise WellFormednessError(f"{where}: unexpanded foreach")
-                if "[" in item.var:
-                    raise WellFormednessError(f"{where}: unexpanded index in {item.var}")
-            _check_no_surface(b.cont, where)
-    elif isinstance(term, Conditional):
-        if "[" in term.role:
-            raise WellFormednessError(f"{where}: unexpanded index in {term.role}")
-        _check_no_surface(term.then_term, where)
-        _check_no_surface(term.else_term, where)
-
-
-def to_core(prog: SurfaceProgram) -> ChorProgram:
-    """Convert a fully-expanded surface program to the core representation."""
-    if prog.role_families or prog.var_families:
-        raise WellFormednessError("role/variable families not expanded")
-    for name, body in prog.defs.items():
-        _check_no_surface(body, name)
-    for d in prog.var_decls:
-        if "[" in d.owner:
-            raise WellFormednessError(f"unexpanded index in owner of {d.name}")
-    return ChorProgram(
-        kind=prog.kind,
-        roles=tuple(prog.roles),
-        constants=dict(prog.constants),
-        var_decls=tuple(prog.var_decls),
-        defs=dict(prog.defs),
-        main=prog.main,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 concretises role/variable families, replicates indexed statements, and, at
 the node where it resolves references, instantiates foreach clauses over
 their family's range and rewrites synchronised choices into conditional
-ladders. ``load_program`` runs it and ``to_core`` on source text.
+ladders. It returns the core program; ``load_program`` runs it on parsed
+source text.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .parser import (
     ForeachAssign,
     SurfaceProgram,
     parse,
-    to_core,
 )
 from .semantics import STATE_OPS
 from .syntax import (
@@ -164,14 +164,16 @@ class _Expander:
 
     # -- reference resolution ------------------------------------------------
 
-    def resolve_ref(self, name: str, subst: dict[str, int]) -> str:
+    def resolve_ref(self, name: str, subst: dict[str, int | None]) -> str:
         base, idx = split_ref(name)
         if idx is None:
             return name
         binder, off = _parse_idx(idx, self.constants)
         if binder is not None:
             if binder not in subst:
-                return name  # someone else's binder (e.g. a foreach variable)
+                raise WellFormednessError(f"index {binder} in {name} is bound by no statement")
+            if subst[binder] is None:
+                return name  # a foreach binder in its clause: instantiate resolves it
             off = subst[binder] + off
             literal = False
         else:
@@ -190,7 +192,7 @@ class _Expander:
             v = lo + (off - lo) % size  # offsets wrap around the family
         return f"{base}{v}"
 
-    def resolve_expr(self, e: Expr, subst: dict[str, int]) -> Expr:
+    def resolve_expr(self, e: Expr, subst: dict[str, int | None]) -> Expr:
         if isinstance(e, Var):
             return Var(self.resolve_ref(e.name, subst))
         if isinstance(e, Unary):
@@ -203,7 +205,7 @@ class _Expander:
     def resolve_item(self, item, subst: dict[str, int]):
         if isinstance(item, ForeachAssign):
             # the clause's binder shadows an enclosing index of the same name
-            inner = {k: v for k, v in subst.items() if k != item.binder}
+            inner = {**subst, item.binder: None}
             return ForeachAssign(item.binder, item.op, subst.get(item.bound, item.bound),
                                  item.var, self.resolve_expr(item.expr, inner))
         return Assign(self.resolve_ref(item.var, subst),
@@ -361,15 +363,17 @@ def _lower_allsynch(node: AllSynch) -> ChorTerm:
     return build(0, [])
 
 
-def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
-    """Lower every piece of sugar: families, indexed statements, foreach
-    clauses and allsynch blocks.
+def expand_indices(prog: SurfaceProgram) -> ChorProgram:
+    """The core program of ``prog``, with every piece of sugar lowered:
+    families, indexed statements, foreach clauses and allsynch blocks.
 
     Each indexed statement becomes one copy per index value, copies chained
     in sequence; a statement's original continuation follows the last copy.
     Literal indices must lie within the family range; binder arithmetic wraps
     around it. A foreach clause becomes one assignment per index of its
-    family that satisfies the bound. The walk expands a statement's
+    family that satisfies the bound. An index variable is bound by the
+    interaction whose references use it, or inside its clause by a foreach;
+    one met anywhere else raises. The walk expands a statement's
     continuations before the statement itself, so of two faults in different
     statements the one met first that way is reported.
     """
@@ -394,13 +398,13 @@ def expand_indices(prog: SurfaceProgram) -> SurfaceProgram:
             VarDecl(f"{f.base}{i}", f"{f.owner_base}{i}", f.init, f.vlo, f.vhi, f.is_bool)
             for i in range(f.lo, f.hi + 1)
         )
-    return dataclasses.replace(
-        prog,
-        roles=roles,
-        role_families=[],
-        var_decls=var_decls,
-        var_families=[],
+    return ChorProgram(
+        kind=prog.kind,
+        roles=tuple(roles),
+        constants=dict(prog.constants),
+        var_decls=tuple(var_decls),
         defs={name: ex.expand_term(body) for name, body in prog.defs.items()},
+        main=prog.main,
     )
 
 
@@ -459,9 +463,5 @@ def branch_label(inter: Interaction, j: int) -> str:
 # pipeline
 # ---------------------------------------------------------------------------
 
-def surface_to_core(prog: SurfaceProgram) -> ChorProgram:
-    return to_core(expand_indices(prog))
-
-
 def load_program(text: str) -> ChorProgram:
-    return surface_to_core(parse(text))
+    return expand_indices(parse(text))

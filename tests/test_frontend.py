@@ -4,6 +4,7 @@ guarded-choice table lowering, and automatic labelling."""
 from __future__ import annotations
 
 import hashlib
+import importlib
 import pathlib
 import random
 
@@ -12,14 +13,14 @@ import pytest
 from chorprism import (
     ParseError,
     auto_annotate,
-    expand_indices,
     load_program,
     parse,
     pretty_print,
 )
+from chorprism.analysis import expr_vars
 from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from chorprism.parser import expr_to_str, term_to_str, tokenize
-from chorprism.sugar import branch_label, surface_to_core
+from chorprism.sugar import branch_label
 from chorprism.syntax import (
     FUNCTIONS,
     PREC,
@@ -185,8 +186,18 @@ def test_parse_errors_carry_positions(src):
          "3:5: bool variable b needs a bool initial value"),
         ("ctmc;\nrole p;\n var v[1..2] @ p : [0..1] init 0;\ndef M = end;\nmain M;",
          "3:6: variable family v needs an indexed owner"),
+        # a family's owner index stands for each variable's own index, so
+        # only a bare index variable may be written there
+        ("ctmc;\nrole c[1..2];\n var v[1..2] @ c[1] : [0..1] init 0;\ndef M = end;\nmain M;",
+         "3:6: variable family v needs an owner indexed by an index variable, not c[1]"),
+        ("ctmc;\nrole c[1..2];\n var v[1..2] @ c[i+1] : [0..1] init 0;\ndef M = end;\nmain M;",
+         "3:6: variable family v needs an owner indexed by an index variable, not c[i+1]"),
+        ("ctmc;\nconst N = 2; role c[1..2];\n var v[1..2] @ c[N] : [0..1] init 0;\n"
+         "def M = end;\nmain M;",
+         "3:6: variable family v needs an owner indexed by an index variable, not c[N]"),
     ],
-    ids=["const", "def", "bool", "family"],
+    ids=["const", "def", "bool", "family", "family-owner-literal", "family-owner-offset",
+         "family-owner-constant"],
 )
 def test_declaration_errors_point_at_the_declared_name(src, message):
     with pytest.raises(ParseError) as exc:
@@ -331,9 +342,37 @@ def test_expand_indices_order_and_wraparound(data_text):
     ]
 
 
-def test_expand_indices_is_idempotent(data_text):
-    surf = expand_indices(parse(data_text("parametric.chor")))
-    assert expand_indices(surf).defs == surf.defs
+def core_names(prog):
+    """Every name in a core program: roles, variables and their owners,
+    participants, conditional roles, and the names that expressions read
+    and updates assign."""
+    yield from prog.roles
+    for d in prog.var_decls:
+        yield from (d.name, d.owner)
+    for body in prog.defs.values():
+        for t in subterms(body):
+            if isinstance(t, Interaction):
+                yield from t.participants
+                for b in t.branches:
+                    yield from expr_vars(b.weight)
+                    for a in b.update:
+                        yield a.var
+                        yield from expr_vars(a.expr)
+            elif isinstance(t, Conditional):
+                yield t.role
+                yield from expr_vars(t.guard)
+
+
+def test_the_core_has_no_index_left(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    texts = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(pathlib.Path(__file__).parent.joinpath("data").glob("*.chor"))}
+    texts.update((case.name, case.text) for case in workloads.corpus_cases(7, 25))
+    indexed = {name: sorted({n for n in core_names(load_program(text)) if "[" in n})
+               for name, text in texts.items()}
+    assert {name: names for name, names in indexed.items() if names} == {}
+    assert {"c3", "f3"} <= set(core_names(load_program(texts["families_foreach.chor"])))
 
 
 def test_literal_index_out_of_range_is_an_error():
@@ -355,6 +394,7 @@ def lowered(body: str, head: str = FAMILIES):
 
 WFE = WellFormednessError
 REACHES = "index i reaches into a branch continuation of a choice"
+UNBOUND = "index i in {} is bound by no statement"
 
 
 # one case per raise in the lowering passes: the error class and the message
@@ -388,6 +428,18 @@ REACHES = "index i reaches into a branch continuation of a choice"
                          " | rate 2 : {}; m -> c[1] : { rate 1 : {}; end } }"),
                  WFE, "branches of an indexed choice must share one continuation",
                  id="indexed-choice-continuations"),
+    # only an interaction binds an index variable for its own references
+    pytest.param(lowered("if true @ c[i] then { end } else { end }"),
+                 WFE, UNBOUND.format("c[i]"), id="unbound-conditional-role"),
+    pytest.param(lowered("if f[i] = 0 @ m then { end } else { end }"),
+                 WFE, UNBOUND.format("f[i]"), id="unbound-conditional-guard"),
+    pytest.param(lowered("allsynch { c[i] : true -> rate 1 : {} }; end"),
+                 WFE, UNBOUND.format("c[i]"), id="unbound-allsynch-role"),
+    pytest.param(lowered("allsynch { m : f[i] = 0 -> rate 1 : {} }; end"),
+                 WFE, UNBOUND.format("f[i]"), id="unbound-allsynch-guard"),
+    pytest.param(lowered("m -> c[1] : { rate 1 : {}; end }",
+                         FAMILIES + "var x @ c[i] : [0..1] init 0;\n"),
+                 WFE, UNBOUND.format("c[i]"), id="unbound-variable-owner"),
     pytest.param(lowered("p -> q : { rate 1 : {}; end }",
                          "ctmc;\nrole p, q;\nvar x[1..2] @ p[i] : [0..1] init 0;\n"),
                  WFE, "variable family x owned by non-family p", id="family-owner-not-family"),
