@@ -13,7 +13,8 @@ therefore runs in three stages:
    probability of never changing the observation becomes a self-loop.
    The jump chain is explored from the initial state, so interior states of
    a stutter run never enter it; each state's row is solved once, one
-   strongly connected component of stutter moves at a time.
+   strongly connected component of stutter moves at a time, a cycle by
+   sparse Gaussian elimination in minimum-degree order, in pure Python.
 3. partition-refinement bisimulation on the disjoint union, starting from
    observation equality. In continuous mode the refinement ignores each
    state's rate into its own class (ordinary lumpability), which is what
@@ -25,6 +26,8 @@ Observable means: the program's declared variables. Counters are invisible.
 
 from __future__ import annotations
 
+import heapq
+
 from .analysis import s_conn
 from .chain import MarkovChain, explore, render_value
 from .errors import NotStronglyConnected, StutterGroupTooLarge
@@ -34,8 +37,11 @@ from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
 from .syntax import ChorProgram
 
-# Largest system jump_chain solves densely: one 3000 x 3000 float64 matrix
-# takes 72 MB, and the solve holds a few of them at once.
+# Largest stutter cycle jump_chain solves. Elimination stores only nonzeros,
+# but fill-in can make a cycle's rows dense: near 2,900 states, on a 2-vCPU
+# virtual machine, a ring took 0.04 s and 21 MB, a 14x14x14 torus 33 s and
+# 121 MB, a random cycle with three moves per state 29 s and 117 MB (a dense
+# numpy solve: 0.7-1.1 s and 157-169 MB on all three).
 MAX_DENSE_GROUP = 3000
 
 
@@ -116,10 +122,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     iterative Tarjan walk over stutter moves gives it and every state it
     stutters to a row. The walk finishes strongly connected components
     sinks first, so each component is solved once, from the rows of the
-    components below it: a single state by adding up, a larger one as one
-    system (I - P)X = B. The mass a state cannot take to an observation
-    change (it diverges) sits on a self-loop, a slot no genuine jump can
-    occupy.
+    components below it: a single state by adding up, a larger one by
+    eliminating its members one at a time. The mass a state cannot take to
+    an observation change (it diverges) sits on a self-loop, a slot no
+    genuine jump can occupy.
     """
     obs = chain.observations(obs_names)
     edges = chain.edges
@@ -128,26 +134,67 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     def solve(parts: list[tuple[int, dict[int, float], list[tuple[int, float]]]]) -> None:
         """Exit rows of one component of several states, given per member
         its row through exits and solved successors, and its moves inside
-        the component. Either every member reaches an exit or none does."""
+        the component. Either every member reaches an exit or none does.
+
+        Member k's row x_k solves x_k = row_k + sum_j w_kj x_j. Members are
+        eliminated one at a time, the one with the fewest links to live
+        members first: dividing by 1 - w_kk leaves x_k in terms of live
+        members, which is substituted into each live predecessor's equation.
+        Back-substitution in reverse elimination order then gives every row.
+        """
         comp = [y for y, _, _ in parts]
-        rows = [row for _, row, _ in parts]
-        targets = sorted({t for row in rows for t in row})
-        if targets:
+        rows = [row for _, row, _ in parts]  # mutated into the solution
+        if any(rows):
             n = len(comp)
             if n > MAX_DENSE_GROUP:
                 raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
-            import numpy as np  # only a stutter cycle needs it
-
             pos = {y: i for i, y in enumerate(comp)}
-            tpos = {t: j for j, t in enumerate(targets)}
-            A = np.eye(n)  # I - P
-            B = np.zeros((n, len(targets)))
-            for i, (_, row, stay) in enumerate(parts):
-                for z, w in stay:
-                    A[i, pos[z]] -= w
-                for t, v in row.items():
-                    B[i, tpos[t]] = v
-            rows = [dict(zip(targets, xs)) for xs in np.linalg.solve(A, B).tolist()]
+            stays = [{pos[z]: w for z, w in stay} for _, _, stay in parts]
+            preds: list[set[int]] = [set() for _ in comp]  # live k != j moving to j
+            for k, stay in enumerate(stays):
+                for j in stay:
+                    if j != k:
+                        preds[j].add(k)
+
+            def degree(k: int) -> int:  # links to live members
+                return len(preds[k]) + len(stays[k])
+
+            heap = [(degree(k), k) for k in range(n)]
+            heapq.heapify(heap)
+            done = [False] * n
+            order = []
+            while heap:
+                d, k = heapq.heappop(heap)
+                if done[k] or d != degree(k):
+                    continue  # an entry pushed before k's degree last changed
+                done[k] = True
+                order.append(k)
+                row, stay = rows[k], stays[k]
+                loop = stay.pop(k, 0.0)
+                if loop:
+                    keep = 1.0 - loop
+                    for t, v in row.items():
+                        row[t] = v / keep
+                    for j, w in stay.items():
+                        stay[j] = w / keep
+                for j in stay:
+                    preds[j].discard(k)
+                for p in preds[k]:
+                    prow, pstay = rows[p], stays[p]
+                    w = pstay.pop(k)
+                    for t, v in row.items():
+                        prow[t] = prow.get(t, 0.0) + w * v
+                    for j, v in stay.items():
+                        if j not in pstay and j != p:
+                            preds[j].add(p)  # fill-in
+                        pstay[j] = pstay.get(j, 0.0) + w * v
+                for j in preds[k] | stay.keys():
+                    heapq.heappush(heap, (degree(j), j))
+            for k in reversed(order):  # each stay names members eliminated later
+                row = rows[k]
+                for j, w in stays[k].items():
+                    for t, v in rows[j].items():
+                        row[t] = row.get(t, 0.0) + w * v
         out.update(zip(comp, rows))
 
     def walk(root: int) -> None:

@@ -87,7 +87,7 @@ class StateBudgetExceeded(ChorError):
 
 
 class StutterGroupTooLarge(StateBudgetExceeded):
-    """A jump chain's linear system is too large to solve densely."""
+    """A stutter cycle has more states than the jump chain will solve."""
 
     def __init__(self, size: int, limit: int):
         self.budget = limit

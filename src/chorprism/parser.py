@@ -186,6 +186,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.family_owners: list[tuple[str, str, Token]] = []  # checked at the end
 
     def peek(self, ahead: int = 0) -> Token:
         if not ahead:
@@ -244,6 +245,11 @@ class _Parser:
                 self.expect(";")
             else:
                 self.fail("a declaration (const/role/var/def/main)")
+        # a constant may be declared after the family whose owner it indexes
+        for owner, idx, t in self.family_owners:
+            if not idx.isidentifier() or idx in prog.constants:
+                raise ParseError(f"variable family {t.value} needs an owner indexed by "
+                                 f"an index variable, not {owner}[{idx}]", t.line, t.col)
         if not prog.main:
             t = self.peek()
             raise ParseError("missing 'main' declaration", t.line, t.col)
@@ -331,9 +337,7 @@ class _Parser:
             if owner_idx is None:
                 raise ParseError(f"variable family {name} needs an indexed owner",
                                  t.line, t.col)
-            if not owner_idx.isidentifier() or owner_idx in prog.constants:
-                raise ParseError(f"variable family {name} needs an owner indexed by "
-                                 f"an index variable, not {owner}[{owner_idx}]", t.line, t.col)
+            self.family_owners.append((owner, owner_idx, t))
             prog.var_families.append(
                 VarFamily(name, fam_range[0], fam_range[1], owner, vlo, vhi, is_bool, init))
         else:

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from itertools import takewhile
 from operator import itemgetter
 
-from .chain import MarkovChain, Successors, explore
-from .errors import ChorError, EvalError, TypeMismatch
+from .chain import MarkovChain, Successors, explore, render_value
+from .errors import ChorError, EvalError, RangeViolation, TypeMismatch
 from .semantics import (
     DEFAULT_MAX_STATES,
+    PC,
     SHORT_CIRCUIT,
     STATE_OPS,
     TOL,
@@ -345,21 +346,29 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
 
     def successors(row: tuple):
         acc: dict[tuple, float] = {}
-        for guard, alts in candidates(row):
-            if guard is not None:
-                g = guard(row)
-                if g is not True:
-                    if g is False:
+        try:
+            for guard, alts in candidates(row):
+                if guard is not None:
+                    g = guard(row)
+                    if g is not True:
+                        if g is False:
+                            continue
+                        raise TypeMismatch("command guard is not boolean")
+                for alt in alts:
+                    w = alt[0]
+                    if w is None:
+                        w = alt[0] = eval_weight(alt[1], constants)
+                    if w == 0.0:
                         continue
-                    raise TypeMismatch("command guard is not boolean")
-            for alt in alts:
-                w = alt[0]
-                if w is None:
-                    w = alt[0] = eval_weight(alt[1], constants)
-                if w == 0.0:
-                    continue
-                nxt = alt[2](row)
-                acc[nxt] = acc.get(nxt, 0.0) + w
+                    nxt = alt[2](row)
+                    acc[nxt] = acc.get(nxt, 0.0) + w
+        except (EvalError, RangeViolation) as e:
+            # name the state in source terms; the source's counter is hidden
+            where = ",".join(
+                f"{n}={render_value(v)}" for n, v in zip(var_names, row) if n != PC
+            )
+            e.args = (f"{e} at state {where}",)
+            raise
         if 0.0 in acc.values():  # weights that cancel out
             acc = {k: w for k, w in acc.items() if w != 0.0}
         if kind == "dtmc":

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from chorprism.chain import MarkovChain, explore
-from chorprism.errors import EvalError, TypeMismatch
+from chorprism.chain import MarkovChain, explore, render_value
+from chorprism.errors import EvalError, RangeViolation, TypeMismatch
 from chorprism.semantics import (
     DEFAULT_MAX_STATES,
     assigned_value,
@@ -81,6 +81,14 @@ def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[fl
     return moves
 
 
+def at_state(e: EvalError | RangeViolation, var_names, row) -> EvalError | RangeViolation:
+    """``e``, its message ending with the valuation it was raised at, as
+    the explorer reports an error met during exploration."""
+    where = ",".join(f"{n}={render_value(v)}" for n, v in zip(var_names, row))
+    e.args = (f"{e} at state {where}",)
+    return e
+
+
 def ref_chain(
     program: ChorProgram,
     *,
@@ -99,7 +107,11 @@ def ref_chain(
 
     def successors(key):
         term, row = key
-        for w, new_val, cont in step(term, dict(zip(var_names, row)), program):
+        try:
+            moves = step(term, dict(zip(var_names, row)), program)
+        except (EvalError, RangeViolation) as e:
+            raise at_state(e, var_names, row)
+        for w, new_val, cont in moves:
             yield (cont, tuple(new_val[n] for n in var_names)), w
 
     start = (program.defs[program.main], tuple(start_val[n] for n in var_names))

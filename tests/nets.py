@@ -5,7 +5,7 @@ reference tree-walking network semantics that the compiled explorer of
 from __future__ import annotations
 
 from chorprism.chain import MarkovChain, explore
-from chorprism.errors import EvalError, TypeMismatch
+from chorprism.errors import EvalError, RangeViolation, TypeMismatch
 from chorprism.prism import (
     Network,
     PrismCommand,
@@ -16,7 +16,7 @@ from chorprism.prism import (
 from chorprism.semantics import DEFAULT_MAX_STATES, eval_expr, eval_weight, override_initial
 from chorprism.syntax import Assign, Binary, Lit, Var, VarDecl
 
-from chor_ref import apply_assignments
+from chor_ref import apply_assignments, at_state
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,10 @@ def oracle_chain(
 
     def successors(row):
         valuation = dict(zip(var_names, row))
-        moves, renorm = oracle_step(commands, valuation, kind, decl_of, constants, var_names)
+        try:
+            moves, renorm = oracle_step(commands, valuation, kind, decl_of, constants, var_names)
+        except (EvalError, RangeViolation) as e:
+            raise at_state(e, var_names, row)
         if renorm is not None and not findings:
             where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
             findings.append(

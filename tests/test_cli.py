@@ -225,18 +225,23 @@ main C;
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("verify",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
+    "argv, state",
+    [
+        (("verify",), "x=2"),
+        (("chain", "--side", "chor"), "x=2"),
+        (("chain", "--side", "prism"), "p_STATE=0,x=2,q_STATE=0"),
+    ],
     ids=["verify", "chain-chor", "chain-prism"],
 )
-def test_range_error_shows_the_update_in_source_syntax(capsys, tmp_path, argv):
+def test_range_error_shows_the_update_in_source_syntax(capsys, tmp_path, argv, state):
     path = tmp_path / "overflow.chor"
     path.write_text(OVERFLOW, encoding="utf-8")
     code, out, err = run(capsys, *argv, str(path))
     assert code == 1
     assert out == ""
-    # one line, the assignment as written, not the syntax tree's repr
-    assert err == "error: update x'=x + 1 assigns 3 to x, outside [0..2]\n"
+    # one line, the assignment as written and the state it was applied at,
+    # not the syntax tree's repr
+    assert err == f"error: update x'=x + 1 assigns 3 to x, outside [0..2] at state {state}\n"
 
 
 def test_verify_takes_no_label_seed(capsys, data_path):
@@ -310,6 +315,22 @@ def test_verify_dtmc_reports_finding(capsys, data_path):
     assert "kind: dtmc" in out
     assert "finding: dtmc_renormalized" in out
     assert "equivalent: yes" in out
+
+
+def test_verify_solves_a_stutter_cycle_without_numpy(capsys, data_path, monkeypatch):
+    path = data_path("stutter_cycle.chor")
+    # the fixture's jump chains meet a stutter cycle of more than one state
+    with monkeypatch.context() as m:
+        m.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+        assert run(capsys, "verify", path)[0] == 3
+    # the test oracles import numpy, so look from a fresh interpreter
+    script = (
+        "import sys\nfrom chorprism.cli import main\n"
+        f"code = main(['verify', {path!r}])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_verify_failure_prints_counterexample(capsys, data_path):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import time
 
-import numpy
 import pytest
 
 from chorprism import equivalence
@@ -194,12 +194,8 @@ def test_jump_chain_walks_a_deep_stutter_run_without_recursion(monkeypatch):
         [(0,)] * n + [(1,)],
         [{x + 1: 1.0} for x in range(n)] + [{}],
     )
-
-    def no_dense_solve(*_):
-        raise AssertionError("a stutter run without cycles needs no dense solve")
-
+    # a solve of any group past one state would raise
     monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
-    monkeypatch.setattr(numpy.linalg, "solve", no_dense_solve)
     got = jump_chain(line, OBS)
     assert got.states == [(0,), (1,)]
     assert got.edges == [{1: 1.0}, {1: 1.0}]
@@ -633,3 +629,68 @@ def test_jump_chain_matches_the_reference_on_random_chains():
         _assert_same_verdicts(
             random_substochastic_chain(rng), random_substochastic_chain(rng), OBS
         )
+
+
+def random_stutter_component(rng: random.Random) -> MarkovChain:
+    """One stutter cycle through n members observing 0, with more stutter
+    moves (self-loops, and moves drawn twice into one state) and exits to up
+    to three states observing something else, or none at all."""
+    n = rng.randint(2, 40)
+    exits = rng.choice([0, 1, 3])
+    edges = []
+    for x in range(n):
+        row = {(x + 1) % n: rng.random()}
+        for _ in range(rng.randint(0, 4)):
+            y = rng.choice([x, rng.randrange(n)])
+            row[y] = row.get(y, 0.0) + rng.random()
+        if exits and rng.random() < 0.5:
+            t = n + rng.randrange(exits)
+            row[t] = row.get(t, 0.0) + rng.random()
+        total = sum(row.values())
+        edges.append({y: w / total for y, w in row.items()})
+    states = [(0,)] * n + [(t,) for t in range(1, exits + 1)]
+    return mk("dtmc", states, edges + [{}] * exits, init=rng.randrange(n))
+
+
+def test_jump_chain_solves_stutter_cycles_like_the_reference():
+    rng = random.Random(15)
+    for _ in range(300):
+        _reference_jump_chain(random_stutter_component(rng), OBS)
+
+
+def stutter_component(n: int, moves, leave: float = 0.1) -> MarkovChain:
+    """Members 0..n-1 observing 0, each moving to ``moves(x)`` in equal
+    shares of 1 - ``leave``; member 0 leaves to state n, the others to n+1."""
+    edges = []
+    for x in range(n):
+        row = dict.fromkeys(moves(x), (1.0 - leave) / len(moves(x)))
+        row[n if x == 0 else n + 1] = leave
+        edges.append(row)
+    return mk("dtmc", [(0,)] * n + [(1,), (2,)], edges + [{}, {}])
+
+
+RING, SIDE = 2900, 53
+
+
+def ring_moves(x: int) -> list[int]:
+    return [(x + 1) % RING]
+
+
+def torus_moves(x: int) -> list[int]:
+    row, col = divmod(x, SIDE)
+    return [((row + dr) % SIDE) * SIDE + (col + dc) % SIDE
+            for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+
+
+@pytest.mark.parametrize("n, moves", [(RING, ring_moves), (SIDE * SIDE, torus_moves)],
+                         ids=["ring", "torus"])
+def test_jump_chain_solves_a_cycle_near_the_dense_limit_quickly(n, moves):
+    assert n <= equivalence.MAX_DENSE_GROUP
+    start = time.perf_counter()
+    got = jump_chain(stutter_component(n, moves), OBS)
+    assert time.perf_counter() - start < 5.0
+    row = got.edges[0]
+    assert sorted(got.states[t] for t in row) == [(1,), (2,)]
+    assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
+    if moves is ring_moves:  # member 0 leaves at once, or after a full turn
+        assert row[got.states.index((1,))] == pytest.approx(0.1 / (1 - 0.9**n), abs=1e-12)

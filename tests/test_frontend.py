@@ -195,9 +195,13 @@ def test_parse_errors_carry_positions(src):
         ("ctmc;\nconst N = 2; role c[1..2];\n var v[1..2] @ c[N] : [0..1] init 0;\n"
          "def M = end;\nmain M;",
          "3:6: variable family v needs an owner indexed by an index variable, not c[N]"),
+        # the same error when the constant is declared after the family
+        ("ctmc;\nrole c[1..2];\n var v[1..2] @ c[N] : [0..1] init 0;\nconst N = 2;\n"
+         "def M = end;\nmain M;",
+         "3:6: variable family v needs an owner indexed by an index variable, not c[N]"),
     ],
     ids=["const", "def", "bool", "family", "family-owner-literal", "family-owner-offset",
-         "family-owner-constant"],
+         "family-owner-constant", "family-owner-constant-later"],
 )
 def test_declaration_errors_point_at_the_declared_name(src, message):
     with pytest.raises(ParseError) as exc:
@@ -229,6 +233,7 @@ FIXTURE_TOKENS = {
     "p2p.chor": (115, "9e4793b6e34b3ebf"),
     "parametric.chor": (92, "4924015575943643"),
     "sconn_pos.chor": (116, "f6d0a0ac16d943f3"),
+    "stutter_cycle.chor": (179, "a31d03ecb449339f"),  # from the one-regex tokenizer
     "thinkteam.chor": (178, "664ae997875b3fc2"),
 }
 

@@ -437,6 +437,19 @@ def test_out_of_range_assignment_raises_range_violation():
     assert_raises_like_oracle(net, RangeViolation, "assigns 5 to z, outside")
 
 
+def test_an_error_names_the_network_state():
+    # x leaves its range; the message names every network variable,
+    # the role counters included
+    prog = load_program(
+        "ctmc; role p, q; var x @ p : [0..2] init 0;\n"
+        "def C = p -> q : { rate 1 : {x'=x+1}; C }; main C;"
+    )
+    net, _ = project(auto_annotate(prog))
+    got = assert_same_as_oracle(net, "ctmc", {})
+    assert got == (RangeViolation, "update x'=x + 1 assigns 3 to x, outside [0..2] "
+                                   "at state p_STATE=0,x=2,q_STATE=0")
+
+
 @pytest.mark.parametrize("op, message", [("mod", "mod by zero"), ("/", "division by zero")])
 def test_division_by_zero_raises_eval_error(op, message):
     # in a guard, where its leftmost conjunct holds

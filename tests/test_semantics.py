@@ -259,8 +259,19 @@ def test_non_boolean_conditional_guard_raises_the_shared_message():
     # the lowered guard is 'pc = k and g', as in the projected network's
     # deciding role, so the conjunction reports the non-bool operand
     t = Conditional(Binary("+", Var("x"), Lit(1)), "p", Inact(), Inact())
-    with pytest.raises(TypeMismatch, match="^'and' applied to non-bool value$"):
+    with pytest.raises(TypeMismatch, match="^'and' applied to non-bool value at state x=0,y=0$"):
         build_chain(two_var_program(body=t))
+
+
+def test_an_error_names_the_state_without_the_program_counter():
+    # the update leaves x's range after a call hop; the message names the
+    # declared variables at the state the update ran from, never the pc
+    bump = (Assign("x", Binary("+", Var("x"), Lit(1))),)
+    loop = Interaction("p", ("q",), (Branch(Lit(1), bump, CallTerm("M")),))
+    with pytest.raises(RangeViolation) as exc:
+        build_chain(two_var_program(body=loop))
+    assert str(exc.value) == "update x'=x + 1 assigns 4 to x, outside [0..3] at state x=3,y=0"
+    assert PC not in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +313,8 @@ def test_build_chain_matches_the_reference_on_fixtures(name, data_text):
 def test_build_chain_matches_the_reference_on_errors_and_limits(data_text):
     # thinkteam.chor overflows x; the budget and overrides bound the rest
     got = assert_same_as_reference(load_program(data_text("thinkteam.chor")))
-    assert got == (RangeViolation, "update x'=x + 1 assigns 11 to x, outside [0..10]")
+    assert got == (RangeViolation,
+                   "update x'=x + 1 assigns 11 to x, outside [0..10] at state x=10,y=0")
     prog = load_program(data_text("example2.chor"))
     assert assert_same_as_reference(prog, max_states=3)[0] is StateBudgetExceeded
     assert_same_as_reference(prog, init_overrides={"x": 3, "y": 1})
