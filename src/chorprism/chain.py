@@ -15,11 +15,20 @@ from typing import Callable, Hashable, Iterable
 
 from .errors import StateBudgetExceeded
 
+#: the source chain's hidden program counter; not a name the parser accepts
+PC = "#pc"
+
 
 def render_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
+
+
+def valuation_text(names: Iterable[str], values: Iterable) -> str:
+    """``name=value,…`` in source syntax, the hidden counter :data:`PC`
+    left out."""
+    return ",".join(f"{n}={render_value(v)}" for n, v in zip(names, values) if n != PC)
 
 
 def render_weight(w: float) -> str:
@@ -44,9 +53,7 @@ class MarkovChain:
         return sum(len(e) for e in self.edges)
 
     def valuation_str(self, sid: int) -> str:
-        return ",".join(
-            f"{n}={render_value(v)}" for n, v in zip(self.var_names, self.states[sid])
-        )
+        return valuation_text(self.var_names, self.states[sid])
 
     def observation(self, sid: int, names: tuple[str, ...]) -> tuple:
         """Valuation restricted to ``names`` (the observable variables)."""

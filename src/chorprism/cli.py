@@ -8,7 +8,7 @@ Subcommands:
 * ``verify``  — compile and machine-check behavioural equivalence
 
 Exit codes: 0 success; 1 semantic or verification failure; 2 parse or I/O
-error; 3 state budget exceeded.
+error; 3 state budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -218,6 +218,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # report once the handler has released the traceback's frames
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -52,7 +52,8 @@ def render_expr(e: Expr, *, weight: bool = False, parent_prec: int = 0) -> str:
         return f"floor({left}/{right})"
     op = _OPS.get(e.op, e.op)
     p = PREC[e.op]
-    left = render_expr(e.left, weight=weight, parent_prec=p)
+    left_prec = p + 1 if p == PREC["="] else p  # comparisons do not chain
+    left = render_expr(e.left, weight=weight, parent_prec=left_prec)
     right = render_expr(e.right, weight=weight, parent_prec=p + 1)
     s = f"{left}{op}{right}"
     return f"({s})" if p < parent_prec else s

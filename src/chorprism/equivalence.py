@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 
 from .analysis import s_conn
-from .chain import MarkovChain, explore, render_value
+from .chain import MarkovChain, explore, render_weight, valuation_text
 from .errors import NotStronglyConnected, StutterGroupTooLarge
 from .prism import build_network_chain
 from .projection import project
@@ -347,7 +347,7 @@ def bisimilar(
 
 
 def _obs_text(obs: tuple, obs_names: tuple[str, ...]) -> str:
-    return ",".join(f"{n}={render_value(v)}" for n, v in zip(obs_names, obs)) or "<empty>"
+    return valuation_text(obs_names, obs) or "<empty>"
 
 
 def explain_difference(
@@ -389,7 +389,7 @@ def explain_difference(
             return (
                 f"from the initial state, total weight into states observing "
                 f"{_obs_text(block_obs(b), obs_names)} (and behaving alike afterwards) "
-                f"is {w1:.10g} in the source but {w2:.10g} in the network"
+                f"is {render_weight(w1)} in the source but {render_weight(w2)} in the network"
             )
     return (
         "the initial states agree on their immediate moves but reach "

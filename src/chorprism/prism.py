@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from itertools import takewhile
 from operator import itemgetter
 
-from .chain import MarkovChain, Successors, explore, render_value
+from .chain import MarkovChain, Successors, explore, render_weight, valuation_text
 from .errors import ChorError, EvalError, RangeViolation, TypeMismatch
 from .semantics import (
     DEFAULT_MAX_STATES,
-    PC,
     SHORT_CIRCUIT,
     STATE_OPS,
     TOL,
@@ -363,11 +362,7 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                     nxt = alt[2](row)
                     acc[nxt] = acc.get(nxt, 0.0) + w
         except (EvalError, RangeViolation) as e:
-            # name the state in source terms; the source's counter is hidden
-            where = ",".join(
-                f"{n}={render_value(v)}" for n, v in zip(var_names, row) if n != PC
-            )
-            e.args = (f"{e} at state {where}",)
+            e.args = (f"{e} at state {valuation_text(var_names, row)}",)
             raise
         if 0.0 in acc.values():  # weights that cancel out
             acc = {k: w for k, w in acc.items() if w != 0.0}
@@ -377,10 +372,9 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
             mass = sum(acc.values())
             if abs(mass - 1.0) > TOL:
                 if not findings:
-                    where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
                     findings.append(
-                        f"dtmc_renormalized: outgoing probability mass {mass:.10g} "
-                        f"at state {where}"
+                        f"dtmc_renormalized: outgoing probability mass {render_weight(mass)} "
+                        f"at state {valuation_text(var_names, row)}"
                     )
                 return [(k, w / mass) for k, w in acc.items()]
         return acc.items()

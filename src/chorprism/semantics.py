@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .chain import MarkovChain
+from .chain import PC, MarkovChain
 from .errors import EvalError, RangeViolation, TypeMismatch
 from .parser import assign_to_str
 from .syntax import (
@@ -197,10 +197,6 @@ def override_initial(decls: tuple[VarDecl, ...], overrides: dict | None) -> dict
             raise RangeViolation(name, v, decl.lo, decl.hi, "initial override")
         val[name] = v
     return val
-
-
-#: the source chain's hidden program counter; not a name the parser accepts
-PC = "#pc"
 
 
 def build_chain(

@@ -1,13 +1,14 @@
 """Lowering from the surface language to the core representation.
 
 ``expand_indices`` removes all sugar in one walk over the definitions: it
-concretises role/variable families, replicates indexed statements, and, at
-the node where it resolves references, instantiates foreach clauses over
-their family's range and rewrites synchronised choices into conditional
-ladders. It returns the core program; ``load_program`` runs it on parsed
-source text.
+concretises role/variable families, replicates indexed statements,
+instantiates foreach clauses over their family's range and rewrites
+synchronised choices into conditional ladders. Each statement's references
+are walked once, by ``_Expander.resolve``, which rewrites them and returns
+those whose index variable is still unbound; a statement without an index
+variable needs no other walk. It returns the core program; ``load_program``
+runs it on parsed source text.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -15,6 +16,7 @@ import itertools
 import random
 import re
 import string
+from functools import partial
 from typing import Callable
 
 from .analysis import expr_vars
@@ -95,209 +97,174 @@ def _map_conts(term: ChorTerm, f: Callable[[ChorTerm], ChorTerm]) -> ChorTerm:
     return term
 
 
+def _require_bound(left: list) -> None:
+    """Raise for the first reference in ``left``, whose index variable no
+    statement binds."""
+    if left:
+        _, var, name = left[0]
+        raise WellFormednessError(f"index {var} in {name} is bound by no statement")
+
+
 class _Expander:
     def __init__(self, prog: SurfaceProgram):
         self.constants = prog.constants
         self.families = {f.base: (f.lo, f.hi) for f in [*prog.role_families, *prog.var_families]}
 
-    # -- the reference scan ----------------------------------------------------
+    # -- reference resolution ------------------------------------------------
 
-    def index_refs(self, node: ChorTerm) -> list[tuple[str | None, str, ForeachAssign | None]]:
-        """``(family, index variable, foreach clause)`` for each reference
-        ``node`` itself makes through an index variable, in source order,
-        continuations excluded. ``clause`` is the foreach the reference
-        sits in, or None; a foreach bound that names no constant comes as
-        ``(None, bound, clause)``. The first malformed index raises."""
-        out = []
+    def resolve_ref(self, name: str, subst: dict[str, int | None], left: list) -> str:
+        """``name`` with its index resolved under ``subst``. A reference whose
+        index variable ``subst`` does not bind stays as it is and is noted in
+        ``left`` as ``(family, index variable, name)``; one bound to None, a
+        foreach binder inside its clause, stays for :meth:`clause`."""
+        base, idx = split_ref(name)
+        if idx is None:
+            return name
+        binder, off = _parse_idx(idx, self.constants)
+        if binder is not None:
+            if subst.get(binder) is None:
+                if binder not in subst:
+                    left.append((base, binder, name))
+                return name
+            off += subst[binder]
+        if base not in self.families:
+            raise WellFormednessError(f"{base} is not a declared family")
+        lo, hi = self.families[base]
+        if binder is not None:
+            return f"{base}{lo + (off - lo) % (hi - lo + 1)}"  # offsets wrap around the family
+        if not lo <= off <= hi:
+            raise IndexOutOfFamily(f"index {off} outside {base}[{lo}..{hi}]")
+        return f"{base}{off}"
 
-        def refs(names, clause=None):
-            for name in names:
-                base, idx = split_ref(name)
-                if idx is not None:
-                    binder, _ = _parse_idx(idx, self.constants)
-                    if binder is not None:
-                        out.append((base, binder, clause))
+    def resolve_expr(self, e: Expr, subst: dict[str, int | None], left: list) -> Expr:
+        if isinstance(e, Var):
+            return Var(self.resolve_ref(e.name, subst, left))
+        if isinstance(e, Unary):
+            return Unary(e.op, self.resolve_expr(e.operand, subst, left))
+        if isinstance(e, Binary):
+            return Binary(e.op, self.resolve_expr(e.left, subst, left),
+                          self.resolve_expr(e.right, subst, left))
+        return e
 
+    def resolve_item(self, item, subst: dict[str, int], left: list):
+        if not isinstance(item, ForeachAssign):
+            return Assign(self.resolve_ref(item.var, subst, left),
+                          self.resolve_expr(item.expr, subst, left))
+        # the clause's binder shadows an enclosing index of the same name
+        inner = {**subst, item.binder: None}
+        if isinstance(item.bound, str) and item.bound not in self.constants \
+                and item.bound not in inner:
+            left.append((None, item.bound, None))
+        self.resolve_ref(item.var, inner, left)  # the target stays as written, for clause
+        return ForeachAssign(item.binder, item.op, subst.get(item.bound, item.bound),
+                             item.var, self.resolve_expr(item.expr, inner, left))
+
+    def resolve(self, node: ChorTerm, subst: dict[str, int]) -> tuple[ChorTerm, list]:
+        """``node`` with its own references resolved under ``subst``, in
+        source order, and what that left: ``(family, index variable, name)``
+        for each reference whose index variable ``subst`` does not bind, a
+        foreach bound that names no constant as ``(None, bound, None)``. The
+        continuations and foreach clauses stay as they are."""
+        left: list = []
+        ref = partial(self.resolve_ref, subst=subst, left=left)
+        expr = partial(self.resolve_expr, subst=subst, left=left)
+        item = partial(self.resolve_item, subst=subst, left=left)
         if isinstance(node, Interaction):
-            refs(node.participants)
-            for br in node.branches:
-                refs(expr_vars(br.weight))
-                for item in br.update:
-                    clause = item if isinstance(item, ForeachAssign) else None
-                    if clause and isinstance(item.bound, str) and item.bound not in self.constants:
-                        out.append((None, item.bound, clause))
-                    refs([item.var, *expr_vars(item.expr)], clause)
+            node = Interaction(
+                ref(node.initiator),
+                tuple(map(ref, node.receivers)),
+                tuple(Branch(expr(br.weight), tuple(map(item, br.update)), br.cont, br.label)
+                      for br in node.branches),
+                node.annotation,
+            )
         elif isinstance(node, Conditional):
-            refs([node.role, *expr_vars(node.guard)])
+            node = Conditional(expr(node.guard), ref(node.role), node.then_term, node.else_term)
         elif isinstance(node, AllSynch):
-            for e in node.entries:
-                refs([e.role, *expr_vars(e.guard), *expr_vars(e.weight)])
-                for a in e.update:
-                    refs([a.var, *expr_vars(a.expr)])
-        return out
-
-    def binders(self, node: ChorTerm) -> set[str]:
-        """Index variables of ``node``'s own references; a foreach binder
-        does not count inside its own clause."""
-        return {b for _, b, clause in self.index_refs(node) if clause is None or b != clause.binder}
+            node = AllSynch(tuple(
+                AllSynchEntry(ref(e.role), expr(e.guard), expr(e.weight),
+                              tuple(map(item, e.update)))
+                for e in node.entries), node.cont)
+        return node, left
 
     def term_binders(self, term: ChorTerm) -> set[str]:
-        out = self.binders(term)
+        """The index variables that ``term`` and its continuations leave unbound."""
+        out = {var for _, var, _ in self.resolve(term, {})[1]}
         for c in _conts(term):
             out |= self.term_binders(c)
         return out
 
-    def binder_family_range(self, term: Interaction, binder: str) -> tuple[int, int]:
+    # -- foreach clauses -------------------------------------------------------
+
+    def instantiate(self, node: ChorTerm) -> ChorTerm:
+        """``node``, resolved, with its foreach clauses instantiated."""
+        if not isinstance(node, Interaction) or not any(
+                isinstance(item, ForeachAssign) for br in node.branches for item in br.update):
+            return node
+        branches = tuple(
+            Branch(br.weight, tuple(a for item in br.update for a in self.clause(item)),
+                   br.cont, br.label)
+            for br in node.branches
+        )
+        return Interaction(node.initiator, node.receivers, branches, node.annotation)
+
+    def clause(self, item) -> list[Assign]:
+        """A resolved update item: an assignment as it is, a foreach clause
+        as one assignment per index of its family that satisfies the bound."""
+        if not isinstance(item, ForeachAssign):
+            return [item]
+        base, idx = split_ref(item.var)
+        if idx != item.binder:
+            raise WellFormednessError(
+                f"foreach over {item.binder} must assign {base}[{item.binder}]"
+            )
+        if base not in self.families:
+            raise WellFormednessError(f"{base} is not a declared family")
+        bound = item.bound
+        if isinstance(bound, str):
+            # resolve_item substituted the statement's index; what is left
+            # is a constant or a name bound nowhere (j <= j)
+            if bound not in self.constants:
+                raise NonStaticIndex(
+                    f"foreach bound {bound} is not a constant or enclosing index"
+                )
+            bound = self.constants[bound]
+        if not isinstance(bound, int):
+            raise NonStaticIndex(f"foreach bound {bound} is not an integer")
+        # resolve at every index of the family, so that a bound which
+        # selects none still reports the families the expression reaches
+        lo, hi = self.families[base]
+        left: list = []
+        exprs = {k: self.resolve_expr(item.expr, {item.binder: k}, left) for k in range(lo, hi + 1)}
+        _require_bound(left)
+        return [Assign(f"{base}{k}", e) for k, e in exprs.items() if STATE_OPS[item.op](k, bound)]
+
+    # -- statement expansion ----------------------------------------------------
+
+    def expand_term(self, term: ChorTerm) -> ChorTerm:
+        node, left = self.resolve(term, {})
+        if not left:
+            node = _map_conts(self.instantiate(node), self.expand_term)
+            return _lower_allsynch(node) if isinstance(node, AllSynch) else node
+        if not isinstance(term, Interaction):
+            _require_bound(left)  # only an interaction binds an index variable
+        binders = {var for _, var, _ in left}
+        if len(binders) > 1:
+            raise WellFormednessError(
+                f"statement uses several index variables: {', '.join(sorted(binders))}"
+            )
+        (binder,) = binders
         ranges = set()
-        for base, b, _ in self.index_refs(term):
-            if b == binder and base is not None:
+        for base, _, _ in left:
+            if base is not None:
                 if base not in self.families:
                     raise WellFormednessError(f"{base} is not a declared family")
                 ranges.add(self.families[base])
         if not ranges:
             raise WellFormednessError(f"cannot infer the range of index {binder}")
         if len(ranges) > 1:
-            raise WellFormednessError(
-                f"index {binder} spans families with different ranges"
-            )
-        return ranges.pop()
-
-    # -- reference resolution ------------------------------------------------
-
-    def resolve_ref(self, name: str, subst: dict[str, int | None]) -> str:
-        base, idx = split_ref(name)
-        if idx is None:
-            return name
-        binder, off = _parse_idx(idx, self.constants)
-        if binder is not None:
-            if binder not in subst:
-                raise WellFormednessError(f"index {binder} in {name} is bound by no statement")
-            if subst[binder] is None:
-                return name  # a foreach binder in its clause: instantiate resolves it
-            off = subst[binder] + off
-            literal = False
-        else:
-            literal = True
-        if base not in self.families:
-            raise WellFormednessError(f"{base} is not a declared family")
-        lo, hi = self.families[base]
-        size = hi - lo + 1
-        if literal:
-            if not lo <= off <= hi:
-                raise IndexOutOfFamily(
-                    f"index {off} outside {base}[{lo}..{hi}]"
-                )
-            v = off
-        else:
-            v = lo + (off - lo) % size  # offsets wrap around the family
-        return f"{base}{v}"
-
-    def resolve_expr(self, e: Expr, subst: dict[str, int | None]) -> Expr:
-        if isinstance(e, Var):
-            return Var(self.resolve_ref(e.name, subst))
-        if isinstance(e, Unary):
-            return Unary(e.op, self.resolve_expr(e.operand, subst))
-        if isinstance(e, Binary):
-            return Binary(e.op, self.resolve_expr(e.left, subst),
-                          self.resolve_expr(e.right, subst))
-        return e
-
-    def resolve_item(self, item, subst: dict[str, int]):
-        if isinstance(item, ForeachAssign):
-            # the clause's binder shadows an enclosing index of the same name
-            inner = {**subst, item.binder: None}
-            return ForeachAssign(item.binder, item.op, subst.get(item.bound, item.bound),
-                                 item.var, self.resolve_expr(item.expr, inner))
-        return Assign(self.resolve_ref(item.var, subst),
-                      self.resolve_expr(item.expr, subst))
-
-    def instantiate(self, items) -> tuple[Assign, ...]:
-        """Resolved ``items`` with each foreach clause replaced by one
-        assignment per index of its family that satisfies the bound."""
-        out = []
-        for item in items:
-            if not isinstance(item, ForeachAssign):
-                out.append(item)
-                continue
-            base, idx = split_ref(item.var)
-            if idx != item.binder:
-                raise WellFormednessError(
-                    f"foreach over {item.binder} must assign {base}[{item.binder}]"
-                )
-            if base not in self.families:
-                raise WellFormednessError(f"{base} is not a declared family")
-            bound = item.bound
-            if isinstance(bound, str):
-                # resolve_item substituted the statement's index; what is
-                # left is a constant or a name bound nowhere (j <= j)
-                if bound not in self.constants:
-                    raise NonStaticIndex(
-                        f"foreach bound {bound} is not a constant or enclosing index"
-                    )
-                bound = self.constants[bound]
-            if not isinstance(bound, int):
-                raise NonStaticIndex(f"foreach bound {bound} is not an integer")
-            # resolve at every index of the family, so that a bound which
-            # selects none still reports the families the expression reaches
-            lo, hi = self.families[base]
-            exprs = {k: self.resolve_expr(item.expr, {item.binder: k}) for k in range(lo, hi + 1)}
-            out.extend(Assign(f"{base}{k}", e) for k, e in exprs.items()
-                       if STATE_OPS[item.op](k, bound))
-        return tuple(out)
-
-    def resolve(self, node: ChorTerm, subst: dict[str, int]) -> ChorTerm:
-        """``node`` with its own references resolved under ``subst`` and its
-        foreach clauses instantiated; its continuations stay as they are.
-        Every reference is resolved before any clause is instantiated, so
-        a statement's index faults come before its foreach faults."""
-        if isinstance(node, Interaction):
-            resolved = [
-                (self.resolve_expr(br.weight, subst),
-                 [self.resolve_item(item, subst) for item in br.update])
-                for br in node.branches
-            ]
-            return Interaction(
-                self.resolve_ref(node.initiator, subst),
-                tuple(self.resolve_ref(r, subst) for r in node.receivers),
-                tuple(Branch(weight, self.instantiate(items), br.cont, br.label)
-                      for br, (weight, items) in zip(node.branches, resolved)),
-                node.annotation,
-            )
-        if isinstance(node, Conditional):
-            return Conditional(
-                self.resolve_expr(node.guard, subst),
-                self.resolve_ref(node.role, subst),
-                node.then_term,
-                node.else_term,
-            )
-        if isinstance(node, AllSynch):
-            entries = tuple(
-                AllSynchEntry(
-                    self.resolve_ref(e.role, subst),
-                    self.resolve_expr(e.guard, subst),
-                    self.resolve_expr(e.weight, subst),
-                    tuple(self.resolve_item(a, subst) for a in e.update),
-                )
-                for e in node.entries
-            )
-            return AllSynch(entries, node.cont)
-        return node
-
-    # -- statement expansion ----------------------------------------------------
-
-    def expand_term(self, term: ChorTerm) -> ChorTerm:
-        if not isinstance(term, Interaction):
-            term = _map_conts(self.resolve(term, {}), self.expand_term)
-            return _lower_allsynch(term) if isinstance(term, AllSynch) else term
-        binders = self.binders(term)
-        if not binders:
-            return self.resolve(_map_conts(term, self.expand_term), {})
-        if len(binders) > 1:
-            raise WellFormednessError(
-                f"statement uses several index variables: {', '.join(sorted(binders))}"
-            )
-        (binder,) = binders
-        lo, hi = self.binder_family_range(term, binder)
+            raise WellFormednessError(f"index {binder} spans families with different ranges")
+        ((lo, hi),) = ranges
+        copies = [self.instantiate(self.resolve(term, {binder: v})[0]) for v in range(lo, hi + 1)]
         conts = _conts(term)
         if len(conts) > 1:
             if any(binder in self.term_binders(c) for c in conts):
@@ -308,12 +275,11 @@ class _Expander:
                 raise WellFormednessError(
                     "branches of an indexed choice must share one continuation"
                 )
-        # Replicate the statement per index value, threading each copy's
-        # continuation(s) to the next copy; the last copy continues into
-        # the (separately expanded) original continuation.
+        # Chain the copies in index order; the last continues into the
+        # (separately expanded) original continuation.
         cur = self.expand_term(conts[0])
-        for v in range(hi, lo - 1, -1):
-            cur = _map_conts(self.resolve(term, {binder: v}), lambda _, nxt=cur: nxt)
+        for copy in reversed(copies):
+            cur = _map_conts(copy, lambda _, nxt=cur: nxt)
         return cur
 
 
@@ -373,15 +339,24 @@ def expand_indices(prog: SurfaceProgram) -> ChorProgram:
     around it. A foreach clause becomes one assignment per index of its
     family that satisfies the bound. An index variable is bound by the
     interaction whose references use it, or inside its clause by a foreach;
-    one met anywhere else raises. The walk expands a statement's
-    continuations before the statement itself, so of two faults in different
-    statements the one met first that way is reported.
+    one met anywhere else raises.
+
+    Every statement reports its own fault before any in its continuations:
+    first its references' faults in source order, then those of its index
+    variable (bound nowhere, or over no single range), then its foreach
+    faults, then whether its continuations suit replication. One exception:
+    to see whether an indexed choice's index variable reaches into a branch
+    continuation, the walk resolves those continuations, so a literal-index
+    fault there comes before the choice's own fault.
     """
     ex = _Expander(prog)
     roles = list(prog.roles)
     for f in prog.role_families:
         roles.extend(f"{f.base}{i}" for i in range(f.lo, f.hi + 1))
-    var_decls = [dataclasses.replace(d, owner=ex.resolve_ref(d.owner, {})) for d in prog.var_decls]
+    left: list = []
+    var_decls = [dataclasses.replace(d, owner=ex.resolve_ref(d.owner, {}, left))
+                 for d in prog.var_decls]
+    _require_bound(left)
     fam_roles = {rf.base: rf for rf in prog.role_families}
     for f in prog.var_families:
         if f.owner_base not in fam_roles:

@@ -4,7 +4,7 @@ reference tree-walking network semantics that the compiled explorer of
 
 from __future__ import annotations
 
-from chorprism.chain import MarkovChain, explore
+from chorprism.chain import MarkovChain, explore, render_value
 from chorprism.errors import EvalError, RangeViolation, TypeMismatch
 from chorprism.prism import (
     Network,
@@ -139,7 +139,7 @@ def oracle_chain(
         except (EvalError, RangeViolation) as e:
             raise at_state(e, var_names, row)
         if renorm is not None and not findings:
-            where = ",".join(f"{n}={v}" for n, v in zip(var_names, row))
+            where = ",".join(f"{n}={render_value(v)}" for n, v in zip(var_names, row))
             findings.append(
                 f"dtmc_renormalized: outgoing probability mass {renorm:.10g} at state {where}"
             )

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from chorprism import equivalence
+from chorprism import cli, equivalence
 from chorprism.cli import main
 from chorprism.semantics import PC
 
@@ -331,6 +331,41 @@ def test_verify_solves_a_stutter_cycle_without_numpy(capsys, data_path, monkeypa
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_out_of_memory_is_one_error_line(capsys, data_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_projection", exhausted)
+    assert run(capsys, "verify", data_path("example2.chor")) == (3, "", "error: out of memory\n")
+
+
+# a grid of 56 x 56 valuations: about 90,000 network states, inside the
+# default state budget but well past 64 MB of address space
+GRID_55 = """dtmc;
+role p, q, r;
+var x @ q : [0..55] init 0;
+var y @ r : [0..55] init 0;
+def G = p -> q, r : { rate 0.25 : {x'=mod(x+1, 56)}; G | rate 0.75 : {y'=mod(y+1, 56)}; G };
+main G;
+"""
+
+
+def test_verify_out_of_memory_exits_3(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "grid55.chor"
+    path.write_text(GRID_55, encoding="utf-8")
+    limit = 64 << 20
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chorprism", "verify", str(path)],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 def test_verify_failure_prints_counterexample(capsys, data_path):

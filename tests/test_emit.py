@@ -159,6 +159,18 @@ def test_unary_minus_reparses_to_the_same_chain():
     assert_reparses_to_the_same_chain(prog, net)
 
 
+def test_comparison_of_a_comparison_reparses_to_the_same_chain():
+    prog = auto_annotate(load_program(
+        "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\nvar y @ p : [0..1] init 1;\n"
+        "var b @ p : bool init false;\n"
+        "def M = p -> q : { rate 1 : {x'=1-x}; if (x = y) = b @ p then { M } else { end } };\n"
+        "main M;\n"
+    ))
+    net, _ = project(prog, require_sconn=False)
+    assert "(x=y)=b)" in emit(net, prog)
+    assert_reparses_to_the_same_chain(prog, net)
+
+
 def assert_reparses_to_the_same_chain(prog, net):
     kind, constants, net2 = reparse(emit(net, prog))
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
+import pathlib
 import random
 import time
 
@@ -364,6 +366,23 @@ def test_verify_families_foreach_report(data_text):
         "dtmc_renormalized: outgoing probability mass 4 at state "
         "m_STATE=3,k=0,c1_STATE=1,f1=0,c2_STATE=1,f2=0,c3_STATE=1,f3=0"
     ]
+
+
+def test_finding_and_counterexample_write_a_bool_alike(monkeypatch):
+    # pair 111 of the one-stream draw renormalizes and fails; a bool added
+    # to it must read the same, in source syntax, in both messages
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    (case,) = [c for c in workloads.corpus_cases(1, 200, shape_seed=None)
+               if c.name == "pair111-dtmc"]
+    text = case.text.replace("role p, q, r;\n", "role p, q, r;\nvar b @ p : bool init false;\n")
+    report = verify_projection(load_program(text))
+    assert report["equivalent"] is False
+    (finding,) = report["findings"]
+    assert finding.startswith("dtmc_renormalized:")
+    assert ",b=false," in finding
+    assert "observing b=false," in report["counterexample"]
+    assert "False" not in finding + report["counterexample"]
 
 
 GRID3_DTMC = """

@@ -467,15 +467,27 @@ UNBOUND = "index i in {} is bound by no statement"
                  id="foreach-bound-unknown"),
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= K) f[j]'=1 }; end }", K_REAL),
                  NonStaticIndex, "foreach bound 1.5 is not an integer", id="foreach-bound-not-int"),
-    # with two faults, the one reported first
+    # with two faults, the one reported first: a statement's own fault
+    # comes before any in its continuations
     pytest.param(lowered("c[3] -> m : { rate 1 : {}; c[5] -> m : { rate 1 : {}; end } }"),
-                 IndexOutOfFamily, "index 5 outside c[1..2]", id="first-error-continuation"),
+                 IndexOutOfFamily, "index 3 outside c[1..2]", id="first-error-continuation"),
     pytest.param(lowered("if f[3]=1 @ c[1] then { c[5] -> m : { rate 1 : {}; end } } else { end }"),
                  IndexOutOfFamily, "index 3 outside f[1..2]", id="first-error-guard"),
     pytest.param(lowered("c[1] -> m : { rate 1 : {};"
                          " c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end }"
                          " | rate 2 : { foreach (j <= 1.5) f[j]'=1 }; end }"),
-                 WFE, "foreach over j must assign f[j]", id="first-error-branch-order"),
+                 NonStaticIndex, "foreach bound 1.5 is not an integer", id="first-error-branch-order"),
+    pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 };"
+                         " c[3] -> m : { rate 1 : {}; end } }"),
+                 WFE, "foreach over j must assign f[j]", id="first-error-own-interaction"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : { foreach (j <= i) g[j]'=1 };"
+                         " c[3] -> m : { rate 1 : {}; end } }"),
+                 WFE, "g is not a declared family", id="first-error-own-indexed"),
+    pytest.param(lowered("if f[i] = 0 @ m then { c[3] -> m : { rate 1 : {}; end } } else { end }"),
+                 WFE, UNBOUND.format("f[i]"), id="first-error-own-conditional"),
+    pytest.param(lowered("allsynch { m : f[3] = 0 -> rate 1 : {} };"
+                         " c[3] -> m : { rate 1 : {}; end }"),
+                 IndexOutOfFamily, "index 3 outside f[1..2]", id="first-error-own-allsynch"),
     # within one statement every index fault comes before a foreach fault
     pytest.param(lowered("c[1] -> m : { rate 1 : { foreach (j <= 2) f[1]'=1 }; end"
                          " | rate 2 : {f[5]'=1}; end }"),
