@@ -37,12 +37,13 @@ from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
 from .syntax import ChorProgram
 
-# Largest stutter cycle jump_chain solves. Elimination stores only nonzeros,
-# but fill-in can make a cycle's rows dense: near 2,900 states, on a 2-vCPU
-# virtual machine, a ring took 0.04 s and 21 MB, a 14x14x14 torus 33 s and
-# 121 MB, a random cycle with three moves per state 29 s and 117 MB (a dense
-# numpy solve: 0.7-1.1 s and 157-169 MB on all three).
+# Largest stutter cycle jump_chain solves, and most entries its elimination
+# may add (fill-in), which can make rows dense. Near 2,900 states, on a 2-vCPU
+# virtual machine, a ring adds 2,898 in 0.03 s, a 53x53 torus 100,488 in 0.8 s,
+# a 14x14x14 torus 622,172 in 37 s and a random cycle with three moves per
+# state 515,377 in 28 s; those two pass the fill-in bound within 0.5 s.
 MAX_DENSE_GROUP = 3000
+MAX_FILL_IN = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             heapq.heapify(heap)
             done = [False] * n
             order = []
+            fill = 0
             while heap:
                 d, k = heapq.heappop(heap)
                 if done[k] or d != degree(k):
@@ -187,7 +189,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                     for j, v in stay.items():
                         if j not in pstay and j != p:
                             preds[j].add(p)  # fill-in
+                            fill += 1
                         pstay[j] = pstay.get(j, 0.0) + w * v
+                if fill > MAX_FILL_IN:
+                    raise StutterGroupTooLarge(n, MAX_FILL_IN, fill_in=True)
                 for j in preds[k] | stay.keys():
                     heapq.heappush(heap, (degree(j), j))
             for k in reversed(order):  # each stay names members eliminated later

@@ -87,13 +87,15 @@ class StateBudgetExceeded(ChorError):
 
 
 class StutterGroupTooLarge(StateBudgetExceeded):
-    """A stutter cycle has more states than the jump chain will solve."""
+    """A stutter cycle has more states, or its solve adds more entries
+    (``fill_in``), than the jump chain allows."""
 
-    def __init__(self, size: int, limit: int):
+    def __init__(self, size: int, limit: int, fill_in: bool = False):
         self.budget = limit
         self.size = size
         ChorError.__init__(
             self,
             f"a group of {size} states with equal observations exceeds "
-            f"the dense-solve limit of {limit} states",
+            + (f"the fill-in limit of {limit} entries added by its solve" if fill_in
+               else f"the dense-solve limit of {limit} states"),
         )

@@ -67,22 +67,22 @@ from .syntax import (
     VarDecl,
 )
 
-KEYWORDS = {
-    "ctmc", "dtmc", "const", "role", "var", "init", "def", "main",
-    "if", "then", "else", "end", "allsynch", "foreach", "rate",
-    "and", "or", "not", "true", "false", "bool",
-}
+# the kind of a keyword or punctuation is its text; any other word is "name"
+_KINDS = {w: w for w in """
+    ctmc dtmc const role var init def main if then else end allsynch foreach rate
+    and or not true false bool
+    -> .. != <= >= ; , : | { } [ ] ( ) @ ' = < > + - * /""".split()}
 
-# one match per token, with the blanks, newlines and comments before it;
-# multi-character punctuation first, ``bad`` is any other character
+# one findall per line, cut at its comment and trailing blanks (else ``bad``
+# takes the last blank): each match is the blanks before a token, then a
+# number, a word (a name or punctuation, multi-character first) or ``bad``,
+# any other character; a token's column is the length of what precedes it
 _TOKEN = re.compile(r"""
-    (?:[ \t\r\n]+|//[^\n]*)*
+    ([ \t\r]*)
     (?:
-        (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<punct>->|\.\.|!=|<=|>=|[;,:|{}\[\]()@'=<>+\-*/])
-      | (?P<eof>\Z)
-      | (?P<bad>.)
+        ([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+      | ([A-Za-z_][A-Za-z_0-9]*|->|\.\.|!=|<=|>=|[;,:|{}\[\]()@'=<>+\-*/])
+      | (.)
     )
 """, re.VERBOSE)
 
@@ -96,24 +96,24 @@ class Token(NamedTuple):
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, bol = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        lead, pos = m.start(), m.start(kind)
-        if pos != lead and (nl := text.count("\n", lead, pos)):
-            line, bol = line + nl, text.rindex("\n", lead, pos) + 1
-        raw, col = m[kind], pos - bol + 1
-        if kind == "punct":
-            toks.append(Token(raw, raw, line, col))
-        elif kind == "name":
-            toks.append(Token(raw if raw in KEYWORDS else kind, raw, line, col))
-        elif kind == "number":
-            toks.append(Token(kind, int(raw) if raw.isdecimal() else float(raw), line, col))
-        elif kind == "eof":  # after trailing blanks it would match once more
-            toks.append(Token(kind, None, line, col))
-            break
-        else:
-            raise ParseError(f"unexpected character {raw!r}", line, col)
+    append, new = toks.append, tuple.__new__
+    lines = text.split("\n")
+    for n, line in enumerate(lines, 1):
+        if "//" in line:
+            line = line[:line.index("//")]
+        col = 1
+        for blanks, number, word, bad in _TOKEN.findall(line.rstrip(" \t\r")):
+            col += len(blanks)
+            if word:
+                append(new(Token, (_KINDS.get(word, "name"), word, n, col)))
+                col += len(word)
+            elif number:
+                append(new(Token, ("number", int(number) if number.isdecimal() else float(number),
+                                   n, col)))
+                col += len(number)
+            else:
+                raise ParseError(f"unexpected character {bad!r}", n, col)
+    append(new(Token, ("eof", None, len(lines), len(lines[-1]) + 1)))
     return toks
 
 
@@ -188,10 +188,8 @@ class _Parser:
         self.pos = 0
         self.family_owners: list[tuple[str, str, Token]] = []  # checked at the end
 
-    def peek(self, ahead: int = 0) -> Token:
-        if not ahead:
-            return self.toks[self.pos]
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -200,15 +198,16 @@ class _Parser:
         return t
 
     def accept(self, kind: str) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
+        if self.toks[self.pos].kind == kind:
+            return self.expect(kind)
         return None
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind:
             raise ParseError(f"expected {kind!r}, found {self._show(t)}", t.line, t.col)
-        return self.next()
+        self.pos += kind != "eof"  # as in next, eof is never consumed
+        return t
 
     @staticmethod
     def _show(t: Token) -> str:
@@ -548,7 +547,7 @@ class _Parser:
             self.expect(")")
             return e
         if t.kind == "name":
-            if t.value in FUNCTIONS and self.peek(1).kind == "(":
+            if t.value in FUNCTIONS and self.toks[self.pos + 1].kind == "(":  # t is not eof
                 self.next()
                 self.next()
                 left = self.expr()

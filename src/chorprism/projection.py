@@ -198,16 +198,12 @@ def project(
 # reset fusion
 # ---------------------------------------------------------------------------
 
-def _guard_value(cmd: PrismCommand, counter: str) -> int | None:
-    """Counter slot a projected command is guarded on (leftmost conjunct)."""
-    tests, _ = split_tests(cmd.guard)
-    return tests[0].right.value if tests and tests[0].left.name == counter else None
-
-
 def _fuse_module(m: PrismModule) -> PrismModule:
     counter_decl = m.var_decls[0]
     counter = counter_decl.name
-    guard_vals = [_guard_value(c, counter) for c in m.commands]
+    # the counter slot each command is guarded on, by its leftmost conjunct
+    splits = [split_tests(c.guard) for c in m.commands]
+    guard_vals = [t[0].right.value if t and t[0].left.name == counter else None for t, _ in splits]
     at_value = Counter(guard_vals)
 
     # the commands shaped like a call's (see _hop) that are alone at their
@@ -241,9 +237,10 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     def dest(v: int) -> int:
         return final.get(v, v)
 
-    kept = [(c, v) for c, v in zip(m.commands, guard_vals) if v not in removed]
+    kept = [(c, v, split) for c, v, split in zip(m.commands, guard_vals, splits)
+            if v not in removed]
     used = {dest(counter_decl.init)}
-    for c, v in kept:
+    for c, v, _ in kept:
         used.add(v)
         used.update(dest(a.expr.value) for _, upd in c.alts for a in upd if a.var == counter)
     remap = {v: i for i, v in enumerate(sorted(used))}
@@ -251,8 +248,8 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     def move(a: Assign) -> Assign:
         return Assign(counter, Lit(remap[dest(a.expr.value)])) if a.var == counter else a
 
-    def remap_cmd(c: PrismCommand, v: int) -> PrismCommand:
-        tests, rest = split_tests(c.guard)
+    def remap_cmd(c: PrismCommand, v: int, split: tuple[list, list]) -> PrismCommand:
+        tests, rest = split
         guard = Binary("=", Var(counter), Lit(remap[v]))
         for r in tests[1:] + rest:
             guard = Binary("and", guard, r)
@@ -260,7 +257,7 @@ def _fuse_module(m: PrismModule) -> PrismModule:
 
     init = remap[dest(counter_decl.init)]
     decls = (VarDecl(counter, counter_decl.owner, init, 0, len(remap) - 1, False),)
-    return PrismModule(m.name, decls + m.var_decls[1:], tuple(remap_cmd(c, v) for c, v in kept))
+    return PrismModule(m.name, decls + m.var_decls[1:], tuple(remap_cmd(*k) for k in kept))
 
 
 def fuse_resets(net: Network) -> Network:

@@ -6,8 +6,10 @@ instantiates foreach clauses over their family's range and rewrites
 synchronised choices into conditional ladders. Each statement's references
 are walked once, by ``_Expander.resolve``, which rewrites them and returns
 those whose index variable is still unbound; a statement without an index
-variable needs no other walk. It returns the core program; ``load_program``
-runs it on parsed source text.
+variable needs no other walk. A node that lowering leaves unchanged is
+shared with the surface program, not copied, so a program without sugar
+lowers to its own parsed definitions. It returns the core program;
+``load_program`` runs it on parsed source text.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import random
 import re
 import string
 from functools import partial
+from operator import is_
 from typing import Callable
 
 from .analysis import expr_vars
@@ -33,6 +36,7 @@ from .syntax import (
     Assign,
     Binary,
     Branch,
+    CallTerm,
     ChorProgram,
     ChorTerm,
     Conditional,
@@ -51,7 +55,7 @@ _IDX = re.compile(r"^([A-Za-z_]\w*|\d+)([+-]\d+)?$")
 
 
 def split_ref(name: str) -> tuple[str, str | None]:
-    m = _REF.match(name)
+    m = "[" in name and _REF.match(name)
     if not m:
         return name, None
     return m.group(1), m.group(2)
@@ -86,12 +90,17 @@ def _conts(term: ChorTerm) -> list[ChorTerm]:
 
 def _map_conts(term: ChorTerm, f: Callable[[ChorTerm], ChorTerm]) -> ChorTerm:
     """``term`` with ``f`` applied to each continuation directly below it,
-    in source order."""
+    in source order; ``term`` itself where ``f`` returns each as it is."""
     if isinstance(term, Interaction):
-        branches = tuple(Branch(b.weight, b.update, f(b.cont), b.label) for b in term.branches)
+        branches = tuple(b if (c := f(b.cont)) is b.cont
+                         else Branch(b.weight, b.update, c, b.label) for b in term.branches)
+        if all(map(is_, branches, term.branches)):
+            return term
         return Interaction(term.initiator, term.receivers, branches, term.annotation)
     if isinstance(term, Conditional):
-        return Conditional(term.guard, term.role, f(term.then_term), f(term.else_term))
+        then_term, else_term = f(term.then_term), f(term.else_term)
+        same = then_term is term.then_term and else_term is term.else_term
+        return term if same else Conditional(term.guard, term.role, then_term, else_term)
     if isinstance(term, AllSynch):
         return AllSynch(term.entries, f(term.cont))
     return term
@@ -106,9 +115,11 @@ def _require_bound(left: list) -> None:
 
 
 class _Expander:
-    def __init__(self, prog: SurfaceProgram):
+    def __init__(self, prog: SurfaceProgram, check: bool = True):
         self.constants = prog.constants
         self.families = {f.base: (f.lo, f.hi) for f in [*prog.role_families, *prog.var_families]}
+        self.check = check  # off for the scan of term_binders
+        self.scanner = _Expander(prog, False) if check else self
 
     # -- reference resolution ------------------------------------------------
 
@@ -120,36 +131,44 @@ class _Expander:
         base, idx = split_ref(name)
         if idx is None:
             return name
-        binder, off = _parse_idx(idx, self.constants)
-        if binder is not None:
-            if subst.get(binder) is None:
-                if binder not in subst:
-                    left.append((base, binder, name))
-                return name
-            off += subst[binder]
-        if base not in self.families:
-            raise WellFormednessError(f"{base} is not a declared family")
-        lo, hi = self.families[base]
-        if binder is not None:
-            return f"{base}{lo + (off - lo) % (hi - lo + 1)}"  # offsets wrap around the family
-        if not lo <= off <= hi:
-            raise IndexOutOfFamily(f"index {off} outside {base}[{lo}..{hi}]")
-        return f"{base}{off}"
+        try:
+            binder, off = _parse_idx(idx, self.constants)
+            if binder is not None:
+                if subst.get(binder) is None:
+                    if binder not in subst:
+                        left.append((base, binder, name))
+                    return name
+                off += subst[binder]
+            if base not in self.families:
+                raise WellFormednessError(f"{base} is not a declared family")
+            lo, hi = self.families[base]
+            if binder is not None:  # offsets wrap around the family
+                return f"{base}{lo + (off - lo) % (hi - lo + 1)}"
+            if not lo <= off <= hi:
+                raise IndexOutOfFamily(f"index {off} outside {base}[{lo}..{hi}]")
+            return f"{base}{off}"
+        except (WellFormednessError, IndexOutOfFamily):
+            if self.check:
+                raise
+            return name  # a literal index, whose faults the scan leaves to expansion
 
     def resolve_expr(self, e: Expr, subst: dict[str, int | None], left: list) -> Expr:
         if isinstance(e, Var):
-            return Var(self.resolve_ref(e.name, subst, left))
-        if isinstance(e, Unary):
-            return Unary(e.op, self.resolve_expr(e.operand, subst, left))
+            name = self.resolve_ref(e.name, subst, left)
+            return e if name is e.name else Var(name)
         if isinstance(e, Binary):
-            return Binary(e.op, self.resolve_expr(e.left, subst, left),
-                          self.resolve_expr(e.right, subst, left))
+            a, b = self.resolve_expr(e.left, subst, left), self.resolve_expr(e.right, subst, left)
+            return e if a is e.left and b is e.right else Binary(e.op, a, b)
+        if isinstance(e, Unary):
+            a = self.resolve_expr(e.operand, subst, left)
+            return e if a is e.operand else Unary(e.op, a)
         return e
 
     def resolve_item(self, item, subst: dict[str, int], left: list):
         if not isinstance(item, ForeachAssign):
-            return Assign(self.resolve_ref(item.var, subst, left),
-                          self.resolve_expr(item.expr, subst, left))
+            var = self.resolve_ref(item.var, subst, left)
+            e = self.resolve_expr(item.expr, subst, left)
+            return item if var is item.var and e is item.expr else Assign(var, e)
         # the clause's binder shadows an enclosing index of the same name
         inner = {**subst, item.binder: None}
         if isinstance(item.bound, str) and item.bound not in self.constants \
@@ -164,21 +183,28 @@ class _Expander:
         source order, and what that left: ``(family, index variable, name)``
         for each reference whose index variable ``subst`` does not bind, a
         foreach bound that names no constant as ``(None, bound, None)``. The
-        continuations and foreach clauses stay as they are."""
+        continuations and foreach clauses stay as they are. A node whose
+        parts resolve to equal ones (names; never a continuation) is kept."""
         left: list = []
         ref = partial(self.resolve_ref, subst=subst, left=left)
         expr = partial(self.resolve_expr, subst=subst, left=left)
         item = partial(self.resolve_item, subst=subst, left=left)
+
+        def branch(br: Branch) -> Branch:
+            weight, update = expr(br.weight), tuple(map(item, br.update))
+            if weight is br.weight and update == br.update:
+                return br
+            return Branch(weight, update, br.cont, br.label)
+
         if isinstance(node, Interaction):
-            node = Interaction(
-                ref(node.initiator),
-                tuple(map(ref, node.receivers)),
-                tuple(Branch(expr(br.weight), tuple(map(item, br.update)), br.cont, br.label)
-                      for br in node.branches),
-                node.annotation,
-            )
+            parts = (ref(node.initiator), tuple(map(ref, node.receivers)),
+                     tuple(map(branch, node.branches)))
+            if parts != (node.initiator, node.receivers, node.branches):
+                node = Interaction(*parts, node.annotation)
         elif isinstance(node, Conditional):
-            node = Conditional(expr(node.guard), ref(node.role), node.then_term, node.else_term)
+            parts = (expr(node.guard), ref(node.role))
+            if parts != (node.guard, node.role):
+                node = Conditional(*parts, node.then_term, node.else_term)
         elif isinstance(node, AllSynch):
             node = AllSynch(tuple(
                 AllSynchEntry(ref(e.role), expr(e.guard), expr(e.weight),
@@ -187,8 +213,9 @@ class _Expander:
         return node, left
 
     def term_binders(self, term: ChorTerm) -> set[str]:
-        """The index variables that ``term`` and its continuations leave unbound."""
-        out = {var for _, var, _ in self.resolve(term, {})[1]}
+        """The index variables that ``term`` and its continuations leave
+        unbound, by a scan that leaves literal indices to their statements."""
+        out = {var for _, var, _ in self.scanner.resolve(term, {})[1]}
         for c in _conts(term):
             out |= self.term_binders(c)
         return out
@@ -241,6 +268,8 @@ class _Expander:
     # -- statement expansion ----------------------------------------------------
 
     def expand_term(self, term: ChorTerm) -> ChorTerm:
+        if isinstance(term, (Inact, CallTerm)):  # nothing to resolve
+            return term
         node, left = self.resolve(term, {})
         if not left:
             node = _map_conts(self.instantiate(node), self.expand_term)
@@ -344,18 +373,15 @@ def expand_indices(prog: SurfaceProgram) -> ChorProgram:
     Every statement reports its own fault before any in its continuations:
     first its references' faults in source order, then those of its index
     variable (bound nowhere, or over no single range), then its foreach
-    faults, then whether its continuations suit replication. One exception:
-    to see whether an indexed choice's index variable reaches into a branch
-    continuation, the walk resolves those continuations, so a literal-index
-    fault there comes before the choice's own fault.
+    faults, then whether its continuations suit replication.
     """
     ex = _Expander(prog)
     roles = list(prog.roles)
     for f in prog.role_families:
         roles.extend(f"{f.base}{i}" for i in range(f.lo, f.hi + 1))
     left: list = []
-    var_decls = [dataclasses.replace(d, owner=ex.resolve_ref(d.owner, {}, left))
-                 for d in prog.var_decls]
+    var_decls = [d if (owner := ex.resolve_ref(d.owner, {}, left)) is d.owner
+                 else dataclasses.replace(d, owner=owner) for d in prog.var_decls]
     _require_bound(left)
     fam_roles = {rf.base: rf for rf in prog.role_families}
     for f in prog.var_families:

@@ -269,6 +269,15 @@ def test_verify_oversized_stutter_group_is_one_error_line(capsys, data_path, mon
     assert "exceeds the dense-solve limit of 1 states" in err
 
 
+def test_verify_stutter_solve_past_the_fill_in_limit_is_one_error_line(
+        capsys, data_path, monkeypatch):
+    monkeypatch.setattr(equivalence, "MAX_FILL_IN", -1)
+    code, out, err = run(capsys, "verify", data_path("stutter_cycle.chor"))
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith("error: a group of ")
+    assert "exceeds the fill-in limit of -1 entries added by its solve" in err
+
+
 def test_chain_findings_go_to_stderr(capsys, data_path):
     code, out, err = run(
         capsys, "chain", data_path("example2_dtmc.chor"), "--side", "prism"

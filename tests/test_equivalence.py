@@ -713,3 +713,29 @@ def test_jump_chain_solves_a_cycle_near_the_dense_limit_quickly(n, moves):
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
     if moves is ring_moves:  # member 0 leaves at once, or after a full turn
         assert row[got.states.index((1,))] == pytest.approx(0.1 / (1 - 0.9**n), abs=1e-12)
+
+
+CUBE = 14
+# a random cycle: each member moves on round the ring and to two others
+_rng = random.Random(3)
+RANDOM_MOVES = [[(x + 1) % RING, _rng.randrange(RING), _rng.randrange(RING)] for x in range(RING)]
+
+
+def cube_moves(x: int) -> list[int]:
+    layer, rest = divmod(x, CUBE * CUBE)
+    row, col = divmod(rest, CUBE)
+    return [((layer + dl) % CUBE * CUBE + (row + dr) % CUBE) * CUBE + (col + dc) % CUBE
+            for dl, dr, dc in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
+
+
+@pytest.mark.parametrize("n, moves", [(CUBE**3, cube_moves), (RING, RANDOM_MOVES.__getitem__)],
+                         ids=["torus3", "random"])
+def test_jump_chain_stops_a_cycle_past_the_fill_in_limit_quickly(n, moves):
+    # inside the member bound, but eliminating either makes rows dense
+    assert n <= equivalence.MAX_DENSE_GROUP
+    chain = stutter_component(n, moves)
+    start = time.perf_counter()
+    with pytest.raises(StutterGroupTooLarge, match=f"group of {n} states .* fill-in limit") as exc:
+        jump_chain(chain, OBS)
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.exit_code == 3

@@ -20,7 +20,7 @@ from chorprism import (
 from chorprism.analysis import expr_vars
 from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from chorprism.parser import expr_to_str, term_to_str, tokenize
-from chorprism.sugar import branch_label
+from chorprism.sugar import branch_label, expand_indices
 from chorprism.syntax import (
     FUNCTIONS,
     PREC,
@@ -36,6 +36,8 @@ from chorprism.syntax import (
     Var,
     subterms,
 )
+
+import tok_ref
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +300,44 @@ def test_tokenizer_errors(text, message):
     assert str(exc.value) == message
 
 
+def _tokens_or_error(tokenizer, text: str):
+    """Every token with its value's type, or the error with its position."""
+    try:
+        return [(t.kind, t.value, type(t.value), t.line, t.col) for t in tokenizer(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def test_tokenizer_matches_the_reference_on_fixtures_and_corpora(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(pathlib.Path(__file__).parent.joinpath("data").glob("*.chor"))]
+    texts += [case.text for seed in (1, 7, 101) for case in workloads.corpus_cases(seed, 200)]
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(tok_ref.tokenize, text)
+
+
+# pieces of random token strings: tokens, blanks of every kind, comments,
+# near-tokens and non-ASCII letters and digits
+TOKEN_PIECES = (
+    "ctmc", "rate", "foreach", "x", "_q1", "c[i+1]", "0", "42", "2.5", "1e-3", "7E+2", "3e",
+    "1.", "..", "->", "<=", "!=", ">=", "=", "-", "/", "*", "'", "{", "}", "|", ";", ":",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\n\n", "// note", "//", "\u00e9", "\u00df",
+    "\u0663", "\uff58", "$", "\x0c", ".",
+)
+
+
+def test_tokenizer_matches_the_reference_on_random_strings():
+    rng = random.Random(17)
+    texts = ["", "\n", "\r", "\r\n", "// end", "x // end", "x\n// end", " \t\r"]
+    for _ in range(3000):
+        pieces = rng.choices(TOKEN_PIECES, k=rng.randrange(30))
+        texts.append("".join(pieces) + rng.choice(("", "", "\n", " // tail", "\r\n")))
+    for text in texts:
+        assert _tokens_or_error(tokenize, text) == _tokens_or_error(tok_ref.tokenize, text)
+
+
 # ---------------------------------------------------------------------------
 # pretty-printer round trips
 # ---------------------------------------------------------------------------
@@ -328,6 +368,14 @@ def test_pretty_print_round_trips(name, data_text):
 # ---------------------------------------------------------------------------
 # indexed families
 # ---------------------------------------------------------------------------
+
+def test_lowering_shares_a_program_without_sugar(data_text):
+    # no family, foreach or allsynch: every parsed body is the lowered one
+    surface = parse(data_text("thinkteam.chor"))
+    core = expand_indices(surface)
+    assert list(core.defs) == list(surface.defs)
+    assert all(core.defs[name] is body for name, body in surface.defs.items())
+
 
 def test_expand_indices_order_and_wraparound(data_text):
     prog = load_program(data_text("parametric.chor"))
@@ -433,6 +481,15 @@ UNBOUND = "index i in {} is bound by no statement"
                          " | rate 2 : {}; m -> c[1] : { rate 1 : {}; end } }"),
                  WFE, "branches of an indexed choice must share one continuation",
                  id="indexed-choice-continuations"),
+    # the scan for the choice's index checks no literal index in its branches
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; m -> c[5] : { rate 1 : {}; end }"
+                         " | rate 2 : {}; end }"),
+                 WFE, "branches of an indexed choice must share one continuation",
+                 id="indexed-choice-continuation-literal-fault"),
+    pytest.param(lowered("c[i] -> m : { rate 1 : {}; m -> c[K] : { rate 1 : {}; end }"
+                         " | rate 2 : {}; m -> c[1.5] : { rate 1 : {}; end } }", K_REAL),
+                 WFE, "branches of an indexed choice must share one continuation",
+                 id="indexed-choice-continuation-index-faults"),
     # only an interaction binds an index variable for its own references
     pytest.param(lowered("if true @ c[i] then { end } else { end }"),
                  WFE, UNBOUND.format("c[i]"), id="unbound-conditional-role"),
