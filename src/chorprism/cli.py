@@ -29,7 +29,8 @@ from .syntax import ChorProgram
 
 
 def _load(args) -> ChorProgram:
-    with open(args.file, encoding="utf-8") as f:
+    # untranslated, so that line ends count as the library counts them
+    with open(args.file, encoding="utf-8", newline="") as f:
         text = f.read()
     prog = load_program(text)
     if getattr(args, "model", None) and args.model != prog.kind:

@@ -37,13 +37,18 @@ from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
 from .syntax import ChorProgram
 
-# Largest stutter cycle jump_chain solves, and most entries its elimination
-# may add (fill-in), which can make rows dense. Near 2,900 states, on a 2-vCPU
-# virtual machine, a ring adds 2,898 in 0.03 s, a 53x53 torus 100,488 in 0.8 s,
-# a 14x14x14 torus 622,172 in 37 s and a random cycle with three moves per
-# state 515,377 in 28 s; those two pass the fill-in bound within 0.5 s.
+# Largest stutter cycle jump_chain solves, most entries its elimination may
+# add (fill-in), which can make rows dense, and most multiply-adds it may
+# take, which a cycle whose members already link densely needs without any
+# fill-in. Near 2,900 states, on a 2-vCPU virtual machine, a ring adds 2,898
+# entries in 0.03 s, a 53x53 torus 100,488 in 0.8 s (3.8 million
+# multiply-adds), a 14x14x14 torus 622,172 in 37 s and a random cycle with
+# three moves per state 515,377 in 28 s; those two pass the fill-in bound
+# within 0.5 s. A cycle of 200 members each moving to every other takes 2.7
+# million multiply-adds in 0.4 s, one of 400 takes 21 million in 3.4 s.
 MAX_DENSE_GROUP = 3000
 MAX_FILL_IN = 200_000
+MAX_SOLVE_WORK = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +63,6 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     interleaved administrative moves therefore fold into their join, while
     genuine branching (or administrative cycles) is kept. Idempotent.
     """
-    n = chain.num_states
     obs = chain.observations(obs_names)
 
     # contractible: every move is administrative (weight 1, observation kept)
@@ -70,8 +74,9 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                 admin = False
                 break
         contractible.append(admin)
-    nf: dict[int, int] = {x: x for x in range(n) if not contractible[x]}
-    pending = [x for x in range(n) if contractible[x]]
+    # the normal form of each state, None while it is pending
+    nf: list[int | None] = [None if c else x for x, c in enumerate(contractible)]
+    pending = [x for x, c in enumerate(contractible) if c]
     progress = True
     while progress and pending:
         progress = False
@@ -79,7 +84,7 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         for x in pending:
             targets = set()
             for y in chain.edges[x]:
-                r = nf.get(y)
+                r = nf[y]
                 if r is None:
                     targets = None
                     break
@@ -93,11 +98,23 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     for x in pending:  # administrative cycles: every member stays
         nf[x] = x
 
-    def successors(x: int):  # (nf[y], w) per edge, in edge order
-        succ = chain.edges[x]
-        return zip(map(nf.__getitem__, succ), succ.values())
-
-    order, edges = explore(nf[chain.init], successors, n)
+    # number the normal forms breadth-first from the initial state's, each
+    # edge into its target's normal form, weights adding up in edge order
+    start = nf[chain.init]
+    ids: list[int | None] = [None] * len(nf)
+    ids[start] = 0
+    order = [start]
+    edges = []
+    for x in order:  # grows as normal forms are reached
+        row: dict[int, float] = {}
+        for y, w in chain.edges[x].items():
+            r = nf[y]
+            dst = ids[r]
+            if dst is None:
+                dst = ids[r] = len(order)
+                order.append(r)
+            row[dst] = row.get(dst, 0.0) + w
+        edges.append(row)
     return MarkovChain(
         chain.kind,
         chain.var_names,
@@ -164,7 +181,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             heapq.heapify(heap)
             done = [False] * n
             order = []
-            fill = 0
+            fill = work = 0
             while heap:
                 d, k = heapq.heappop(heap)
                 if done[k] or d != degree(k):
@@ -181,6 +198,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                         stay[j] = w / keep
                 for j in stay:
                     preds[j].discard(k)
+                work += len(preds[k]) * (len(row) + len(stay))  # the loop below
+                if work > MAX_SOLVE_WORK:
+                    raise StutterGroupTooLarge(
+                        n, MAX_SOLVE_WORK, "the work limit of {} multiply-adds in its solve")
                 for p in preds[k]:
                     prow, pstay = rows[p], stays[p]
                     w = pstay.pop(k)
@@ -192,7 +213,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                             fill += 1
                         pstay[j] = pstay.get(j, 0.0) + w * v
                 if fill > MAX_FILL_IN:
-                    raise StutterGroupTooLarge(n, MAX_FILL_IN, fill_in=True)
+                    raise StutterGroupTooLarge(
+                        n, MAX_FILL_IN, "the fill-in limit of {} entries added by its solve")
                 for j in preds[k] | stay.keys():
                     heapq.heappush(heap, (degree(j), j))
             for k in reversed(order):  # each stay names members eliminated later
@@ -320,17 +342,14 @@ def bisimilar(
     block of every state (first chain's states first).
     """
     ignore_own = _ignores_own_block(c1, c2)
-    n1, n2 = c1.num_states, c2.num_states
+    n1 = c1.num_states
     obs = c1.observations(obs_names)
     obs += c2.observations(obs_names)
-    edges = [dict(c1.edges[s]) for s in range(n1)]
-    edges += [{t + n1: w for t, w in c2.edges[s].items()} for s in range(n2)]
-    total = n1 + n2
+    edges = c1.edges + c2.edges  # the second chain's ids are offset by n1
 
     keys: dict = {}
     blocks = []
-    for x in range(total):
-        k = obs[x]
+    for k in obs:
         if k not in keys:
             keys[k] = len(keys)
         blocks.append(keys[k])
@@ -338,9 +357,10 @@ def bisimilar(
     while True:
         sig_ids: dict = {}
         new_blocks = []
-        for x in range(total):
+        for x, row in enumerate(edges):
             own = blocks[x]
-            sig = (own, _signature(edges[x], blocks, 0, own if ignore_own else None))
+            sig = (own, _signature(row, blocks, 0 if x < n1 else n1,
+                                   own if ignore_own else None))
             if sig not in sig_ids:
                 sig_ids[sig] = len(sig_ids)
             new_blocks.append(sig_ids[sig])

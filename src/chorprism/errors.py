@@ -87,15 +87,14 @@ class StateBudgetExceeded(ChorError):
 
 
 class StutterGroupTooLarge(StateBudgetExceeded):
-    """A stutter cycle has more states, or its solve adds more entries
-    (``fill_in``), than the jump chain allows."""
+    """A stutter cycle has more states, or its solve adds more entries or
+    takes more multiply-adds, than the jump chain allows; ``bound`` names
+    the limit, with ``{}`` where its value goes."""
 
-    def __init__(self, size: int, limit: int, fill_in: bool = False):
+    def __init__(self, size: int, limit: int, bound: str = "the dense-solve limit of {} states"):
         self.budget = limit
         self.size = size
         ChorError.__init__(
             self,
-            f"a group of {size} states with equal observations exceeds "
-            + (f"the fill-in limit of {limit} entries added by its solve" if fill_in
-               else f"the dense-solve limit of {limit} states"),
+            f"a group of {size} states with equal observations exceeds " + bound.format(limit),
         )

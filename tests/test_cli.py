@@ -9,7 +9,9 @@ import pytest
 
 from chorprism import cli, equivalence
 from chorprism.cli import main
+from chorprism.errors import ParseError
 from chorprism.semantics import PC
+from chorprism.sugar import load_program
 
 
 def run(capsys, *argv):
@@ -69,6 +71,24 @@ def test_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_a_file_is_read_as_the_library_reads_its_text(capsys, tmp_path, data_path):
+    # a lone carriage return is a blank, not a line break
+    text = "ctmc;\rrole p;\r$"
+    bad = tmp_path / "cr.chor"
+    bad.write_bytes(text.encode())
+    with pytest.raises(ParseError) as exc:
+        load_program(text)
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    assert str(exc.value).startswith("1:15: ")
+    # a CRLF copy compiles to the same text
+    lf = data_path("example2_dtmc.chor")
+    crlf = tmp_path / "crlf.chor"
+    with open(lf, encoding="utf-8") as f:
+        crlf.write_bytes(f.read().replace("\n", "\r\n").encode())
+    assert run(capsys, "compile", str(crlf))[:2] == run(capsys, "compile", lf)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -739,3 +739,16 @@ def test_jump_chain_stops_a_cycle_past_the_fill_in_limit_quickly(n, moves):
         jump_chain(chain, OBS)
     assert time.perf_counter() - start < 5.0
     assert exc.value.exit_code == 3
+
+
+def test_jump_chain_stops_a_densely_linked_cycle_past_the_work_limit_quickly():
+    # every member moves to every other, so eliminating adds no entry, but
+    # each elimination takes a multiply-add per live predecessor and stay
+    n = 400
+    chain = stutter_component(n, lambda x: [y for y in range(n) if y != x])
+    start = time.perf_counter()
+    with pytest.raises(StutterGroupTooLarge, match=f"group of {n} states .* work limit of "
+                       f"{equivalence.MAX_SOLVE_WORK} multiply-adds in its solve") as exc:
+        jump_chain(chain, OBS)
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.exit_code == 3

@@ -411,6 +411,80 @@ def test_renormalization_finding_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
+# later visits of a counter tuple: the plan path against the oracle
+# ---------------------------------------------------------------------------
+
+def counter_tuples(*commands, hi=3):
+    """A module over a counter ``p`` in [0..1], which every command tests
+    leftmost, and an int ``x`` in [0..hi]; ``commands`` are (guard,
+    alternatives) pairs. Every state with the same ``p`` has the same
+    counter tuple, so from its third state on a plan serves it wherever
+    no command keeps a guard past its counter test."""
+    decls = (VarDecl("p", "m", 0, 0, 1), VarDecl("x", "m", 0, 0, hi))
+    return (PrismModule("m", decls, tuple(PrismCommand(None, g, alts) for g, alts in commands)),)
+
+
+X = Var("x")
+
+
+def set_x(e):
+    return (Assign("x", e),)
+
+
+def up(e):  # x + 1, capped at 3
+    return Binary("min", Binary("+", e, Lit(1)), Lit(3))
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_moves_of_a_revisited_tuple_into_one_state_add_up_before_dividing(kind):
+    # at x = 2 and x = 3 the first two moves land on x = 3; in discrete
+    # mode (0.1 + 0.2) / 0.4 and 0.1 / 0.4 + 0.2 / 0.4 differ in the last bit
+    net = counter_tuples(
+        (eq("p", 0), ((Lit(0.1), set_x(up(X))), (Lit(0.2), set_x(Lit(3))), (Lit(0.1), set_x(Lit(0))))),
+    )
+    got = assert_same_as_oracle(net, kind, {})
+    assert got[1] == [(0, 0), (0, 1), (0, 3), (0, 2)]
+    merged = dict(got[2][2])[2]
+    assert merged == (0.30000000000000004 / 0.4 if kind == "dtmc" else 0.30000000000000004)
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_a_zero_weight_move_of_a_revisited_tuple_is_never_taken(kind):
+    net = counter_tuples((eq("p", 0), ((Lit(0), set_x(Lit(3))), (Lit(1), set_x(Binary("min", up(X), Lit(2)))))))
+    got = assert_same_as_oracle(net, kind, {})
+    assert got[1] == [(0, 0), (0, 1), (0, 2)]
+
+
+def test_the_renormalization_finding_names_the_first_state_breadth_first():
+    # p = 0 moves to p = 1 with its whole mass; every state with p = 1
+    # then sends 0.5 in all, so each is renormalized, the first of them
+    # the one to report
+    net = counter_tuples(
+        (eq("p", 0), ((Lit(1), (Assign("p", Lit(1)),)),)),
+        (eq("p", 1), ((Lit(0.25), set_x(up(X))), (Lit(0.25), set_x(Binary("max", Binary("-", X, Lit(1)), Lit(0)))))),
+    )
+    got = assert_same_as_oracle(net, "dtmc", {})
+    assert got[1] == [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert got[3] == ["dtmc_renormalized: outgoing probability mass 0.5 at state p=1,x=0"]
+
+
+def test_an_update_of_a_revisited_tuple_leaves_its_range_at_a_later_state():
+    net = counter_tuples((eq("p", 0), ((Lit(1), set_x(Binary("+", X, Lit(1)))),)), hi=2)
+    got = assert_same_as_oracle(net, "ctmc", {})
+    assert got == (RangeViolation, "update x'=x + 1 assigns 3 to x, outside [0..2] at state p=0,x=2")
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_a_revisited_tuple_that_keeps_a_guard_tests_it_at_every_state(kind):
+    net = counter_tuples(
+        (conj(eq("p", 0), Binary("<", X, Lit(2))), ((Lit(0.5), set_x(Binary("+", X, Lit(1)))),)),
+        (eq("p", 0), ((Lit(0.5), set_x(X)),)),
+    )
+    got = assert_same_as_oracle(net, kind, {})
+    assert got[1] == [(0, 0), (0, 1), (0, 2)]
+
+
+# ---------------------------------------------------------------------------
 # errors on the compiled path: same class and message as the oracle
 # ---------------------------------------------------------------------------
 
