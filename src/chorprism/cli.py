@@ -90,14 +90,10 @@ def cmd_compile(args) -> int:
         f"modules: {len(net)}  commands: {commands}  labels: {len(alphabet(net))}",
         file=sys.stderr,
     )
-    if args.output:
-        out = args.output
-        if out == "-":
-            sys.stdout.write(text)
-            return 0
-        with open(out, "w", encoding="utf-8") as f:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0
@@ -210,7 +206,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    ap = build_arg_parser()
+    args = ap.parse_args(argv)
+    if args.max_states < 1:
+        ap.error(f"argument --max-states: expected at least 1 state, got {args.max_states}")
     try:
         return args.func(args)
     except ChorError as e:
@@ -224,6 +223,3 @@ def main(argv: list[str] | None = None) -> int:
     print("error: out of memory", file=sys.stderr)
     return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

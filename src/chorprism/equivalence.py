@@ -14,7 +14,8 @@ therefore runs in three stages:
    The jump chain is explored from the initial state, so interior states of
    a stutter run never enter it; each state's row is solved once, one
    strongly connected component of stutter moves at a time, a cycle by
-   sparse Gaussian elimination in minimum-degree order, in pure Python.
+   sparse Gaussian elimination in minimum-degree order, in pure Python,
+   within a bound on the entries it adds and one on its multiply-adds.
 3. partition-refinement bisimulation on the disjoint union, starting from
    observation equality. In continuous mode the refinement ignores each
    state's rate into its own class (ordinary lumpability), which is what
@@ -37,16 +38,15 @@ from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
 from .syntax import ChorProgram
 
-# Largest stutter cycle jump_chain solves, most entries its elimination may
-# add (fill-in), which can make rows dense, and most multiply-adds it may
-# take, which a cycle whose members already link densely needs without any
-# fill-in. Near 2,900 states, on a 2-vCPU virtual machine, a ring adds 2,898
-# entries in 0.03 s, a 53x53 torus 100,488 in 0.8 s (3.8 million
-# multiply-adds), a 14x14x14 torus 622,172 in 37 s and a random cycle with
-# three moves per state 515,377 in 28 s; those two pass the fill-in bound
-# within 0.5 s. A cycle of 200 members each moving to every other takes 2.7
-# million multiply-adds in 0.4 s, one of 400 takes 21 million in 3.4 s.
-MAX_DENSE_GROUP = 3000
+# Most entries a stutter cycle's elimination may add (fill-in), which can
+# make rows dense, and most multiply-adds its solve may take, which also
+# bounds the entries of its exit rows; its member count is not bounded.
+# On a 2-vCPU virtual machine a ring of 100,000 members solves in 1 s and
+# a 53x53 torus (100,488 entries, 3.9 million multiply-adds) in 0.6 s. A
+# 14x14x14 torus and a random cycle of 2,900 members with three moves each
+# pass the fill-in bound within 0.5 s (their solve would take about 30 s);
+# a cycle of 400 members each moving to every other, and a ring of 4,000
+# each leaving to a state of its own, pass the work bound within 1 s.
 MAX_FILL_IN = 200_000
 MAX_SOLVE_WORK = 5_000_000
 
@@ -141,9 +141,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     stutters to a row. The walk finishes strongly connected components
     sinks first, so each component is solved once, from the rows of the
     components below it: a single state by adding up, a larger one by
-    eliminating its members one at a time. The mass a state cannot take to
-    an observation change (it diverges) sits on a self-loop, a slot no
-    genuine jump can occupy.
+    eliminating its members one at a time, raising StutterGroupTooLarge past
+    MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds. The mass a
+    state cannot take to an observation change (it diverges) sits on a
+    self-loop, a slot no genuine jump can occupy.
     """
     obs = chain.observations(obs_names)
     edges = chain.edges
@@ -164,8 +165,6 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         rows = [row for _, row, _ in parts]  # mutated into the solution
         if any(rows):
             n = len(comp)
-            if n > MAX_DENSE_GROUP:
-                raise StutterGroupTooLarge(n, MAX_DENSE_GROUP)
             pos = {y: i for i, y in enumerate(comp)}
             stays = [{pos[z]: w for z, w in stay} for _, _, stay in parts]
             preds: list[set[int]] = [set() for _ in comp]  # live k != j moving to j
@@ -177,6 +176,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             def degree(k: int) -> int:  # links to live members
                 return len(preds[k]) + len(stays[k])
 
+            targets = len(set().union(*rows))  # no row ever holds more entries
             heap = [(degree(k), k) for k in range(n)]
             heapq.heapify(heap)
             done = [False] * n
@@ -198,7 +198,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                         stay[j] = w / keep
                 for j in stay:
                     preds[j].discard(k)
-                work += len(preds[k]) * (len(row) + len(stay))  # the loop below
+                # the loop below, and at most this many to back-substitute k
+                work += len(preds[k]) * (len(row) + len(stay)) + len(stay) * targets
                 if work > MAX_SOLVE_WORK:
                     raise StutterGroupTooLarge(
                         n, MAX_SOLVE_WORK, "the work limit of {} multiply-adds in its solve")

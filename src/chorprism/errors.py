@@ -87,11 +87,11 @@ class StateBudgetExceeded(ChorError):
 
 
 class StutterGroupTooLarge(StateBudgetExceeded):
-    """A stutter cycle has more states, or its solve adds more entries or
-    takes more multiply-adds, than the jump chain allows; ``bound`` names
+    """Solving a stutter cycle of the jump chain would add more entries
+    (fill-in) or take more multiply-adds than it allows; ``bound`` names
     the limit, with ``{}`` where its value goes."""
 
-    def __init__(self, size: int, limit: int, bound: str = "the dense-solve limit of {} states"):
+    def __init__(self, size: int, limit: int, bound: str):
         self.budget = limit
         self.size = size
         ChorError.__init__(

@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from chorprism.chain import MarkovChain, explore
-from chorprism.equivalence import MAX_DENSE_GROUP, TOL
+from chorprism.equivalence import TOL
 from chorprism.errors import StutterGroupTooLarge
+
+# Largest group of states this reference hands to its dense solve
+MAX_DENSE_GROUP = 3000
 
 
 def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
@@ -78,7 +81,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         if not solvable:
             continue
         if len(solvable) > MAX_DENSE_GROUP:
-            raise StutterGroupTooLarge(len(solvable), MAX_DENSE_GROUP)
+            raise StutterGroupTooLarge(
+                len(solvable), MAX_DENSE_GROUP, "the dense-solve limit of {} states")
         pos = {x: i for i, x in enumerate(solvable)}
         targets = sorted({t for x in solvable for t in exits[x]})
         tpos = {t: j for j, t in enumerate(targets)}

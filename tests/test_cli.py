@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -279,14 +281,34 @@ def test_chain_state_budget(capsys, data_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, budget, message", [
+    ("verify", "0", "argument --max-states: expected at least 1 state, got 0"),
+    ("chain", "-5", "argument --max-states: expected at least 1 state, got -5"),
+    ("verify", "many", "argument --max-states: invalid int value: 'many'"),
+], ids=["verify-0", "chain-minus-5", "verify-many"])
+def test_max_states_below_one_is_a_usage_error(capsys, data_path, command, budget, message):
+    with pytest.raises(SystemExit) as exc:
+        main([command, data_path("example2.chor"), "--max-states", budget])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_max_states_takes_what_int_takes(capsys, data_path):
+    # only a budget below 1 is refused; other spellings int() reads still parse
+    for budget in ("+100", "1_000", " 100"):
+        code, out, _ = run(capsys, "verify", data_path("example2.chor"), "--max-states", budget)
+        assert code == 0 and "equivalent: yes" in out
+
+
 def test_verify_oversized_stutter_group_is_one_error_line(capsys, data_path, monkeypatch):
-    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+    # every solve of a stutter cycle takes at least one multiply-add
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 0)
     code, out, err = run(capsys, "verify", data_path("example2_dtmc.chor"))
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: a group of ")
-    assert "exceeds the dense-solve limit of 1 states" in err
+    assert "exceeds the work limit of 0 multiply-adds in its solve" in err
 
 
 def test_verify_stutter_solve_past_the_fill_in_limit_is_one_error_line(
@@ -350,7 +372,7 @@ def test_verify_solves_a_stutter_cycle_without_numpy(capsys, data_path, monkeypa
     path = data_path("stutter_cycle.chor")
     # the fixture's jump chains meet a stutter cycle of more than one state
     with monkeypatch.context() as m:
-        m.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+        m.setattr(equivalence, "MAX_SOLVE_WORK", 0)
         assert run(capsys, "verify", path)[0] == 3
     # the test oracles import numpy, so look from a fresh interpreter
     script = (
@@ -426,3 +448,31 @@ def test_verify_nonsconn(capsys, data_path):
     assert "strongly-connected: no" in out
     assert "finding: sconn:" in out
     assert "equivalent: no" in out
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def readme_block(after: str) -> str:
+    """The body of README.md's first fenced block after the text ``after``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"^```\w*\n(.*?)^```$", text[text.index(after):], re.M | re.S)[1]
+
+
+def test_readme_compile_block_is_the_compiled_output(capsys, tmp_path):
+    path = tmp_path / "readme.chor"
+    path.write_text(readme_block("## The source language"), encoding="utf-8")
+    code, out, _ = run(capsys, "compile", str(path))
+    assert (code, out) == (0, readme_block("### Compiled output"))
+
+
+def test_readme_verify_transcript_is_the_cli_output(capsys, monkeypatch):
+    command, _, shown = readme_block("* **verify**").partition("\n")
+    argv = command.split()
+    assert argv[:2] == ["$", "chorprism"]
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, *argv[2:]) == (0, shown, "")

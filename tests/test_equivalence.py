@@ -170,22 +170,25 @@ def test_jump_chain_partial_divergence_keeps_mass_on_self_loop():
     assert jump_chain(dataclasses.replace(c, init=1), OBS).edges == [{0: 1.0}]
 
 
-def test_jump_chain_refuses_a_stutter_group_past_the_dense_limit(monkeypatch):
-    # the limit counts one stutter cycle: 0 -> 1 -> 2 -> 0, each leaving to 3
+def test_jump_chain_limits_the_solve_of_a_stutter_cycle_only(monkeypatch):
+    # the limit counts one stutter cycle: 0 -> 1 -> 2 -> 0, each leaving to
+    # 3, whose elimination takes 2 + 2 multiply-adds and back-substitution
+    # 1 + 1
     cycle = mk(
         "dtmc",
         [(0,), (0,), (0,), (1,)],
         [{1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, {0: 0.5, 3: 0.5}, {}],
     )
-    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 2)
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 5)
     with pytest.raises(StutterGroupTooLarge, match="group of 3 states") as exc:
         jump_chain(cycle, OBS)
     assert isinstance(exc.value, StateBudgetExceeded)
     assert exc.value.exit_code == 3
-    # a run of three stutter states without a cycle needs no dense solve
+    # a run of three stutter states without a cycle needs no solve
     run = mk("dtmc", [(0,), (0,), (0,), (1,)], [{1: 1.0}, {2: 1.0}, {3: 1.0}, {}])
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 0)
     assert jump_chain(run, OBS).edges[0] == {1: 1.0}
-    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 3)
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 6)
     assert jump_chain(cycle, OBS).edges[0] == pytest.approx({1: 1.0})
 
 
@@ -196,22 +199,23 @@ def test_jump_chain_walks_a_deep_stutter_run_without_recursion(monkeypatch):
         [(0,)] * n + [(1,)],
         [{x + 1: 1.0} for x in range(n)] + [{}],
     )
-    # a solve of any group past one state would raise
-    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 1)
+    # a solve of any stutter cycle would raise
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 0)
     got = jump_chain(line, OBS)
     assert got.states == [(0,), (1,)]
     assert got.edges == [{1: 1.0}, {1: 1.0}]
 
 
-def test_jump_chain_dense_limit_counts_one_forward_closure(monkeypatch):
+def test_jump_chain_solves_no_undirected_stutter_group(monkeypatch):
     # 0, 1 and 2 form one undirected stutter group of three states that
-    # can all leave it, but 0 and 2 each reach only themselves and 1
+    # can all leave it, but 0 and 2 each reach only themselves and 1, so
+    # the reference solves the group and jump_chain solves no cycle
     c = mk(
         "dtmc",
         [(0,), (0,), (0,), (1,)],
         [{1: 0.5, 3: 0.5}, {3: 1.0}, {1: 0.5, 3: 0.5}, {2: 1.0}],
     )
-    monkeypatch.setattr(equivalence, "MAX_DENSE_GROUP", 2)
+    monkeypatch.setattr(equivalence, "MAX_SOLVE_WORK", 0)
     monkeypatch.setattr(jump_ref, "MAX_DENSE_GROUP", 2)
     with pytest.raises(StutterGroupTooLarge, match="group of 3 states"):
         jump_ref.jump_chain(c, OBS)
@@ -688,11 +692,11 @@ def stutter_component(n: int, moves, leave: float = 0.1) -> MarkovChain:
     return mk("dtmc", [(0,)] * n + [(1,), (2,)], edges + [{}, {}])
 
 
-RING, SIDE = 2900, 53
+RING, LONG_RING, SIDE = 2900, 6000, 53
 
 
-def ring_moves(x: int) -> list[int]:
-    return [(x + 1) % RING]
+def ring_moves(n: int):
+    return lambda x: [(x + 1) % n]
 
 
 def torus_moves(x: int) -> list[int]:
@@ -701,17 +705,18 @@ def torus_moves(x: int) -> list[int]:
             for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))]
 
 
-@pytest.mark.parametrize("n, moves", [(RING, ring_moves), (SIDE * SIDE, torus_moves)],
-                         ids=["ring", "torus"])
-def test_jump_chain_solves_a_cycle_near_the_dense_limit_quickly(n, moves):
-    assert n <= equivalence.MAX_DENSE_GROUP
+@pytest.mark.parametrize("n, ring", [(RING, True), (LONG_RING, True), (SIDE * SIDE, False)],
+                         ids=["ring", "long-ring", "torus"])
+def test_jump_chain_solves_a_sparse_cycle_quickly(n, ring):
+    # a cycle's member count is no limit: the ring adds one entry per
+    # elimination, the torus 100,488 entries in 3.9 million multiply-adds
     start = time.perf_counter()
-    got = jump_chain(stutter_component(n, moves), OBS)
+    got = jump_chain(stutter_component(n, ring_moves(n) if ring else torus_moves), OBS)
     assert time.perf_counter() - start < 5.0
     row = got.edges[0]
     assert sorted(got.states[t] for t in row) == [(1,), (2,)]
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
-    if moves is ring_moves:  # member 0 leaves at once, or after a full turn
+    if ring:  # member 0 leaves at once, or after a full turn
         assert row[got.states.index((1,))] == pytest.approx(0.1 / (1 - 0.9**n), abs=1e-12)
 
 
@@ -731,8 +736,7 @@ def cube_moves(x: int) -> list[int]:
 @pytest.mark.parametrize("n, moves", [(CUBE**3, cube_moves), (RING, RANDOM_MOVES.__getitem__)],
                          ids=["torus3", "random"])
 def test_jump_chain_stops_a_cycle_past_the_fill_in_limit_quickly(n, moves):
-    # inside the member bound, but eliminating either makes rows dense
-    assert n <= equivalence.MAX_DENSE_GROUP
+    # eliminating either makes rows dense
     chain = stutter_component(n, moves)
     start = time.perf_counter()
     with pytest.raises(StutterGroupTooLarge, match=f"group of {n} states .* fill-in limit") as exc:
@@ -749,6 +753,20 @@ def test_jump_chain_stops_a_densely_linked_cycle_past_the_work_limit_quickly():
     start = time.perf_counter()
     with pytest.raises(StutterGroupTooLarge, match=f"group of {n} states .* work limit of "
                        f"{equivalence.MAX_SOLVE_WORK} multiply-adds in its solve") as exc:
+        jump_chain(chain, OBS)
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.exit_code == 3
+
+
+def test_jump_chain_stops_a_cycle_with_many_exit_rows_past_the_work_limit_quickly():
+    # each member of a ring leaves to a state of its own, so every member's
+    # exit row names all n of them: back-substitution would write n * n
+    # entries, and its multiply-adds count before it starts
+    n = 4000
+    edges = [{(x + 1) % n: 0.9, n + x: 0.1} for x in range(n)] + [{}] * n
+    chain = mk("dtmc", [(0,)] * n + [(1,)] * n, edges)
+    start = time.perf_counter()
+    with pytest.raises(StutterGroupTooLarge, match=f"group of {n} states .* work limit") as exc:
         jump_chain(chain, OBS)
     assert time.perf_counter() - start < 5.0
     assert exc.value.exit_code == 3
