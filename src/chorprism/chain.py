@@ -14,15 +14,10 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from .errors import StateBudgetExceeded
+from .syntax import render_value
 
 #: the source chain's hidden program counter; not a name the parser accepts
 PC = "#pc"
-
-
-def render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
 
 
 def valuation_text(names: Iterable[str], values: Iterable) -> str:

@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
     return 0 if report["equivalent"] else 1
 
 
-def _add_common(p: argparse.ArgumentParser, *, init: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, explore: bool = False) -> None:
     p.add_argument("file", help="choreography source file")
     p.add_argument(
         "--model",
@@ -156,13 +156,9 @@ def _add_common(p: argparse.ArgumentParser, *, init: bool = False) -> None:
         action="store_true",
         help="proceed on programs outside the certified fragment",
     )
-    p.add_argument(
-        "--max-states",
-        type=int,
-        default=DEFAULT_MAX_STATES,
-        help="state budget for chain exploration",
-    )
-    if init:
+    if explore:
+        p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+                       help="state budget for chain exploration")
         p.add_argument("--init", help="initial-value overrides, e.g. x=0,y=true")
 
 
@@ -188,13 +184,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("chain", help="print a Markov chain")
-    _add_common(p, init=True)
+    _add_common(p, explore=True)
     p.add_argument("--side", choices=("chor", "prism"), default="chor")
     p.add_argument("--format", choices=("text", "dot"), default="text")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("verify", help="check projection correctness")
-    _add_common(p, init=True)
+    _add_common(p, explore=True)
     p.set_defaults(func=cmd_verify)
 
     # verify labels the program itself, and labels cannot change a verdict
@@ -208,7 +204,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
-    if args.max_states < 1:
+    if "max_states" in args and args.max_states < 1:
         ap.error(f"argument --max-states: expected at least 1 state, got {args.max_states}")
     try:
         return args.func(args)

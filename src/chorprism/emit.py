@@ -7,20 +7,27 @@ counter declaration, the role's own variables, and its commands. No
 each module with the ones before it on the labels they share, which is the
 composition :func:`chorprism.prism.derive_commands` gives the network.
 
-State expressions use PRISM's operators (``&``, ``|``, ``!``); integer
-division becomes ``floor(a/b)`` since PRISM's ``/`` is real division,
-whereas weight expressions keep ``/`` (weights divide exactly).
+Expressions are written by ``syntax.render``, the walk that also prints
+source text, with PRISM's spelling of the operators (``&``, ``|``, ``!``).
+In a state expression integer division becomes ``floor(a/b)``, since
+PRISM's ``/`` is real division, whereas weight expressions keep ``/``
+(weights divide exactly).
 """
 
 from __future__ import annotations
 
 from .prism import Network, PrismCommand
-from .syntax import FUNCTIONS, PREC, Assign, ChorProgram, Expr, Lit, Unary, Var, VarDecl
+from .syntax import FUNCTIONS, PREC, Assign, ChorProgram, Expr, VarDecl, render, render_value
 
 
-#: PRISM's spelling of the operators whose source spelling differs; PRISM
-#: binds its operators in the order of :data:`PREC`
-_OPS = {"or": "|", "and": "&", "not": "!", "neg": "-"}
+#: PRISM's spelling of each operator in a weight; PRISM binds its operators
+#: in the order of :data:`PREC`
+_WEIGHT = {
+    **{op: op for op in PREC}, "or": "|", "and": "&", "not": "!", "neg": "-",
+    **{f: f + "({},{})" for f in FUNCTIONS},
+}
+#: in a state expression, where ``/`` divides integers
+_STATE = {**_WEIGHT, "/": "floor({}/{})"}
 
 
 def _num(v) -> str:
@@ -31,32 +38,8 @@ def _num(v) -> str:
     return f"{v:.17g}"  # 17 significant digits round-trip every double
 
 
-def render_expr(e: Expr, *, weight: bool = False, parent_prec: int = 0) -> str:
-    if isinstance(e, Lit):
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        return _num(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        p = PREC[e.op]
-        s = _OPS[e.op] + render_expr(e.operand, weight=weight, parent_prec=p)
-        return f"({s})" if p < parent_prec else s
-    if e.op in FUNCTIONS:
-        left = render_expr(e.left, weight=weight)
-        right = render_expr(e.right, weight=weight)
-        return f"{e.op}({left},{right})"
-    if e.op == "/" and not weight:
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        return f"floor({left}/{right})"
-    op = _OPS.get(e.op, e.op)
-    p = PREC[e.op]
-    left_prec = p + 1 if p == PREC["="] else p  # comparisons do not chain
-    left = render_expr(e.left, weight=weight, parent_prec=left_prec)
-    right = render_expr(e.right, weight=weight, parent_prec=p + 1)
-    s = f"{left}{op}{right}"
-    return f"({s})" if p < parent_prec else s
+def render_expr(e: Expr, *, weight: bool = False) -> str:
+    return render(e, _WEIGHT if weight else _STATE, _num)
 
 
 def render_update(update: tuple[Assign, ...]) -> str:
@@ -74,9 +57,8 @@ def render_command(c: PrismCommand) -> str:
 
 
 def _render_decl(d: VarDecl) -> str:
-    if d.is_bool:
-        return f"{d.name} : bool init {'true' if d.init else 'false'};"
-    return f"{d.name} : [{d.lo}..{d.hi}] init {_num(d.init)};"
+    ty = "bool" if d.is_bool else f"[{d.lo}..{d.hi}]"
+    return f"{d.name} : {ty} init {render_value(d.init)};"
 
 
 def emit(net: Network, prog: ChorProgram) -> str:

@@ -41,6 +41,7 @@ from .syntax import ChorProgram
 # Most entries a stutter cycle's elimination may add (fill-in), which can
 # make rows dense, and most multiply-adds its solve may take, which also
 # bounds the entries of its exit rows; its member count is not bounded.
+# A walk adds up at most MAX_FILL_IN entries of solved rows beyond one a state.
 # On a 2-vCPU virtual machine a ring of 100,000 members solves in 1 s and
 # a 53x53 torus (100,488 entries, 3.9 million multiply-adds) in 0.6 s. A
 # 14x14x14 torus and a random cycle of 2,900 members with three moves each
@@ -142,9 +143,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     sinks first, so each component is solved once, from the rows of the
     components below it: a single state by adding up, a larger one by
     eliminating its members one at a time, raising StutterGroupTooLarge past
-    MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds. The mass a
-    state cannot take to an observation change (it diverges) sits on a
-    self-loop, a slot no genuine jump can occupy.
+    MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds, as does a
+    walk that adds up MAX_FILL_IN entries of solved rows, one per state it
+    visits aside. The mass a state cannot take to an observation change (it
+    diverges) sits on a self-loop, a slot no genuine jump can occupy.
     """
     obs = chain.observations(obs_names)
     edges = chain.edges
@@ -231,6 +233,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         num = {root: 0}  # Tarjan's visit order and low links
         low = [0]
         parts = []  # finished states of components not yet solved
+        added = 0  # entries added up from solved rows
         work = [(root, iter(edges[root]))]
         while work:
             y, it = work[-1]
@@ -260,6 +263,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                     if obs[z] != oy:
                         row[z] = row.get(z, 0.0) + w
                     elif z in out:
+                        added += len(out[z])
+                        if added > MAX_FILL_IN + len(low):  # a run of one exit is free
+                            raise StutterGroupTooLarge(len(low), MAX_FILL_IN,
+                                "the limit of {} entries added along its stutter moves")
                         for t, v in out[z].items():
                             row[t] = row.get(t, 0.0) + w * v
                     else:

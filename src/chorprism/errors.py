@@ -87,9 +87,9 @@ class StateBudgetExceeded(ChorError):
 
 
 class StutterGroupTooLarge(StateBudgetExceeded):
-    """Solving a stutter cycle of the jump chain would add more entries
-    (fill-in) or take more multiply-adds than it allows; ``bound`` names
-    the limit, with ``{}`` where its value goes."""
+    """Solving a stutter cycle of the jump chain, or adding up rows along
+    stutter moves, would add more entries or multiply-adds than it allows;
+    ``bound`` names the limit, with ``{}`` where its value goes."""
 
     def __init__(self, size: int, limit: int, bound: str):
         self.budget = limit

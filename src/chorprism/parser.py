@@ -38,7 +38,9 @@ Grammar sketch (comments are ``// …``)::
 ``syntax.PREC`` sets how tightly each operator of ``expr`` binds; binary
 operators group to the left and comparisons do not chain. Expressions use
 keywords ``and``/``or``/``not`` (the PRISM symbols would collide with the
-branch separator) and function-style ``mod``/``min``/``max``.
+branch separator) and function-style ``mod``/``min``/``max``. The
+pretty-printer writes them with ``syntax.render`` in the spelling
+``_SOURCE``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    render,
+    render_value,
 )
 
 # the kind of a keyword or punctuation is its text; any other word is "name"
@@ -568,37 +572,22 @@ def parse(text: str) -> SurfaceProgram:
 # ---------------------------------------------------------------------------
 
 def render_number(v) -> str:
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)
+    return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
 
 
-def expr_to_str(e: Expr, parent_prec: int = 0) -> str:
-    if isinstance(e, Lit):
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        return render_number(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        p = PREC[e.op]
-        inner = expr_to_str(e.operand, p)
-        s = f"not {inner}" if e.op == "not" else f"-{inner}"
-        return f"({s})" if p < parent_prec else s
-    if e.op in FUNCTIONS:
-        return f"{e.op}({expr_to_str(e.left)}, {expr_to_str(e.right)})"
-    p = PREC[e.op]
-    left_prec = p + 1 if p == PREC["="] else p  # comparisons do not chain
-    s = f"{expr_to_str(e.left, left_prec)} {e.op} {expr_to_str(e.right, p + 1)}"
-    return f"({s})" if p < parent_prec else s
+#: the source spelling of each operator, for :func:`chorprism.syntax.render`
+_SOURCE = {
+    **{op: f" {op} " for op in PREC}, "not": "not ", "neg": "-",
+    **{f: f + "({}, {})" for f in FUNCTIONS},
+}
+
+
+def expr_to_str(e: Expr) -> str:
+    return render(e, _SOURCE, render_number)
 
 
 def assign_to_str(a: Assign) -> str:
     return f"{a.var}'={expr_to_str(a.expr)}"
-
-
-def _update_to_str(update: tuple[Assign, ...]) -> str:
-    return "{" + ", ".join(map(assign_to_str, update)) + "}"
 
 
 def term_to_str(term: ChorTerm, indent: int = 1) -> str:
@@ -623,8 +612,9 @@ def term_to_str(term: ChorTerm, indent: int = 1) -> str:
     for j, b in enumerate(term.branches):
         lead = f"{pad}| " if j else f"{pad}  "
         lbl = f"[{b.label}] " if b.label else ""
+        update = ", ".join(map(assign_to_str, b.update))
         lines.append(
-            f"{lead}{lbl}rate {expr_to_str(b.weight)} : {_update_to_str(b.update)};"
+            f"{lead}{lbl}rate {expr_to_str(b.weight)} : {{{update}}};"
             f" {term_to_str(b.cont, indent + 1)}"
         )
     lines.append(pad[:-2] + "}")
@@ -639,8 +629,7 @@ def pretty_print(program: ChorProgram) -> str:
         out.append("role " + ", ".join(program.roles) + ";")
     for d in program.var_decls:
         ty = "bool" if d.is_bool else f"[{d.lo}..{d.hi}]"
-        init = ("true" if d.init else "false") if isinstance(d.init, bool) else str(d.init)
-        out.append(f"var {d.name} @ {d.owner} : {ty} init {init};")
+        out.append(f"var {d.name} @ {d.owner} : {ty} init {render_value(d.init)};")
     for name, body in program.defs.items():
         out.append(f"def {name} =\n  {term_to_str(body, 2)};")
     out.append(f"main {program.main};")

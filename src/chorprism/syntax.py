@@ -7,12 +7,15 @@ load-bearing. They are not frozen, which makes them cheap to build, so no
 code assigns a field after construction (``tests/test_nodes.py`` scans the
 package for that). A call node is deliberately distinct from the body it
 names — unfolding is an observable step.
+
+One printer, :func:`render`, writes expressions in source and PRISM text
+alike, with each notation's spelling of the operators given as data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 Value = Union[int, bool, float]
 
@@ -47,7 +50,7 @@ class Binary:
 Expr = Union[Lit, Var, Unary, Binary]
 
 #: binding strength of every operator, loosest first; ``not`` and ``neg``
-#: are the prefix ones. The parser and both printers read this one table.
+#: are the prefix ones. The parser and the printer read this one table.
 #: Comparisons share a level and do not chain.
 PREC = {
     "or": 1, "and": 2, "not": 3,
@@ -56,6 +59,32 @@ PREC = {
 }
 #: binary operators written in call syntax, ``mod(a, b)``
 FUNCTIONS = ("mod", "min", "max")
+
+
+def render_value(v: Value) -> str:
+    return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+
+def render(e: Expr, spell: dict[str, str], number: Callable[[Value], str],
+           parent: int = 0) -> str:
+    """``e`` in one notation, parenthesized as an operand of level ``parent``
+    of :data:`PREC`. ``spell`` writes each operator as an infix (``"&"``), a
+    prefix (``"not "``) or a call template (``"floor({}/{})"``)."""
+    cls = type(e)  # not isinstance: this walk is hot in emit
+    if cls is Var:
+        return e.name
+    if cls is Lit:
+        return number(e.value) if type(e.value) is not bool else render_value(e.value)
+    op, p = spell[e.op], PREC.get(e.op, 0)  # 0: a function's operands stand alone
+    if cls is Binary:
+        left = render(e.left, spell, number, p + 1 if p == PREC["="] else p)  # no chaining
+        right = render(e.right, spell, number, p + 1)
+        if "{" in op:
+            return op.format(left, right)
+        s = left + op + right
+    else:
+        s = op + render(e.operand, spell, number, p)
+    return f"({s})" if p < parent else s
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,15 @@ _DECL = re.compile(
 _BOOLDECL = re.compile(r"(?P<name>\w+) : bool init (?P<init>true|false);")
 
 
+def parse_expr(text: str):
+    """One expression that is the whole of ``text``."""
+    p = _Expr(_tokens(text))
+    e = p.parse()
+    if p.peek() is not None:
+        raise ValueError(f"expected the end, found {p.peek()!r}")
+    return e
+
+
 def reparse(text: str):
     """Parse emitted PRISM text back into (kind, constants, network)."""
     kind = None

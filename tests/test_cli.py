@@ -293,6 +293,15 @@ def test_max_states_below_one_is_a_usage_error(capsys, data_path, command, budge
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+@pytest.mark.parametrize("budget", ["1", "0"])
+def test_max_states_is_refused_where_no_chain_is_explored(capsys, data_path, command, budget):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-states", budget, data_path("example2.chor")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-states" in capsys.readouterr().err
+
+
 def test_max_states_takes_what_int_takes(capsys, data_path):
     # only a budget below 1 is refused; other spellings int() reads still parse
     for budget in ("+100", "1_000", " 100"):

@@ -3,6 +3,8 @@ preservation through an independent re-parse."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chorprism import (
@@ -15,9 +17,9 @@ from chorprism import (
 )
 from chorprism.emit import render_command, render_expr, render_update
 from chorprism.prism import PrismCommand
-from chorprism.syntax import Assign, Binary, Lit, Unary, Var
+from chorprism.syntax import FUNCTIONS, PREC, Assign, Binary, Lit, Unary, Var
 
-from reparse import reparse
+from reparse import parse_expr, reparse
 
 
 def cmd(label, guard, *alts):
@@ -85,6 +87,35 @@ def test_integer_division_floors_in_state_expressions_only():
     e = Binary("/", Var("x"), Lit(2))
     assert render_expr(e) == "floor(x/2)"
     assert render_expr(e, weight=True) == "x/2"
+    # floor's operands keep the parentheses they need as operands of /
+    x, y = Var("x"), Var("y")
+    e = Binary("/", Binary("+", x, Lit(1)), Binary("*", y, Lit(2)))
+    assert render_expr(e) == "floor((x+1)/(y*2))"
+    assert render_expr(e, weight=True) == "(x+1)/(y*2)"
+    assert render_expr(Binary("/", Binary("/", x, y), Lit(2))) == "floor(floor(x/y)/2)"
+
+
+def random_prism_expr(rng: random.Random, depth: int):
+    """A random expression tree over ``x`` and ``y`` and every operator;
+    literals are ones the PRISM text reads back as they are."""
+    pick = rng.random()
+    if depth == 0 or pick < 0.2:
+        return rng.choice([Lit(0), Lit(7), Lit(0.5), Lit(0.1), Lit(1e-05), Lit(True), Lit(False),
+                           Var("x"), Var("y")])
+    if pick < 0.35:
+        return Unary(rng.choice(["not", "neg"]), random_prism_expr(rng, depth - 1))
+    op = rng.choice([*(op for op in PREC if op not in ("not", "neg")), *FUNCTIONS])
+    return Binary(op, random_prism_expr(rng, depth - 1), random_prism_expr(rng, depth - 1))
+
+
+@pytest.mark.parametrize("weight", [False, True], ids=["state", "weight"])
+@pytest.mark.parametrize("seed", range(5))
+def test_prism_expressions_parse_back_to_the_same_tree(seed, weight):
+    rng = random.Random(seed)
+    for _ in range(200):
+        e = random_prism_expr(rng, 5)
+        text = render_expr(e, weight=weight)
+        assert parse_expr(text) == e, text
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +199,17 @@ def test_comparison_of_a_comparison_reparses_to_the_same_chain():
     ))
     net, _ = project(prog, require_sconn=False)
     assert "(x=y)=b)" in emit(net, prog)
+    assert_reparses_to_the_same_chain(prog, net)
+
+
+def test_floor_division_of_a_sum_reparses_to_the_same_chain():
+    prog = auto_annotate(load_program(
+        "ctmc;\nrole p, q;\nvar x @ p : [0..3] init 0;\n"
+        "def M = p -> q : { rate 1 : {x'=mod(x+1, 4)}; if (x+1)/2 = 1 @ p then { M } else { end } };\n"
+        "main M;\n"
+    ))
+    net, _ = project(prog, require_sconn=False)
+    assert "floor((x+1)/2)=1" in emit(net, prog)
     assert_reparses_to_the_same_chain(prog, net)
 
 

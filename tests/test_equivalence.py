@@ -770,3 +770,22 @@ def test_jump_chain_stops_a_cycle_with_many_exit_rows_past_the_work_limit_quickl
         jump_chain(chain, OBS)
     assert time.perf_counter() - start < 5.0
     assert exc.value.exit_code == 3
+
+
+def stutter_path(n: int) -> MarkovChain:
+    """n stutter states in a row, each also leaving to a state of its own."""
+    edges = [{x + 1: 0.9, n + x: 0.1} for x in range(n - 1)] + [{2 * n - 1: 1.0}]
+    return mk("dtmc", [(0,)] * n + [(1,)] * n, edges + [{}] * n)
+
+
+def test_jump_chain_stops_a_stutter_path_with_many_exit_rows_quickly():
+    # no state of the path is in a cycle, so nothing is solved, but each
+    # state's exit row adds up its successor's: n * n / 2 entries in all
+    start = time.perf_counter()
+    with pytest.raises(StutterGroupTooLarge, match=f"group of .* states .* limit of "
+                       f"{equivalence.MAX_FILL_IN} entries added along its stutter moves") as exc:
+        jump_chain(stutter_path(4000), OBS)
+    assert time.perf_counter() - start < 5.0
+    assert exc.value.exit_code == 3
+    row = jump_chain(stutter_path(600), OBS).edges[0]
+    assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
