@@ -244,6 +244,33 @@ def test_guard_must_be_boolean():
     assert any("expected bool" in f for f in findings)
 
 
+WF_HEADER = "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\nvar b @ p : bool init false;\n"
+
+
+@pytest.mark.parametrize("body, finding", [
+    pytest.param("var x @ q : [0..2] init 0;\ndef M = end;\nmain M;",
+                 "duplicate declaration of x", id="duplicate-declaration"),
+    pytest.param("def M = end;\nmain N;", "main references undefined N", id="main-undefined"),
+    pytest.param("def M = p -> q : { rate 1/0 : {}; end };\nmain M;",
+                 "M/branch1: weight does not evaluate (division by zero)", id="weight-fails"),
+    pytest.param("def M = p -> q : { rate -1 : {}; end };\nmain M;",
+                 "M/branch1: negative weight -1.0", id="negative-weight"),
+    pytest.param("def M = p -> q : { rate 1 : {z'=1}; end };\nmain M;",
+                 "M/branch1: update assigns undeclared z", id="undeclared-variable"),
+    pytest.param("def M = p -> q, q : { rate 1 : {}; end };\nmain M;",
+                 "M: duplicate receiver", id="duplicate-receiver"),
+    pytest.param("def M = p -> r : { rate 1 : {}; end };\nmain M;",
+                 "M: undeclared role r", id="undeclared-role"),
+    pytest.param("def M = if x = 0 @ r then { end } else { end };\nmain M;",
+                 "M: conditional at undeclared role r", id="undeclared-decider"),
+    pytest.param("def M = p -> q : { rate 1 : {}; if -b = 0 @ p then { end } else { M } };"
+                 "\nmain M;",
+                 "M/branch1: unary minus applied to bool operand", id="type-error"),
+])
+def test_each_finding_names_its_location(body, finding):
+    assert check_well_formed(load_program(WF_HEADER + body)) == [finding]
+
+
 READ_AFTER_WRITE = """
 ctmc;
 role p, q;

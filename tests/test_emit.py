@@ -213,6 +213,31 @@ def test_floor_division_of_a_sum_reparses_to_the_same_chain():
     assert_reparses_to_the_same_chain(prog, net)
 
 
+def test_fused_decider_keeps_its_guards_and_reparses_to_the_same_chain():
+    # p decides and recurses: fusion renumbers its slots, so each guarded
+    # decision command is rebuilt around the new counter test. (q cannot
+    # follow the else arm, a projection fault of its own, so only p is pinned.)
+    prog = auto_annotate(load_program(
+        "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\n"
+        "def C = if x = 0 @ p then { p -> q : { rate 2 : {x'=1}; C } }\n"
+        "        else { p -> q : { rate 3 : {x'=0}; C } };\nmain C;\n"
+    ))
+    net, _ = project(prog)
+    net = fuse_resets(net)
+    text = emit(net, prog)
+    assert text[text.index("module p"):text.index("module q")] == (
+        "module p\n"
+        "  p_STATE : [0..2] init 0;\n"
+        "  x : [0..1] init 0;\n"
+        "  [] (p_STATE=0&x=0) -> 1 : (p_STATE'=1);\n"
+        "  [] (p_STATE=0&!x=0) -> 1 : (p_STATE'=2);\n"
+        "  [A1_1] (p_STATE=1) -> 2 : (x'=1)&(p_STATE'=0);\n"
+        "  [A2_1] (p_STATE=2) -> 3 : (x'=0)&(p_STATE'=0);\n"
+        "endmodule\n\n"
+    )
+    assert_reparses_to_the_same_chain(prog, net)
+
+
 def assert_reparses_to_the_same_chain(prog, net):
     kind, constants, net2 = reparse(emit(net, prog))
 

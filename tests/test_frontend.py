@@ -13,9 +13,12 @@ import pytest
 from chorprism import (
     ParseError,
     auto_annotate,
+    emit,
+    fuse_resets,
     load_program,
     parse,
     pretty_print,
+    project,
 )
 from chorprism.analysis import expr_vars
 from chorprism.errors import ChorError, IndexOutOfFamily, NonStaticIndex, WellFormednessError
@@ -211,6 +214,37 @@ def test_declaration_errors_point_at_the_declared_name(src, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("role p;\ndef M = end;\nmain M;", "1:1: expected 'ctmc' or 'dtmc', found 'role'"),
+        ("ctmc;\nrole p;\nmain M;\nfoo M;",
+         "4:1: expected a declaration (const/role/var/def/main), found 'foo'"),
+        ("ctmc;\nrole p;\ndef M = end;\n", "4:1: missing 'main' declaration"),
+        ("ctmc;\nrole p;\nvar x @ p : [0..N] init 0;\ndef M = end;\nmain M;",
+         "3:17: unknown constant N in range"),
+        ("ctmc;\nrole p;\nvar x @ p : [0..1.5] init 0;\ndef M = end;\nmain M;",
+         "3:17: range endpoint 1.5 is not an integer"),
+        ("ctmc;\nrole c[1..2];\ndef M = c[1];\nmain M;",
+         "3:13: expected '->' after indexed role, found ';'"),
+        ("ctmc;\nrole p;\ndef M = ;\nmain M;", "3:9: expected a term, found ';'"),
+        ("ctmc;\nrole p, q;\nvar f[1..2] @ q[i] : [0..1] init 0;\n"
+         "def M = p -> q : { rate 1 : {foreach (j + 1) f[j]'=0}; end };\nmain M;",
+         "4:41: expected a comparison operator, found '+'"),
+        ("ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\n"
+         "def M = allsynch { p : x=0 -> rate 1 : {foreach (j = 1) x'=1} | q : true -> rate 1 : {} };"
+         " end;\nmain M;",
+         "4:63: foreach is not allowed inside allsynch"),
+    ],
+    ids=["kind", "declaration", "main", "range-constant", "range-integer", "indexed-call",
+         "term", "foreach-comparison", "foreach-in-allsynch"],
+)
+def test_structure_errors_point_at_the_offending_token(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == message
+
+
 def test_comments_and_whitespace_are_ignored(data_text):
     stripped = "\n".join(
         line for line in data_text("example2.chor").splitlines()
@@ -363,6 +397,18 @@ def test_pretty_print_round_trips(name, data_text):
     assert load_program(pretty_print(prog)) == prog
     annotated = auto_annotate(prog)
     assert load_program(pretty_print(annotated)) == annotated
+
+
+def test_bool_initialised_true_round_trips_and_compiles():
+    src = ("ctmc;\nrole p, q;\nvar b @ p : bool init true;\n"
+           "def M = p -> q : { rate 1 : {b'=not b}; M };\nmain M;\n")
+    prog = load_program(src)
+    assert prog.var("b").init is True
+    assert "var b @ p : bool init true;" in pretty_print(prog)
+    assert load_program(pretty_print(prog)) == prog
+    annotated = auto_annotate(prog)
+    net, _ = project(annotated)
+    assert "  b : bool init true;\n" in emit(fuse_resets(net), annotated)
 
 
 # ---------------------------------------------------------------------------
