@@ -2,6 +2,9 @@
 
 Covers the size measure used by the counter allocator, head-role and
 strong-connectedness checks, annotation checking, and well-formedness.
+Each check is one loop over a program's statements: strong connectedness
+is a rule local to each one, and the located checks read :func:`sites`, so
+a statement's own findings come before its continuations'.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .syntax import (
     Lit,
     Unary,
     Var,
+    subterms,
 )
 
 
@@ -78,52 +82,36 @@ def s_conn(program: ChorProgram) -> bool:
     """Strong connectedness: in every branch of a choice, the continuation's
     first action (if any) shares a role with the choice itself.
 
-    Definitions are checked coinductively: a definition currently being
-    checked is assumed connected when called again.
+    The rule is local, so each statement is checked once: definitions in
+    order, each in preorder. The first statement that fails, or whose
+    continuation has no first action (:class:`UnguardedRecursion`), decides.
     """
-    status: dict[str, bool] = {}
-
-    def conn_def(name: str) -> bool:
-        if name in status:
-            return status[name]
-        status[name] = True  # assumption for recursive calls
-        status[name] = conn(program.defs[name])
-        return status[name]
-
-    def conn(term: ChorTerm) -> bool:
-        if isinstance(term, Interaction):
-            parts = frozenset(term.participants)
-            for b in term.branches:
-                if not conn(b.cont):
-                    return False
-                hm = h_mods(b.cont, program.defs)
-                if hm and not (hm & parts):
-                    return False
-            return True
-        if isinstance(term, Conditional):
-            for sub in (term.then_term, term.else_term):
-                if not conn(sub):
-                    return False
-                if term.role not in h_mods(sub, program.defs):
-                    return False
-            return True
-        if isinstance(term, CallTerm):
-            return conn_def(term.name)
-        return True  # Inact
-
-    return all(conn_def(name) for name in program.defs)
+    defs = program.defs
+    for body in defs.values():
+        for term in subterms(body):
+            if isinstance(term, Interaction):
+                for b in term.branches:
+                    hm = h_mods(b.cont, defs)
+                    if hm and hm.isdisjoint(term.participants):
+                        return False
+            elif isinstance(term, Conditional):
+                for sub in (term.then_term, term.else_term):
+                    if term.role not in h_mods(sub, defs):
+                        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# annotations
+# located statements and annotations
 # ---------------------------------------------------------------------------
 
-def interaction_sites(program: ChorProgram):
-    """Yield (interaction, location string) over all definitions, preorder."""
+def sites(program: ChorProgram) -> Iterator[tuple[ChorTerm, str]]:
+    """Yield (statement, location) over all definitions, preorder: each
+    statement before its continuations, located as ``name/branchJ/then``."""
 
     def walk(term: ChorTerm, where: str):
+        yield term, where
         if isinstance(term, Interaction):
-            yield term, where
             for j, b in enumerate(term.branches, 1):
                 yield from walk(b.cont, f"{where}/branch{j}")
         elif isinstance(term, Conditional):
@@ -138,7 +126,9 @@ def check_annotations(program: ChorProgram) -> list[str]:
     """Return findings: unannotated interactions and duplicated annotations."""
     findings = []
     seen: dict[str, str] = {}
-    for inter, where in interaction_sites(program):
+    for inter, where in sites(program):
+        if not isinstance(inter, Interaction):
+            continue
         if inter.annotation is None:
             findings.append(f"missing annotation on interaction at {where}")
         elif inter.annotation in seen:
@@ -283,7 +273,7 @@ def check_well_formed(program: ChorProgram) -> list[str]:
                         f"{owners[v]} writes in the same update"
                     )
 
-    def walk(term: ChorTerm, where: str):
+    for term, where in sites(program):
         if isinstance(term, Interaction):
             if len(set(term.receivers)) != len(term.receivers):
                 findings.append(f"{where}: duplicate receiver")
@@ -291,36 +281,22 @@ def check_well_formed(program: ChorProgram) -> list[str]:
                 if r not in roles:
                     findings.append(f"{where}: undeclared role {r}")
             if term.initiator in term.receivers:
-                findings.append(
-                    f"{where}: initiator {term.initiator} is also a receiver"
-                )
-            total = 0.0
-            evaluable = True
+                findings.append(f"{where}: initiator {term.initiator} is also a receiver")
+            total: float | None = 0.0  # None once a weight does not evaluate
             for j, b in enumerate(term.branches, 1):
                 bw = f"{where}/branch{j}"
                 w = check_weight(b.weight, bw)
-                if w is None:
-                    evaluable = False
-                else:
-                    total += w
+                total = None if w is None or total is None else total + w
                 check_update(b.update, term.participants, bw)
-                walk(b.cont, bw)
-            if program.kind == "dtmc" and evaluable and abs(total - 1.0) > TOL:
-                findings.append(
-                    f"{where}: branch probabilities sum to {total}, expected 1"
-                )
+            if program.kind == "dtmc" and total is not None and abs(total - 1.0) > TOL:
+                findings.append(f"{where}: branch probabilities sum to {total}, expected 1")
         elif isinstance(term, Conditional):
             if term.role not in roles:
                 findings.append(f"{where}: conditional at undeclared role {term.role}")
             check_expr(term.guard, where, "bool")
-            walk(term.then_term, f"{where}/then")
-            walk(term.else_term, f"{where}/else")
         elif isinstance(term, CallTerm):
             if term.name not in program.defs:
                 findings.append(f"{where}: call to undefined {term.name}")
-
-    for name, body in program.defs.items():
-        walk(body, name)
     return findings
 
 

@@ -203,7 +203,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        # an unknown option takes no value: one before the file has its value read as the file
+        words = sys.argv[1:] if argv is None else argv
+        if extra[0].startswith("-") and words.index(extra[0]) < words.index(args.file):
+            extra = [w for w in extra if w.startswith("-")]
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     if "max_states" in args and args.max_states < 1:
         ap.error(f"argument --max-states: expected at least 1 state, got {args.max_states}")
     try:

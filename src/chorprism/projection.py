@@ -216,30 +216,26 @@ def _fuse_module(m: PrismModule) -> PrismModule:
                 case ((Lit(1), (Assign(x, Lit(t)),)),) if x == counter:
                     hops[v] = t
 
-    # follow each chain of hops once; the members of a pure counter cycle
-    # stay, and a chain that runs into one ends at its entry
-    final: dict[int, int] = {}
-    for v in hops:
-        path: dict[int, None] = {}
-        while v in hops and v not in final and v not in path:
-            path[v] = None
+    # a chain of hops ends at a slot that is no hop or at the first slot it
+    # meets again, so a pure counter cycle stays and a chain that runs into
+    # one ends at its entry; final maps each slot that goes to its end
+    def end(v: int) -> int:
+        seen = set()
+        while v in hops and v not in seen:
+            seen.add(v)
             v = hops[v]
-        if v in path:
-            walked = list(path)
-            final.update((x, x) for x in walked[walked.index(v) :])
-        end = final.get(v, v)
-        for x in path:
-            final.setdefault(x, end)
-    removed = {v for v, t in final.items() if t != v}
-    if not removed:
+        return v
+
+    final = {v: t for v in hops if (t := end(v)) != v}
+    if not final:
         return m
 
     def dest(v: int) -> int:
         return final.get(v, v)
 
-    kept = [(c, v, split) for c, v, split in zip(m.commands, guard_vals, splits)
-            if v not in removed]
-    used = {dest(counter_decl.init)}
+    kept = [k for k in zip(m.commands, guard_vals, splits) if k[1] not in final]
+    init = dest(counter_decl.init)
+    used = {init}
     for c, v, _ in kept:
         used.add(v)
         used.update(dest(a.expr.value) for _, upd in c.alts for a in upd if a.var == counter)
@@ -255,8 +251,7 @@ def _fuse_module(m: PrismModule) -> PrismModule:
             guard = Binary("and", guard, r)
         return PrismCommand(c.label, guard, tuple((w, tuple(map(move, upd))) for w, upd in c.alts))
 
-    init = remap[dest(counter_decl.init)]
-    decls = (VarDecl(counter, counter_decl.owner, init, 0, len(remap) - 1, False),)
+    decls = (VarDecl(counter, counter_decl.owner, remap[init], 0, len(remap) - 1, False),)
     return PrismModule(m.name, decls + m.var_decls[1:], tuple(remap_cmd(*k) for k in kept))
 
 

@@ -126,6 +126,25 @@ def test_sconn_surfaces_unguarded_recursion():
         s_conn(load_program(src))
 
 
+def test_sconn_reports_the_first_failing_statement_in_definition_order():
+    # N is not strongly connected and A, B recurse unguarded. M comes first
+    # and reaching A from its second branch raises, before N is checked; a
+    # check that followed M's calls would find N first and say False
+    src = """
+    ctmc;
+    role p, q, r, s;
+    def M = p -> q : { rate 1 : {}; N | rate 1 : {}; A };
+    def N = p -> q : { rate 1 : {}; r -> s : { rate 1 : {}; M } };
+    def A = B;
+    def B = A;
+    main M;
+    """
+    with pytest.raises(UnguardedRecursion, match="definition A recurses"):
+        s_conn(load_program(src))
+    # without the unguarded pair the verdict is N's
+    assert s_conn(load_program(src.replace("A };", "M };"))) is False
+
+
 # ---------------------------------------------------------------------------
 # annotations
 # ---------------------------------------------------------------------------
@@ -269,6 +288,19 @@ WF_HEADER = "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\nvar b @ p : bool ini
 ])
 def test_each_finding_names_its_location(body, finding):
     assert check_well_formed(load_program(WF_HEADER + body)) == [finding]
+
+
+def test_a_statements_findings_come_before_its_continuations():
+    src = """
+    ctmc;
+    role p, q;
+    def M = p -> q : { rate 0.5 : {}; q -> p : { rate 1 : {}; X } | rate 0.5 : {z'=1}; end };
+    main M;
+    """
+    assert check_well_formed(load_program(src)) == [
+        "M/branch2: update assigns undeclared z",
+        "M/branch1/branch1: call to undefined X",
+    ]
 
 
 READ_AFTER_WRITE = """

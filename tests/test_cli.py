@@ -302,6 +302,25 @@ def test_max_states_is_refused_where_no_chain_is_explored(capsys, data_path, com
     assert "unrecognized arguments: --max-states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_refused_option_before_the_file_is_named_alone(capsys, data_path, command):
+    # the unknown option takes no value, so argparse reads 5 as the file;
+    # the error names the option and not the real file it pushed out
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-states", "5", data_path("example2.chor")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: --max-states\n")
+    assert "example2.chor" not in err
+
+
+def test_a_second_file_is_still_unrecognized(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "a.chor", "b.chor"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: b.chor\n")
+
+
 def test_max_states_takes_what_int_takes(capsys, data_path):
     # only a budget below 1 is refused; other spellings int() reads still parse
     for budget in ("+100", "1_000", " 100"):
