@@ -233,7 +233,8 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     def dest(v: int) -> int:
         return final.get(v, v)
 
-    kept = [k for k in zip(m.commands, guard_vals, splits) if k[1] not in final]
+    kept = [(c, v, split) for c, v, split in zip(m.commands, guard_vals, splits)
+            if v not in final]
     init = dest(counter_decl.init)
     used = {init}
     for c, v, _ in kept:
