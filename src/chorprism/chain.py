@@ -57,11 +57,13 @@ class MarkovChain:
         return tuple(row[p] for p in pos)
 
     def observations(self, names: tuple[str, ...]) -> list[tuple]:
-        """:meth:`observation` of every state, in state order."""
+        """:meth:`observation` of every state, in state order; equal
+        observations are one tuple object."""
         if not names:
             return [()] * len(self.states)
         columns = (map(itemgetter(self.var_names.index(n)), self.states) for n in names)
-        return list(zip(*columns))
+        shared: dict[tuple, tuple] = {}
+        return [shared.setdefault(o, o) for o in zip(*columns)]
 
     def to_text(self) -> str:
         lines = [f"# {self.kind} {self.num_states} states {self.num_transitions} transitions"]
@@ -96,10 +98,11 @@ def explore(
     """Breadth-first exploration from ``init``.
 
     ``successors(key)`` yields ``(key, weight)`` moves; states are numbered
-    in the order they are first reached, and weights of moves into the same
-    state add up in the order they are yielded. Returns the state keys and
-    the per-state successor weight maps. Raises StateBudgetExceeded as soon
-    as more than ``max_states`` states would be needed.
+    in the order they are first reached. A row stores the first weight of a
+    move into a state as yielded, the same object, and adds later ones to it
+    in the order they are yielded. Returns the state keys and the per-state
+    successor weight maps. Raises StateBudgetExceeded as soon as more than
+    ``max_states`` states would be needed.
     """
     if max_states < 1:
         raise StateBudgetExceeded(max_states)
@@ -117,6 +120,6 @@ def explore(
                 count += 1
                 keys.append(k)
                 edges.append({})
-            row[dst] = row.get(dst, 0.0) + w
+            row[dst] = row[dst] + w if dst in row else w
     return keys, edges
 

@@ -57,12 +57,16 @@ MAX_SOLVE_WORK = 5_000_000
 # ---------------------------------------------------------------------------
 
 def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
-    """Contract administrative moves (weight 1, observation unchanged).
+    """Contract administrative moves (weight 1, observation unchanged), in
+    one pass over the chain's own edges.
 
     A state is contracted only when every outgoing edge is administrative
     and all successors normalize to a single common state; diamonds of
     interleaved administrative moves therefore fold into their join, while
-    genuine branching (or administrative cycles) is kept. Idempotent.
+    genuine branching (or administrative cycles) is kept. The pass is not
+    idempotent and must stay one pass: moves into states with one normal
+    form merge into one edge, and a second pass would read two merged
+    moves of weight 0.5 as one weight-1 bookkeeping move (README caveat 3).
     """
     obs = chain.observations(obs_names)
 
@@ -100,7 +104,8 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         nf[x] = x
 
     # number the normal forms breadth-first from the initial state's, each
-    # edge into its target's normal form, weights adding up in edge order
+    # edge into its target's normal form, a first weight stored as it is
+    # and later ones added in edge order
     start = nf[chain.init]
     ids: list[int | None] = [None] * len(nf)
     ids[start] = 0
@@ -114,7 +119,7 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             if dst is None:
                 dst = ids[r] = len(order)
                 order.append(r)
-            row[dst] = row.get(dst, 0.0) + w
+            row[dst] = row[dst] + w if dst in row else w
         edges.append(row)
     return MarkovChain(
         chain.kind,
@@ -146,11 +151,14 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds, as does a
     walk that adds up MAX_FILL_IN entries of solved rows, one per state it
     visits aside. The mass a state cannot take to an observation change (it
-    diverges) sits on a self-loop, a slot no genuine jump can occupy.
+    diverges) sits on a self-loop, a slot no genuine jump can occupy. A
+    state whose one move is a weight-1 stutter move to a state with a row
+    shares that row, since no row changes once it is stored.
     """
     obs = chain.observations(obs_names)
     edges = chain.edges
-    out: dict[int, dict[int, float]] = {}  # exit rows, before the 1e-12 cut
+    # per state its exit row, before the 1e-12 cut, or None while it has none
+    out: list[dict[int, float] | None] = [None] * len(edges)
 
     def solve(parts: list[tuple[int, dict[int, float], list[tuple[int, float]]]]) -> None:
         """Exit rows of one component of several states, given per member
@@ -225,7 +233,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                 for j, w in stays[k].items():
                     for t, v in rows[j].items():
                         row[t] = row.get(t, 0.0) + w * v
-        out.update(zip(comp, rows))
+        for y, row in zip(comp, rows):
+            out[y] = row
 
     def walk(root: int) -> None:
         """Give ``root``, and every state it reaches by stutter moves that
@@ -240,7 +249,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             oy = obs[y]
             i = num[y]
             for z in it:
-                if z in out or obs[z] != oy:
+                if out[z] is not None or obs[z] != oy:
                     continue
                 k = num.get(z)
                 if k is None:  # descend
@@ -259,16 +268,21 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                 # every stutter successor now has a row or shares y's component
                 row: dict[int, float] = {}
                 stay = []
-                for z, w in edges[y].items():
+                succ = edges[y]
+                for z, w in succ.items():
+                    solved = out[z]
                     if obs[z] != oy:
-                        row[z] = row.get(z, 0.0) + w
-                    elif z in out:
-                        added += len(out[z])
+                        row[z] = row[z] + w if z in row else w
+                    elif solved is not None:
+                        added += len(solved)
                         if added > MAX_FILL_IN + len(low):  # a run of one exit is free
                             raise StutterGroupTooLarge(len(low), MAX_FILL_IN,
                                 "the limit of {} entries added along its stutter moves")
-                        for t, v in out[z].items():
-                            row[t] = row.get(t, 0.0) + w * v
+                        if w == 1.0 and len(succ) == 1:  # 0.0 + 1.0 * v is v
+                            row = solved
+                        else:
+                            for t, v in solved.items():
+                                row[t] = row.get(t, 0.0) + w * v
                     else:
                         stay.append((z, w))
                 if low[i] != i:
@@ -286,7 +300,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                     del parts[at:]
 
     def successors(x: int):
-        if x not in out:
+        if out[x] is None:
             walk(x)
         row: dict[int, float] = {}
         total = 0.0
@@ -463,21 +477,22 @@ def verify_projection(
             "the result below is informational, not covered by the projection theorem"
         )
     net, _ctx = project(prog, require_sconn=False)
-    chor_raw = build_chain(prog, max_states=max_states, init_overrides=init_overrides)
-    net_raw = build_network_chain(
-        net, prog.kind, prog.constants, max_states=max_states, init_overrides=init_overrides
-    )
-    findings.extend(chor_raw.findings)
-    findings.extend(net_raw.findings)
     obs_names = tuple(d.name for d in prog.var_decls)
-    c1 = collapse(chor_raw, obs_names)
-    c2 = collapse(net_raw, obs_names)
-    states = {
-        "chor_raw": chor_raw.num_states,
-        "chor_collapsed": c1.num_states,
-        "net_raw": net_raw.num_states,
-        "net_collapsed": c2.num_states,
-    }
+    states: dict[str, int] = {}
+
+    def collapsed(side: str, raw: MarkovChain) -> MarkovChain:
+        """``raw`` collapsed, its findings and counts kept; the raw chain
+        itself is dropped on return, before the next stage builds more."""
+        findings.extend(raw.findings)
+        chain = collapse(raw, obs_names)
+        states[f"{side}_raw"] = raw.num_states
+        states[f"{side}_collapsed"] = chain.num_states
+        return chain
+
+    c1 = collapsed("chor", build_chain(prog, max_states=max_states, init_overrides=init_overrides))
+    c2 = collapsed("net", build_network_chain(
+        net, prog.kind, prog.constants, max_states=max_states, init_overrides=init_overrides
+    ))
     if prog.kind == "dtmc":
         c1 = jump_chain(c1, obs_names)
         c2 = jump_chain(c2, obs_names)

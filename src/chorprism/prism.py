@@ -408,7 +408,7 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                     if w == 0.0:
                         continue
                     nxt = alt[2](row)
-                    acc[nxt] = acc.get(nxt, 0.0) + w
+                    acc[nxt] = acc[nxt] + w if nxt in acc else w
         except (EvalError, RangeViolation) as e:
             e.args = (f"{e} at state {valuation_text(var_names, row)}",)
             raise

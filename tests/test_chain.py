@@ -42,6 +42,14 @@ def test_moves_into_one_state_add_up_in_the_order_they_are_yielded():
     assert edges[0] == {0: 0.75, 1: 0.25}
 
 
+def test_a_row_holds_the_weight_object_its_move_yielded():
+    # fresh float objects, so that identity shows a row stored them as they are
+    w, v = float("0.3"), float("0.7")
+    keys, edges = explore(0, lambda k: [(1, w), (2, v), (1, v)] if k == 0 else [], 3)
+    assert edges[0][1] == w + v
+    assert edges[0][2] is v
+
+
 def chain(states):
     return MarkovChain("ctmc", ("x", "y", "z"), states, 0, [{} for _ in states])
 
@@ -59,3 +67,11 @@ def test_observations_with_no_names_one_name_and_reversed_names():
     assert chain([]).observations(("x",)) == [] and chain([]).observations(()) == []
     with pytest.raises(ValueError):
         c.observations(("nope",))
+
+
+def test_equal_observations_are_one_object():
+    c = chain([(0, 1, True), (2, 3, False), (0, 1, False), (0, 1, True)])
+    obs = c.observations(("x", "y"))
+    assert obs == [(0, 1), (2, 3), (0, 1), (0, 1)]
+    assert obs[0] is obs[2] is obs[3]
+    assert obs[1] is not obs[0]

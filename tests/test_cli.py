@@ -420,28 +420,28 @@ def test_out_of_memory_is_one_error_line(capsys, data_path, monkeypatch):
     assert run(capsys, "verify", data_path("example2.chor")) == (3, "", "error: out of memory\n")
 
 
-# a grid of 56 x 56 valuations: about 90,000 network states, inside the
-# default state budget but well past 64 MB of address space
-GRID_55 = """dtmc;
+# a grid of 70 x 70 valuations: 142,100 network states, inside a budget of
+# 150,000 but well past 64 MB of address space (its verify needs 96 to 128 MB)
+GRID_69 = """dtmc;
 role p, q, r;
-var x @ q : [0..55] init 0;
-var y @ r : [0..55] init 0;
-def G = p -> q, r : { rate 0.25 : {x'=mod(x+1, 56)}; G | rate 0.75 : {y'=mod(y+1, 56)}; G };
+var x @ q : [0..69] init 0;
+var y @ r : [0..69] init 0;
+def G = p -> q, r : { rate 0.25 : {x'=mod(x+1, 70)}; G | rate 0.75 : {y'=mod(y+1, 70)}; G };
 main G;
 """
 
 
 def test_verify_out_of_memory_exits_3(tmp_path):
     resource = pytest.importorskip("resource")
-    path = tmp_path / "grid55.chor"
-    path.write_text(GRID_55, encoding="utf-8")
+    path = tmp_path / "grid69.chor"
+    path.write_text(GRID_69, encoding="utf-8")
     limit = 64 << 20
 
     def cap_address_space():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "chorprism", "verify", str(path)],
+        [sys.executable, "-m", "chorprism", "verify", "--max-states", "150000", str(path)],
         capture_output=True, text=True, preexec_fn=cap_address_space,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")

@@ -8,6 +8,8 @@ import math
 import pathlib
 import random
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -112,6 +114,18 @@ def test_collapse_idempotent_on_random_chains():
         assert twice.states == once.states
         assert twice.edges == once.edges
         assert twice.init == once.init
+
+
+def test_collapse_is_one_pass():
+    # 1 and 2 contract into 3, so 0's two 0.5 moves merge into one weight-1
+    # edge, which only a second pass reads as bookkeeping
+    c = mk("dtmc", [(0,)] * 4, [{1: 0.5, 2: 0.5}, {3: 1.0}, {3: 1.0}, {}])
+    once = collapse(c, OBS)
+    assert once.states == [(0,), (0,)]
+    assert once.edges == [{1: 1.0}, {}]
+    twice = collapse(once, OBS)
+    assert twice.states == [(0,)]
+    assert twice.edges == [{}]
 
 
 def test_collapse_example2_reaches_three_observation_classes(data_text):
@@ -483,6 +497,66 @@ def test_verify_detects_mutated_rate(data_text):
 def test_verify_respects_state_budget(data_text):
     with pytest.raises(StateBudgetExceeded):
         verify_projection(load_program(data_text("example2.chor")), max_states=2)
+
+
+def test_verify_releases_each_raw_chain_before_the_jump_chains(monkeypatch, data_text):
+    raw = []
+
+    def recorded(build):
+        def wrapper(*args, **kwargs):
+            chain = build(*args, **kwargs)
+            raw.append(weakref.ref(chain))
+            return chain
+
+        return wrapper
+
+    alive = []
+
+    def jump(chain, obs_names):
+        alive.append([ref() is not None for ref in raw])
+        return jump_chain(chain, obs_names)
+
+    monkeypatch.setattr(equivalence, "build_chain", recorded(build_chain))
+    monkeypatch.setattr(equivalence, "build_network_chain", recorded(build_network_chain))
+    monkeypatch.setattr(equivalence, "jump_chain", jump)
+    report = verify_projection(load_program(data_text("example2_dtmc.chor")))
+    assert report["equivalent"] is True
+    assert alive == [[False, False], [False, False]]
+
+
+# grid-19 of the benchmark's grid-dtmc workload, seed 1: 11,600 network states
+GRID_19 = """dtmc;
+role p, q, r;
+var x @ q : [0..19] init 18;
+var y @ r : [0..19] init 2;
+def G = p -> q, r : { rate 0.25 : {x'=mod(x+1, 20)}; G
+                    | rate 0.75 : {y'=mod(y+1, 20)}; G };
+main G;
+"""
+
+
+def test_verify_peaks_under_twice_its_raw_network_chain(monkeypatch):
+    sizes = []
+
+    def measured(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        chain = build_network_chain(*args, **kwargs)
+        sizes.append(tracemalloc.get_traced_memory()[0] - before)
+        return chain
+
+    monkeypatch.setattr(equivalence, "build_network_chain", measured)
+    prog = load_program(GRID_19)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = verify_projection(prog)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report["equivalent"] is True
+    assert report["states"]["net_raw"] == 11_600
+    assert peak <= 2 * sizes[0]
 
 
 def test_verify_init_overrides_apply_to_both_sides(data_text):
