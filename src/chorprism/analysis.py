@@ -122,10 +122,25 @@ def sites(program: ChorProgram) -> Iterator[tuple[ChorTerm, str]]:
         yield from walk(body, name)
 
 
+def branch_label(inter: Interaction, j: int) -> str:
+    """Synchronisation label of branch ``j`` (0-based): explicit, or derived
+    from the interaction's annotation as ``<annotation>_<j+1>``."""
+    b = inter.branches[j]
+    if b.label:
+        return b.label
+    if not inter.annotation:
+        raise WellFormednessError("interaction has neither labels nor annotation")
+    return f"{inter.annotation}_{j + 1}"
+
+
 def check_annotations(program: ChorProgram) -> list[str]:
-    """Return findings: unannotated interactions and duplicated annotations."""
+    """Return findings: unannotated interactions, duplicated annotations and
+    wire labels used twice. A wire label is what projection synchronizes a
+    branch on (:func:`branch_label`; a self-step has none); the labels a
+    duplicated annotation derives are not reported again."""
     findings = []
     seen: dict[str, str] = {}
+    wired: dict[str, str] = {}
     for inter, where in sites(program):
         if not isinstance(inter, Interaction):
             continue
@@ -138,6 +153,15 @@ def check_annotations(program: ChorProgram) -> list[str]:
             )
         else:
             seen[inter.annotation] = where
+        derives = inter.annotation is not None and seen[inter.annotation] == where
+        for j, b in enumerate(inter.branches):
+            if not inter.receivers or not (b.label or derives):
+                continue
+            label, at = branch_label(inter, j), f"{where}/branch{j + 1}"
+            if label in wired:
+                findings.append(f"label {label} used at both {wired[label]} and {at}")
+            else:
+                wired[label] = at
     return findings
 
 

@@ -571,10 +571,6 @@ def parse(text: str) -> SurfaceProgram:
 # pretty-printer (inverse of parse for core programs)
 # ---------------------------------------------------------------------------
 
-def render_number(v) -> str:
-    return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
-
-
 #: the source spelling of each operator, for :func:`chorprism.syntax.render`
 _SOURCE = {
     **{op: f" {op} " for op in PREC}, "not": "not ", "neg": "-",
@@ -583,7 +579,7 @@ _SOURCE = {
 
 
 def expr_to_str(e: Expr) -> str:
-    return render(e, _SOURCE, render_number)
+    return render(e, _SOURCE, render_value)
 
 
 def assign_to_str(a: Assign) -> str:
@@ -624,7 +620,7 @@ def term_to_str(term: ChorTerm, indent: int = 1) -> str:
 def pretty_print(program: ChorProgram) -> str:
     out = [f"{program.kind};"]
     for name, v in program.constants.items():
-        out.append(f"const {name} = {render_number(v)};")
+        out.append(f"const {name} = {render_value(v)};")
     if program.roles:
         out.append("role " + ", ".join(program.roles) + ";")
     for d in program.var_decls:

@@ -13,9 +13,10 @@ language uses, which is what makes the two chains comparable.
 
 Exploration compiles the derived commands once per network into the
 commands of one module. Guards and updates become closures over state
-tuples (one slot per variable) with the constants folded in, and each
-alternative's weight is evaluated once, the first time its command is
-enabled; a literal assignment stores its checked value without a call.
+tuples (one slot per variable) with the constants folded in. A weight
+reads the constants alone, so each alternative's weight is evaluated once,
+when the module is compiled, and an alternative of weight 0 is dropped
+there; a literal assignment stores its checked value without a call.
 ``and`` and ``or`` stop at a left operand that decides the result, so a
 guard that starts with ``var = literal`` tests is false without evaluating
 anything else wherever one of them is false. The slots that some command
@@ -26,8 +27,8 @@ evaluates, in derivation order, only the commands whose tests hold there,
 each with just the rest of its guard (none for a projected command guarded
 by counters alone). The third time a counter tuple is reached, if none of
 its commands keeps a guard, its moves are planned: the update function and
-weight of each alternative with a non-zero weight, in derivation order, and
-in discrete mode the divided weights and the mass they were divided by.
+weight of each alternative, in derivation order, and in discrete mode the
+divided weights and the mass they were divided by.
 Later states with that tuple only apply the updates, except a state where
 two moves land on one successor, which takes the general path so that the
 merged weights add up before they are divided. :func:`explore_module`
@@ -55,7 +56,7 @@ from .semantics import (
     eval_weight,
     override_initial,
 )
-from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl
+from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, times
 
 # The visit of a counter tuple at which its moves are planned. Building a
 # plan costs about as much as the general path, so it pays only for the
@@ -106,17 +107,6 @@ def alphabet(net: Network) -> frozenset[str]:
     return frozenset(c.label for m in net for c in m.commands if c.label is not None)
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit) and not isinstance(a.value, bool):
-        if a.value == 1:
-            return b
-        if isinstance(b, Lit) and not isinstance(b.value, bool):
-            return Lit(a.value * b.value)
-    if isinstance(b, Lit) and not isinstance(b.value, bool) and b.value == 1:
-        return a
-    return Binary("*", a, b)
-
-
 def _by_label(cmds, labels: set[str]) -> dict[str, list[PrismCommand]]:
     out: dict[str, list[PrismCommand]] = {}
     for c in cmds:
@@ -150,7 +140,7 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
             for cl in left_by_label[label]:
                 for cr in right_by_label[label]:
                     alts = tuple(
-                        (_mul(wl, wr), ul + ur)
+                        (times(wl, wr), ul + ur)
                         for wl, ul in cl.alts
                         for wr, ur in cr.alts
                     )
@@ -316,9 +306,8 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         slot_of[t[0].left.name]: {} for t, _ in split if t and t[0].left.name in slot_of
     }
     # per command, the closure of its guard less the tests decided per
-    # counter tuple (None if nothing is left) and a mutable [weight or None,
-    # weight expression, update function] per alternative; the weight is
-    # filled in the first time it is needed
+    # counter tuple (None if nothing is left) and a (weight, update function)
+    # pair per alternative of non-zero weight
     compiled: list[tuple] = []
     always: list[int] = []
     hoisted: list[list[tuple[int, object]]] = []  # held tests after the filed one
@@ -331,7 +320,8 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         guard = Lit(True) if held else rest.pop(0)
         for c in rest:
             guard = Binary("and", guard, c)
-        alts = [[None, w, _update(u, slot_of, decls, constants)] for w, u in cmd.alts]
+        weighed = [(eval_weight(w, constants), u) for w, u in cmd.alts]
+        alts = [(w, _update(u, slot_of, decls, constants)) for w, u in weighed if w != 0.0]
         compiled.append((None if held and not rest else _closure(guard, slot_of), alts))
         if held:
             index[held[0][0]].setdefault(held[0][1], []).append(i)
@@ -352,12 +342,11 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         return [compiled[i] for i in picked if all(row[s] == v for s, v in hoisted[i])]
 
     def plan(found: list[tuple]) -> tuple | None:
-        """The update functions and weights of the non-zero moves every
-        state with the tuple of ``found`` makes, in derivation order, and
-        the mass they are divided by in discrete mode (None if they are
-        not); None where a candidate keeps a guard or no move is left. A
-        later visit finds every weight evaluated by the first."""
-        moves = [(alt[2], alt[0]) for _, alts in found for alt in alts if alt[0] != 0.0]
+        """The update functions and weights of the moves every state with
+        the tuple of ``found`` makes, in derivation order, and the mass
+        they are divided by in discrete mode (None if they are not); None
+        where a candidate keeps a guard or no move is left."""
+        moves = [(u, w) for _, alts in found for w, u in alts]
         if not moves or any(guard is not None for guard, _ in found):
             return None
         weights = [w for _, w in moves]
@@ -401,13 +390,8 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                         if g is False:
                             continue
                         raise TypeMismatch("command guard is not boolean")
-                for alt in alts:
-                    w = alt[0]
-                    if w is None:
-                        w = alt[0] = eval_weight(alt[1], constants)
-                    if w == 0.0:
-                        continue
-                    nxt = alt[2](row)
+                for w, update in alts:
+                    nxt = update(row)
                     acc[nxt] = acc[nxt] + w if nxt in acc else w
         except (EvalError, RangeViolation) as e:
             e.args = (f"{e} at state {valuation_text(var_names, row)}",)

@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import nodes, require_annotated, require_well_formed, s_conn
+from .analysis import branch_label, nodes, require_annotated, require_well_formed, s_conn
 from .errors import NotStronglyConnected
 from .prism import Network, PrismCommand, PrismModule, split_tests
-from .sugar import branch_label
 from .syntax import (
     Assign,
     Binary,
@@ -46,6 +45,7 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    subterms,
 )
 
 
@@ -183,12 +183,17 @@ def project(
             "program is outside the certified fragment; "
             "re-run with the strong-connectivity check disabled to compile anyway"
         )
+    # a role that takes part in no statement would only hop along its
+    # counter, which a chain cannot tell from a real silent move
+    acting = {r for body in prog.defs.values() for t in subterms(body)
+              for r in (t.participants if isinstance(t, Interaction)
+                        else (t.role,) if isinstance(t, Conditional) else ())}
     modules = []
     for role in prog.roles:
         decls = (VarDecl(ctx.counter_var[role], role, 0, 0, ctx.counter_max, False),)
         decls += tuple(d for d in prog.var_decls if d.owner == role)
         cmds: list[PrismCommand] = []
-        for name in _def_order(prog):
+        for name in _def_order(prog) if role in acting else ():
             _proj(role, prog.defs[name], ctx.defs_start[name], ctx, prog, cmds)
         modules.append(PrismModule(role, decls, tuple(cmds)))
     return tuple(modules), ctx

@@ -22,7 +22,7 @@ from functools import partial
 from operator import is_
 from typing import Callable
 
-from .analysis import expr_vars
+from .analysis import branch_label, expr_vars
 from .errors import IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from .parser import (
     AllSynch,
@@ -48,6 +48,7 @@ from .syntax import (
     Var,
     VarDecl,
     subterms,
+    times,
 )
 
 _REF = re.compile(r"^([A-Za-z_]\w*)\[([^\]]+)\]$")
@@ -312,13 +313,6 @@ class _Expander:
         return cur
 
 
-def _fold_mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Lit) and isinstance(b, Lit) \
-            and not isinstance(a.value, bool) and not isinstance(b.value, bool):
-        return Lit(a.value * b.value)
-    return Binary("*", a, b)
-
-
 def _lower_allsynch(node: AllSynch) -> ChorTerm:
     """Rewrite an allsynch block into nested conditionals over per-role choices.
 
@@ -339,7 +333,7 @@ def _lower_allsynch(node: AllSynch) -> ChorTerm:
             weight = chosen[0].weight
             update: tuple[Assign, ...] = chosen[0].update
             for e in chosen[1:]:
-                weight = _fold_mul(weight, e.weight)
+                weight = times(weight, e.weight)
                 update = update + e.update
             return Interaction(
                 order[0],
@@ -419,13 +413,15 @@ def auto_annotate(program: ChorProgram, seed: int | None = None) -> ChorProgram:
     With no seed, interactions are numbered ``A1, A2, …`` in preorder over
     the definitions; with a seed, labels are five uppercase letters drawn
     from a generator seeded with it. Existing labels are kept and never
-    collided with.
+    collided with: a name is skipped where it, or a branch label it would
+    derive, is an annotation or a branch label already in use.
     """
     used = {
         name
         for body in program.defs.values()
         for t in subterms(body) if isinstance(t, Interaction)
-        for name in (t.annotation, *(b.label for b in t.branches)) if name
+        for name in (t.annotation, *(branch_label(t, j) for j, b in enumerate(t.branches)
+                                     if b.label or t.annotation)) if name
     }
 
     if seed is None:
@@ -435,29 +431,21 @@ def auto_annotate(program: ChorProgram, seed: int | None = None) -> ChorProgram:
         names = ("".join(rng.choice(string.ascii_uppercase) for _ in range(5))
                  for _ in itertools.count())
 
-    def fresh() -> str:
-        name = next(n for n in names if n not in used)
-        used.add(name)
-        return name
+    def annotated(term: Interaction) -> Interaction:
+        for name in names:
+            t = Interaction(term.initiator, term.receivers, term.branches, name)
+            taken = {name, *(branch_label(t, j) for j, b in enumerate(t.branches) if not b.label)}
+            if used.isdisjoint(taken):
+                used.update(taken)
+                return t
 
     def walk(term: ChorTerm) -> ChorTerm:
         if isinstance(term, Interaction) and not term.annotation:
-            term = Interaction(term.initiator, term.receivers, term.branches, fresh())
+            term = annotated(term)
         return _map_conts(term, walk)
 
     defs = {name: walk(body) for name, body in program.defs.items()}
     return dataclasses.replace(program, defs=defs)
-
-
-def branch_label(inter: Interaction, j: int) -> str:
-    """Synchronisation label of branch ``j`` (0-based): explicit, or derived
-    from the interaction's annotation as ``<annotation>_<j+1>``."""
-    b = inter.branches[j]
-    if b.label:
-        return b.label
-    if not inter.annotation:
-        raise WellFormednessError("interaction has neither labels nor annotation")
-    return f"{inter.annotation}_{j + 1}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ package for that). A call node is deliberately distinct from the body it
 names — unfolding is an observable step.
 
 One printer, :func:`render`, writes expressions in source and PRISM text
-alike, with each notation's spelling of the operators given as data.
+alike, with each notation's spelling of the operators given as data, and
+one rule, :func:`times`, forms the product of two weights.
 """
 
 from __future__ import annotations
@@ -62,7 +63,22 @@ FUNCTIONS = ("mod", "min", "max")
 
 
 def render_value(v: Value) -> str:
-    return ("true" if v else "false") if isinstance(v, bool) else str(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
+
+
+def times(a: Expr, b: Expr) -> Expr:
+    """The weight product ``a * b``: a literal factor 1 drops out, and two
+    numbers multiply."""
+    if isinstance(a, Lit) and not isinstance(a.value, bool):
+        if a.value == 1:
+            return b
+        if isinstance(b, Lit) and not isinstance(b.value, bool):
+            return Lit(a.value * b.value)
+    if isinstance(b, Lit) and not isinstance(b.value, bool) and b.value == 1:
+        return a
+    return Binary("*", a, b)
 
 
 def render(e: Expr, spell: dict[str, str], number: Callable[[Value], str],
@@ -105,9 +121,9 @@ class Branch:
 
     ``weight`` must evaluate over the constant environment alone (rates for
     continuous programs, probabilities for discrete ones). ``label`` is the
-    per-branch wire name; interactions are annotated as a whole and branches
-    derive ``<annotation>_<j>`` labels during projection, but the parsed
-    label (if the source gave one) is kept for error messages.
+    wire label the source gives the branch (``[L]``), if any; without one,
+    the ``j``-th branch synchronizes on ``<annotation>_<j>``, derived from
+    its interaction's annotation (:func:`chorprism.analysis.branch_label`).
     """
 
     weight: Expr

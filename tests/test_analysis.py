@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from chorprism import (
+    AnnotationError,
     UnguardedRecursion,
     WellFormednessError,
     auto_annotate,
@@ -13,7 +14,9 @@ from chorprism import (
     check_well_formed,
     load_program,
     nodes,
+    require_annotated,
     s_conn,
+    verify_projection,
 )
 from chorprism.analysis import h_mods, type_of
 from chorprism.syntax import (
@@ -165,6 +168,50 @@ def test_missing_annotations_reported_then_filled(data_text):
     prog = load_program(data_text("example2.chor"))
     assert any("missing annotation" in f for f in check_annotations(prog))
     assert check_annotations(auto_annotate(prog)) == []
+
+
+def test_a_wire_label_used_twice_is_reported_at_both_locations(data_text):
+    # the annotations X and A1 differ, but X derives B's explicit label X_1
+    prog = auto_annotate(load_program(data_text("label_clash.chor")))
+    clash = "label X_1 used at both A/branch1 and B/branch1"
+    assert check_annotations(prog) == [clash]
+    with pytest.raises(AnnotationError, match=f"^{clash}$"):
+        require_annotated(prog)
+
+
+def test_two_branches_of_one_interaction_cannot_share_a_label():
+    prog = load_program(
+        "dtmc; role p, q; var x @ p : [0..2] init 0; var y @ q : [0..2] init 0;\n"
+        "def A = p -> q : { [L] rate 0.4 : {x'=1, y'=1}; A\n"
+        "                 | [L] rate 0.6 : {x'=2, y'=2}; A };\n"
+        "main A;"
+    )
+    assert check_annotations(auto_annotate(prog)) == [
+        "label L used at both A/branch1 and A/branch2"
+    ]
+
+
+def test_a_self_step_puts_no_label_on_the_wire():
+    prog = load_program(
+        "ctmc; role p; var x @ p : [0..1] init 0;\n"
+        "def M = p -> p : { [L] rate 1 : {x'=1}; M | [L] rate 2 : {x'=0}; M };\n"
+        "main M;"
+    )
+    assert check_annotations(auto_annotate(prog)) == []
+
+
+def test_auto_annotate_skips_a_name_whose_labels_are_taken():
+    # A1 would derive A1_1, the label B's branch names; A takes A2 instead
+    prog = load_program(
+        "dtmc; role p, q, r; var x @ p : [0..1] init 0; var y @ r : [0..1] init 0;\n"
+        "def A = p -> q : { rate 1 : {x'=1 - x}; B };\n"
+        "def B = r -> q : { [A1_1] rate 1 : {y'=1 - y}; A };\n"
+        "main A;"
+    )
+    annotated = auto_annotate(prog)
+    assert [annotated.defs[n].annotation for n in ("A", "B")] == ["A2", "A3"]
+    assert check_annotations(annotated) == []
+    assert verify_projection(prog)["equivalent"] is True
 
 
 # ---------------------------------------------------------------------------

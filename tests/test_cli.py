@@ -51,6 +51,23 @@ def test_check_duplicate_annotation(capsys, data_path):
     assert "annotations: ok" not in out
 
 
+def test_check_reports_a_wire_label_used_twice(capsys, data_path):
+    code, out, _ = run(capsys, "check", data_path("label_clash.chor"))
+    assert code == 1
+    assert out == ("well-formedness: ok\n"
+                   "annotations: label X_1 used at both A/branch1 and B/branch1\n")
+    for command in ("compile", "verify"):
+        code, out, err = run(capsys, command, data_path("label_clash.chor"))
+        assert (code, out) == (1, "")
+        assert err == "error: label X_1 used at both A/branch1 and B/branch1\n"
+
+
+def test_verify_passes_a_role_in_no_statement(capsys, data_path):
+    code, out, _ = run(capsys, "verify", data_path("idle_role.chor"))
+    assert code == 0
+    assert "equivalent: yes" in out
+
+
 def test_check_nonsconn(capsys, data_path):
     code, out, _ = run(capsys, "check", data_path("nonsconn.chor"))
     assert code == 1
@@ -191,6 +208,22 @@ def test_chain_init_override_rejects_garbage(capsys, data_path):
     code, _, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x=true")
     assert code == 1
     assert err == "error: initial override for x is not an integer\n"
+
+    code, _, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x")
+    assert code == 2
+    assert err == "error: --init expects comma-separated name=value pairs\n"
+
+
+def test_chain_init_override_of_a_bool_takes_true_or_false(capsys, tmp_path):
+    path = tmp_path / "flag.chor"
+    path.write_text("ctmc; role p, q; var b @ p : bool init false;\n"
+                    "def M = p -> q : { rate 1 : {b'=not b}; M }; main M;\n", encoding="utf-8")
+    code, _, err = run(capsys, "chain", str(path), "--init", "b=1")
+    assert code == 1
+    assert err == "error: initial override for b is not bool\n"
+    code, out, _ = run(capsys, "chain", str(path), "--init", "b=true")
+    assert code == 0
+    assert "STATE 0 b=true init" in out
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from chorprism.syntax import (
     Lit,
     Unary,
     Var,
+    render_value,
     subterms,
 )
 
@@ -259,12 +260,15 @@ FIXTURE_TOKENS = {
     "allsynch.chor": (93, "52f93407cb0fad82"),
     "annot_dup.chor": (94, "60213f2f69e0e814"),
     "annot_ok.chor": (94, "af50509685e4688a"),
+    "constants.chor": (72, "b64188e58ea7dc04"),
     "dispatcher.chor": (198, "87b5e014922ba5cd"),
     "example1.chor": (84, "8fa7ca7a0520ce42"),
     "example2.chor": (90, "1025d4893d71fc63"),
     "example2_dtmc.chor": (90, "b50e000103485d09"),
     "families_foreach.chor": (169, "79057bfc5a5ae133"),
     "guarded_division.chor": (81, "e6ab45659f380217"),
+    "idle_role.chor": (54, "c7773e96a2ef9538"),
+    "label_clash.chor": (91, "1bf02bdb7afa7f95"),
     "nonsconn.chor": (83, "ae0fb1a22b52ad4a"),
     "p2p.chor": (115, "9e4793b6e34b3ebf"),
     "parametric.chor": (92, "4924015575943643"),
@@ -397,6 +401,21 @@ def test_pretty_print_round_trips(name, data_text):
     assert load_program(pretty_print(prog)) == prog
     annotated = auto_annotate(prog)
     assert load_program(pretty_print(annotated)) == annotated
+
+
+def test_constants_stand_for_a_range_endpoint_a_family_index_and_a_rate(data_text):
+    prog = load_program(data_text("constants.chor"))
+    # an integral float constant is read as an int
+    assert prog.constants == {"N": 2, "H": 3} and type(prog.constants["H"]) is int
+    assert (prog.var("x").lo, prog.var("x").hi) == (0, 2)
+    assert prog.defs["M"].receivers == ("c2",)
+    assert "const H = 3;" in pretty_print(prog)
+    assert load_program(pretty_print(prog)) == prog
+
+
+def test_one_printer_writes_every_value():
+    values = (True, False, 3, 3.0, 2.5, -1.0)
+    assert [render_value(v) for v in values] == ["true", "false", "3", "3", "2.5", "-1"]
 
 
 def test_bool_initialised_true_round_trips_and_compiles():

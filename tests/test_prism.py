@@ -341,10 +341,11 @@ def test_compiled_matches_oracle_on_random_programs(seed):
         assert isinstance(got[1], list)  # a chain, not an error
 
 
-# annot_dup.chor is rejected before projection, so it has no network
+# annot_dup.chor and label_clash.chor are rejected before projection, so
+# they have no network
 FIXTURES = sorted(
     p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor")
-    if p.name != "annot_dup.chor"
+    if p.name not in ("annot_dup.chor", "label_clash.chor")
 )
 
 
@@ -579,12 +580,18 @@ def test_assignment_to_undeclared_variable_raises_eval_error():
     assert_raises_like_oracle(net, EvalError, "assignment to undeclared variable nope")
 
 
-def test_bad_weight_raises_where_it_is_reached():
-    net = one_command(eq("s", 1), (), weight=Var("s"))
-    assert_raises_like_oracle(net, EvalError, "unbound name s")
-    # a command never enabled never evaluates its weight
-    never = one_command(Binary("=", Var("z"), Lit(1)), (), weight=Var("s"))
-    assert assert_same_as_oracle(never, "ctmc", {})[1] == [(0, 0), (1, 0)]
+def test_bad_weight_raises_when_the_network_is_compiled():
+    # a weight reads the constants alone, so it is evaluated once, before
+    # any state is explored: a bad one raises even on a command never enabled
+    for guard in (eq("s", 1), Binary("=", Var("z"), Lit(1))):
+        net = one_command(guard, (), weight=Var("s"))
+        with pytest.raises(EvalError, match="^unbound name s$"):
+            build_network_chain(net, "ctmc", {})
+
+
+def test_not_on_a_non_bool_raises_where_it_is_reached():
+    net = one_command(Binary("and", eq("s", 1), Unary("not", Var("z"))), ())
+    assert_raises_like_oracle(net, TypeMismatch, "^'not' applied to non-bool value at state")
 
 
 def counter_module(guard, update=(), x_init=1):

@@ -16,6 +16,7 @@ from chorprism import (
     load_program,
     project,
     proj_update,
+    verify_projection,
 )
 from chorprism.prism import PrismCommand, PrismModule, alphabet
 from chorprism.projection import alloc_defs
@@ -278,6 +279,19 @@ def test_self_messages_project_to_silent_commands(data_text):
     assert alphabet(net) == frozenset()
     for m in net:
         assert all(c.label is None for c in m.commands)
+
+
+@pytest.mark.parametrize("name, idle", [("idle_role.chor", "r"), ("constants.chor", "c1")])
+def test_a_role_in_no_statement_gets_no_commands(name, idle, data_text):
+    # a counter hop of its own would be a silent rate-1 move that collapse
+    # cannot tell from the source's, and the verdict would be "not equivalent"
+    prog = load(data_text, name)
+    net, ctx = project(prog)
+    m = module_of(net, idle)
+    assert m.commands == ()
+    assert m.var_decls == (VarDecl(ctx.counter_var[idle], idle, 0, 0, ctx.counter_max),)
+    assert all(other.commands for other in net if other is not m)
+    assert verify_projection(prog)["equivalent"] is True
 
 
 def test_projection_outside_the_fragment_is_refused(data_text):
