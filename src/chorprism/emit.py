@@ -30,16 +30,8 @@ _WEIGHT = {
 _STATE = {**_WEIGHT, "/": "floor({}/{})"}
 
 
-def _num(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if v.is_integer():
-        return str(int(v))
-    return f"{v:.17g}"  # 17 significant digits round-trip every double
-
-
 def render_expr(e: Expr, *, weight: bool = False) -> str:
-    return render(e, _WEIGHT if weight else _STATE, _num)
+    return render(e, _WEIGHT if weight else _STATE)
 
 
 def render_update(update: tuple[Assign, ...]) -> str:
@@ -67,7 +59,7 @@ def emit(net: Network, prog: ChorProgram) -> str:
     if prog.constants:
         lines.append("")
         for name, value in prog.constants.items():
-            lines.append(f"const double {name} = {_num(value)};")
+            lines.append(f"const double {name} = {render_value(value)};")
     for m in net:
         lines.append("")
         lines.append(f"module {m.name}")

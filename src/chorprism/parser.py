@@ -579,7 +579,7 @@ _SOURCE = {
 
 
 def expr_to_str(e: Expr) -> str:
-    return render(e, _SOURCE, render_value)
+    return render(e, _SOURCE)
 
 
 def assign_to_str(a: Assign) -> str:

@@ -13,10 +13,11 @@ language uses, which is what makes the two chains comparable.
 
 Exploration compiles the derived commands once per network into the
 commands of one module. Guards and updates become closures over state
-tuples (one slot per variable) with the constants folded in. A weight
-reads the constants alone, so each alternative's weight is evaluated once,
-when the module is compiled, and an alternative of weight 0 is dropped
-there; a literal assignment stores its checked value without a call.
+tuples (one slot per variable), in which a named constant reads like a
+literal. A weight reads the constants alone, so each alternative's weight
+is evaluated once, when the module is compiled: an alternative of weight 0
+is dropped there, and a negative weight raises there. A literal assignment
+stores its checked value without a call.
 ``and`` and ``or`` stop at a left operand that decides the result, so a
 guard that starts with ``var = literal`` tests is false without evaluating
 anything else wherever one of them is false. The slots that some command
@@ -45,6 +46,7 @@ from operator import itemgetter
 
 from .chain import MarkovChain, Successors, explore, render_weight, valuation_text
 from .errors import ChorError, EvalError, RangeViolation, TypeMismatch
+from .parser import expr_to_str
 from .semantics import (
     DEFAULT_MAX_STATES,
     SHORT_CIRCUIT,
@@ -52,7 +54,6 @@ from .semantics import (
     TOL,
     apply_unary,
     assigned_value,
-    eval_expr,
     eval_weight,
     override_initial,
 )
@@ -152,63 +153,29 @@ def derive_commands(net: Network) -> tuple[PrismCommand, ...]:
 # compiled commands
 # ---------------------------------------------------------------------------
 
-def _fold(e: Expr, slot_of: dict[str, int], constants: dict) -> Expr:
-    """``e`` with constants substituted and constant subexpressions
-    evaluated. A subexpression whose evaluation raises stays as it is, so
-    that it raises where the tree-walker would: when a state reaches it."""
-    if isinstance(e, Var):
-        if e.name not in slot_of and e.name in constants:
-            return Lit(constants[e.name])
-        return e
-    if isinstance(e, Unary):
-        operand = _fold(e.operand, slot_of, constants)
-        if operand is not e.operand:
-            e = Unary(e.op, operand)
-        if not isinstance(operand, Lit):
-            return e
-    elif isinstance(e, Binary):
-        left = _fold(e.left, slot_of, constants)
-        right = _fold(e.right, slot_of, constants)
-        if left is not e.left or right is not e.right:
-            e = Binary(e.op, left, right)
-        if not (isinstance(left, Lit) and isinstance(right, Lit)):
-            return e
-    else:
-        return e
-    try:
-        return Lit(eval_expr(e, {}))
-    except (ChorError, ArithmeticError):
-        return e
-
-
-def _closure(e: Expr, slot_of: dict[str, int]):
+def _closure(e: Expr, slot_of: dict[str, int], constants: dict):
     """A function from a state row (tuple or list, one slot per variable)
-    to the value of the folded expression ``e``."""
-    if isinstance(e, Lit):
-        value = e.value
-        return lambda row: value
+    to the value of ``e``. A name that is no variable reads ``constants``,
+    as a literal reads its value."""
     if isinstance(e, Var):
         slot = slot_of.get(e.name)
         if slot is not None:
             return itemgetter(slot)
-        message = f"unbound name {e.name}"
+        if e.name not in constants:
+            message = f"unbound name {e.name}"
 
-        def unbound(row):
-            raise EvalError(message)
+            def unbound(row):
+                raise EvalError(message)
 
-        return unbound
+            return unbound
+        e = Lit(constants[e.name])
+    if isinstance(e, Lit):
+        value = e.value
+        return lambda row: value
     if isinstance(e, Unary):
-        op, operand = e.op, _closure(e.operand, slot_of)
+        op, operand = e.op, _closure(e.operand, slot_of, constants)
         return lambda row: apply_unary(op, operand(row))
-    if (
-        e.op == "="
-        and isinstance(e.left, Var)
-        and isinstance(e.right, Lit)
-        and e.left.name in slot_of
-    ):
-        slot, value = slot_of[e.left.name], e.right.value
-        return lambda row: row[slot] == value
-    left, right = _closure(e.left, slot_of), _closure(e.right, slot_of)
+    left, right = _closure(e.left, slot_of, constants), _closure(e.right, slot_of, constants)
     fn = STATE_OPS.get(e.op)
     if fn is None:
         message = f"unknown operator {e.op}"
@@ -233,16 +200,16 @@ def _closure(e: Expr, slot_of: dict[str, int]):
 
 def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], constants):
     """``(slot, value, value_fn)`` for one assignment: ``value`` is the
-    checked value to store in ``slot`` when it is a constant; otherwise
-    ``value_fn`` maps the row being updated to that value."""
-    expr = _fold(a.expr, slot_of, constants)
+    checked value to store in ``slot`` when the right-hand side is a
+    literal; otherwise ``value_fn`` maps the row being updated to that
+    value."""
     decl = decls.get(a.var)
-    if decl is not None and isinstance(expr, Lit):
+    if decl is not None and isinstance(a.expr, Lit):
         try:
-            return slot_of[a.var], assigned_value(a, decl, expr.value), None
+            return slot_of[a.var], assigned_value(a, decl, a.expr.value), None
         except ChorError:
             pass  # raise on reaching it, as the tree-walker does
-    fn = _closure(expr, slot_of)
+    fn = _closure(a.expr, slot_of, constants)
     if decl is None:
         message = f"assignment to undeclared variable {a.var}"
 
@@ -258,6 +225,14 @@ def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], c
         return v if type(v) is int and lo <= v <= hi else assigned_value(a, decl, v)
 
     return slot_of[a.var], None, checked
+
+
+def _weight(w: Expr, constants: dict) -> float:
+    """The value of the weight ``w``, which must not be negative."""
+    value = eval_weight(w, constants)
+    if value < 0:
+        raise EvalError(f"negative weight {expr_to_str(w)}")
+    return value
 
 
 def _update(update: tuple[Assign, ...], slot_of, decls, constants):
@@ -300,7 +275,7 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
     slot_of = {n: i for i, n in enumerate(var_names)}
     decls = {d.name: d for d in module.var_decls}
 
-    split = [split_tests(_fold(c.guard, slot_of, constants)) for c in module.commands]
+    split = [split_tests(c.guard) for c in module.commands]
     # the index slots: those some command tests in its leftmost conjunct
     index: dict[int, dict[object, list[int]]] = {
         slot_of[t[0].left.name]: {} for t, _ in split if t and t[0].left.name in slot_of
@@ -320,9 +295,9 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         guard = Lit(True) if held else rest.pop(0)
         for c in rest:
             guard = Binary("and", guard, c)
-        weighed = [(eval_weight(w, constants), u) for w, u in cmd.alts]
+        weighed = [(_weight(w, constants), u) for w, u in cmd.alts]
         alts = [(w, _update(u, slot_of, decls, constants)) for w, u in weighed if w != 0.0]
-        compiled.append((None if held and not rest else _closure(guard, slot_of), alts))
+        compiled.append((None if held and not rest else _closure(guard, slot_of, constants), alts))
         if held:
             index[held[0][0]].setdefault(held[0][1], []).append(i)
         else:
@@ -396,8 +371,6 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         except (EvalError, RangeViolation) as e:
             e.args = (f"{e} at state {valuation_text(var_names, row)}",)
             raise
-        if 0.0 in acc.values():  # weights that cancel out
-            acc = {k: w for k, w in acc.items() if w != 0.0}
         if kind == "dtmc":
             if not acc:
                 return [(row, 1.0)]

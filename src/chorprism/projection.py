@@ -7,11 +7,13 @@ participant takes one command per branch, synchronized on the branch's
 label, and a role outside it goes straight on to the continuations. A
 conditional is two silent counter hops of the deciding role, guarded by the
 guard and by its negation. A call to a named definition is a silent reset of
-the counter to the slot where that definition's commands start. The counter
-slots for each definition body are allocated once, globally, and shared by
-every role; within a body the numbering is per-role (roles not involved in
-an interaction or a decision skip its slot), which is harmless because
-counters are module-local.
+the counter to the slot where that definition's commands start, for a role
+that still acts from that definition on; for any other role it is no move,
+so a role that acts in no statement gets no commands, and its counter is
+declared over [0..0]. The counter slots for each definition body are
+allocated once, globally, and shared by every role; within a body the
+numbering is per-role (roles not involved in an interaction or a decision
+skip its slot), which is harmless because counters are module-local.
 
 In discrete-time mode the initiator of an interaction first takes an
 internal probabilistic hop onto one of |branches| reserved intermediate
@@ -112,6 +114,7 @@ def _proj(
     base: int,
     ctx: ProjectionContext,
     prog: ChorProgram,
+    live: set[str],
     out: list[PrismCommand],
 ) -> None:
     kind = ctx.kind
@@ -121,7 +124,8 @@ def _proj(
         return
 
     if isinstance(term, CallTerm):
-        out.append(_hop(s, _eq(s, base, ctx), ctx.defs_start[term.name]))
+        if term.name in live:
+            out.append(_hop(s, _eq(s, base, ctx), ctx.defs_start[term.name]))
         return
 
     if isinstance(term, Conditional):
@@ -131,8 +135,8 @@ def _proj(
             here = _eq(s, base, ctx)
             out.append(_hop(s, Binary("and", here, term.guard), then_at))
             out.append(_hop(s, Binary("and", here, Unary("not", term.guard)), else_at))
-        _proj(role, term.then_term, then_at, ctx, prog, out)
-        _proj(role, term.else_term, else_at, ctx, prog, out)
+        _proj(role, term.then_term, then_at, ctx, prog, live, out)
+        _proj(role, term.else_term, else_at, ctx, prog, live, out)
         return
 
     assert isinstance(term, Interaction)
@@ -162,7 +166,30 @@ def _proj(
             here = _eq(s, base + 1 + j if hop else base, ctx)
             out.append(PrismCommand(label, here, ((weight, upd),)))
     for b, at in zip(branches, starts):
-        _proj(role, b.cont, at, ctx, prog, out)
+        _proj(role, b.cont, at, ctx, prog, live, out)
+
+
+def _live_defs(prog: ChorProgram) -> dict[str, set[str]]:
+    """Per role, the definitions from which it still acts: those it acts in
+    and those that reach one of them by calls. A call into any other
+    definition is no move for the role; as a hop it would be a silent move
+    of its counter alone, which a chain cannot tell from a real one."""
+    callers: dict[str, set[str]] = {name: set() for name in prog.defs}
+    live: dict[str, set[str]] = {role: set() for role in prog.roles}
+    for name, body in prog.defs.items():
+        for t in subterms(body):
+            if isinstance(t, CallTerm):
+                callers[t.name].add(name)
+            for role in (t.participants if isinstance(t, Interaction)
+                         else (t.role,) if isinstance(t, Conditional) else ()):
+                live[role].add(name)
+    for found in live.values():
+        todo = list(found)
+        while todo:
+            for name in callers[todo.pop()] - found:
+                found.add(name)
+                todo.append(name)
+    return live
 
 
 def project(
@@ -171,7 +198,8 @@ def project(
     """Compile the program into a network of one module per role.
 
     Each module holds the role's counter, the variables it owns, and the
-    commands of every definition at that definition's allocated slots.
+    commands of every definition at that definition's allocated slots; a
+    role has none in a definition from which it acts no more.
     Programs outside the certified fragment raise NotStronglyConnected;
     pass ``require_sconn=False`` to compile them anyway (the result may
     deadlock where the source would not).
@@ -183,18 +211,15 @@ def project(
             "program is outside the certified fragment; "
             "re-run with the strong-connectivity check disabled to compile anyway"
         )
-    # a role that takes part in no statement would only hop along its
-    # counter, which a chain cannot tell from a real silent move
-    acting = {r for body in prog.defs.values() for t in subterms(body)
-              for r in (t.participants if isinstance(t, Interaction)
-                        else (t.role,) if isinstance(t, Conditional) else ())}
+    live = _live_defs(prog)
     modules = []
     for role in prog.roles:
-        decls = (VarDecl(ctx.counter_var[role], role, 0, 0, ctx.counter_max, False),)
-        decls += tuple(d for d in prog.var_decls if d.owner == role)
         cmds: list[PrismCommand] = []
-        for name in _def_order(prog) if role in acting else ():
-            _proj(role, prog.defs[name], ctx.defs_start[name], ctx, prog, cmds)
+        for name in _def_order(prog):
+            _proj(role, prog.defs[name], ctx.defs_start[name], ctx, prog, live[role], cmds)
+        # a commandless counter never moves
+        decls = (VarDecl(ctx.counter_var[role], role, 0, 0, ctx.counter_max if cmds else 0),)
+        decls += tuple(d for d in prog.var_decls if d.owner == role)
         modules.append(PrismModule(role, decls, tuple(cmds)))
     return tuple(modules), ctx
 

@@ -16,7 +16,7 @@ one rule, :func:`times`, forms the product of two weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 Value = Union[int, bool, float]
 
@@ -63,6 +63,8 @@ FUNCTIONS = ("mod", "min", "max")
 
 
 def render_value(v: Value) -> str:
+    """``v`` as source and PRISM text write it: a float in the shortest form
+    that reads back as the same double, an integral one as an integer."""
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(int(v)) if isinstance(v, float) and v.is_integer() else str(v)
@@ -81,25 +83,25 @@ def times(a: Expr, b: Expr) -> Expr:
     return Binary("*", a, b)
 
 
-def render(e: Expr, spell: dict[str, str], number: Callable[[Value], str],
-           parent: int = 0) -> str:
+def render(e: Expr, spell: dict[str, str], parent: int = 0) -> str:
     """``e`` in one notation, parenthesized as an operand of level ``parent``
     of :data:`PREC`. ``spell`` writes each operator as an infix (``"&"``), a
-    prefix (``"not "``) or a call template (``"floor({}/{})"``)."""
+    prefix (``"not "``) or a call template (``"floor({}/{})"``); numbers are
+    written by :func:`render_value` in every notation."""
     cls = type(e)  # not isinstance: this walk is hot in emit
     if cls is Var:
         return e.name
     if cls is Lit:
-        return number(e.value) if type(e.value) is not bool else render_value(e.value)
+        return render_value(e.value)
     op, p = spell[e.op], PREC.get(e.op, 0)  # 0: a function's operands stand alone
     if cls is Binary:
-        left = render(e.left, spell, number, p + 1 if p == PREC["="] else p)  # no chaining
-        right = render(e.right, spell, number, p + 1)
+        left = render(e.left, spell, p + 1 if p == PREC["="] else p)  # no chaining
+        right = render(e.right, spell, p + 1)
         if "{" in op:
             return op.format(left, right)
         s = left + op + right
     else:
-        s = op + render(e.operand, spell, number, p)
+        s = op + render(e.operand, spell, p)
     return f"({s})" if p < parent else s
 
 

@@ -68,9 +68,9 @@ def test_render_expr_operators():
     assert render_expr(Binary("+", x, Binary("*", Lit(1), Lit(2)))) == "x+1*2"
     assert render_expr(Binary("mod", x, Lit(3))) == "mod(x,3)"
     assert render_expr(Binary("min", x, y)) == "min(x,y)"
-    # numbers keep 17 significant digits, enough to round-trip every double
+    # numbers take the shortest form that reads back as the same double
     assert render_expr(Lit(0.375)) == "0.375"
-    assert render_expr(Lit(0.1)) == "0.10000000000000001"
+    assert render_expr(Lit(0.1)) == "0.1"
     # subtraction is left associative: the right operand keeps its parens
     assert render_expr(Binary("-", x, Binary("-", y, Lit(1)))) == "x-(y-1)"
 
@@ -149,6 +149,20 @@ module q
   [A2_1] (q_STATE=1) -> 1 : (q_STATE'=2);
 endmodule
 """
+
+
+def test_constants_print_in_their_shortest_form(data_text):
+    prog, net = compiled(data_text, "example2_dtmc.chor")
+    lines = emit(net, prog).splitlines()
+    assert "const double lambda1 = 0.4;" in lines
+    assert "const double lambda2 = 0.6;" in lines
+
+
+def test_a_commandless_counter_is_declared_over_one_value(data_text):
+    # c1 takes part in no statement, fused or not
+    prog, net = compiled(data_text, "constants.chor")
+    for n in (net, fuse_resets(net)):
+        assert "  c1_STATE : [0..0] init 0;" in emit(n, prog).splitlines()
 
 
 def test_emission_is_deterministic(data_text):

@@ -267,6 +267,7 @@ FIXTURE_TOKENS = {
     "example2_dtmc.chor": (90, "b50e000103485d09"),
     "families_foreach.chor": (169, "79057bfc5a5ae133"),
     "guarded_division.chor": (81, "e6ab45659f380217"),
+    "idle_later.chor": (71, "dc810fe947c709b7"),
     "idle_role.chor": (54, "c7773e96a2ef9538"),
     "label_clash.chor": (91, "1bf02bdb7afa7f95"),
     "nonsconn.chor": (83, "ae0fb1a22b52ad4a"),

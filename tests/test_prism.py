@@ -24,7 +24,7 @@ from chorprism import (
 )
 from chorprism.cli import main
 from chorprism.prism import PrismCommand, PrismModule, network_var_decls
-from chorprism.semantics import override_initial
+from chorprism.semantics import eval_expr, override_initial
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
 from corpus import random_program_pair
@@ -539,7 +539,7 @@ def test_division_by_zero_raises_eval_error(op, message):
     # in an update, on reaching it
     update = (Assign("s", Binary(op, Lit(1), Var("z"))),)
     assert_raises_like_oracle(one_command(eq("s", 1), update), EvalError, message)
-    # constant, so folded at compile time, but never reached: no error
+    # literal operands alone, but never reached: no error
     update = (Assign("s", Binary(op, Lit(1), Lit(0))),)
     assert assert_same_as_oracle(one_command(eq("z", 1), update), "ctmc", {})[1] == [(0, 0), (1, 0)]
 
@@ -587,6 +587,69 @@ def test_bad_weight_raises_when_the_network_is_compiled():
         net = one_command(guard, (), weight=Var("s"))
         with pytest.raises(EvalError, match="^unbound name s$"):
             build_network_chain(net, "ctmc", {})
+
+
+def test_a_negative_weight_raises_when_the_network_is_compiled():
+    # check refuses negative weights, so only a hand-built module has one;
+    # it raises before any state is explored, even on a command never
+    # enabled, and so never cancels a positive weight into no move
+    for guard in (eq("s", 1), eq("z", 1)):
+        net = one_command(guard, (), weight=Binary("-", Var("lam"), Lit(3)))
+        with pytest.raises(EvalError, match="^negative weight lam - 3$"):
+            build_network_chain(net, "ctmc", {"lam": 2.0})
+
+
+def test_a_literal_assignment_that_fails_its_check_raises_only_where_reached():
+    update = (Assign("z", Lit(5)),)  # z is declared over [0..1]
+    got = assert_same_as_oracle(one_command(eq("z", 1), update), "ctmc", {})
+    assert got[1] == [(0, 0), (1, 0)]
+    assert_raises_like_oracle(one_command(eq("s", 1), update), RangeViolation,
+                              r"^update z'=5 assigns 5 to z, outside \[0\.\.1\] at state s=1,z=0$")
+
+
+def test_an_unbound_name_raises_at_the_state_that_reaches_it():
+    message = "^unbound name nope at state s=1,z=0$"
+    guard = Binary("and", eq("s", 1), Binary("<", Var("nope"), Lit(1)))
+    assert_raises_like_oracle(one_command(guard, ()), EvalError, message)
+    update = (Assign("s", Var("nope")),)
+    assert_raises_like_oracle(one_command(eq("s", 1), update), EvalError, message)
+    got = assert_same_as_oracle(one_command(eq("z", 1), update), "ctmc", {})
+    assert got[1] == [(0, 0), (1, 0)]
+
+
+def test_an_unknown_operator_raises_eval_error():
+    bad = Binary("xor", Var("s"), Lit(1))
+    with pytest.raises(EvalError, match="^unknown operator xor$"):
+        eval_expr(bad, {"s": 0})
+    message = "^unknown operator xor at state s=1,z=0$"
+    assert_raises_like_oracle(one_command(Binary("and", eq("s", 1), bad), ()), EvalError, message)
+    assert_raises_like_oracle(one_command(eq("s", 1), (Assign("z", bad),)), EvalError, message)
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_a_constant_reads_like_a_literal(kind):
+    K, s, z = Var("K"), Var("s"), Var("z")
+    constants = {"K": 2.0}
+    # in a leading guard conjunct, and inside an update
+    decls = (VarDecl("s", "m", 0, 0, 3), VarDecl("z", "m", 0, 0, 1))
+    net = (PrismModule("m", decls, (
+        PrismCommand(None, conj(Binary("=", s, K), eq("z", 0)), ((Lit(1), (Assign("z", Lit(1)),)),)),
+        PrismCommand(None, Binary("<", s, Binary("+", K, Lit(1))), (
+            (Lit(1), (Assign("s", Binary("mod", Binary("+", s, Lit(1)), Binary("+", K, Lit(1)))),)),
+        )),
+    )),)
+    got = assert_same_as_oracle(net, kind, constants)
+    assert got[1] == [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1), (1, 1)]
+    # in a subexpression that raises, only where a state reaches it
+    division = Binary("/", s, Binary("-", K, Lit(2)))
+    for net in (one_command(conj(eq("z", 1), Binary(">", division, Lit(0))), ()),
+                one_command(eq("z", 1), (Assign("s", division),))):
+        assert assert_same_as_oracle(net, kind, constants)[1] == [(0, 0), (1, 0)]
+    for net in (one_command(conj(eq("s", 1), Binary(">", division, Lit(0))), ()),
+                one_command(eq("s", 1), (Assign("s", division),))):
+        with pytest.raises(EvalError, match="^division by zero at state s=1,z=0$"):
+            build_network_chain(net, kind, constants)
+        assert_same_as_oracle(net, kind, constants)
 
 
 def test_not_on_a_non_bool_raises_where_it_is_reached():

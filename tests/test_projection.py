@@ -289,12 +289,27 @@ def test_a_role_in_no_statement_gets_no_commands(name, idle, data_text):
     net, ctx = project(prog)
     m = module_of(net, idle)
     assert m.commands == ()
-    assert m.var_decls == (VarDecl(ctx.counter_var[idle], idle, 0, 0, ctx.counter_max),)
+    # a counter that never moves is declared over its one value
+    assert m.var_decls == (VarDecl(ctx.counter_var[idle], idle, 0, 0, 0),)
     assert all(other.commands for other in net if other is not m)
     assert verify_projection(prog)["equivalent"] is True
 
 
-def test_projection_outside_the_fragment_is_refused(data_text):
+def test_a_role_gets_no_commands_where_it_acts_no_more(data_text):
+    # r acts in M only, then idles in the loop N for good: N's call to
+    # itself would be a silent rate-1 self-loop of r's counter
+    prog = load(data_text, "idle_later.chor")
+    net, ctx = project(prog)
+    r = module_of(net, "r")
+    assert [(c.label, guard_slot(c)) for c in r.commands] == [("A1_1", ctx.defs_start["M"])]
+    # p and q act in N, so each keeps a hop into it from M and one from N
+    assert [len([c for c in m.commands if c.label is None]) for m in net] == [2, 2, 0]
+    report = verify_projection(prog)
+    assert report["equivalent"] is True
+    assert report["states"]["net_raw"] == 17
+
+
+
     prog = load(data_text, "nonsconn.chor")
     with pytest.raises(NotStronglyConnected):
         project(prog)
@@ -363,9 +378,19 @@ def test_fusion_can_change_the_verdict(data_text):
     assert matches_source(fuse_resets(net))
 
 
-def test_fusion_keeps_pure_counter_cycles(data_text):
-    # a definition that only calls itself projects to a reset cycle; fusing
-    # it away entirely would leave dangling targets, so it must survive
+def hop_module(*moves, hi):
+    """Module ``p`` over its counter ``p_STATE`` in [0..hi], with one
+    weight-1 command per ``(label, slot, target)``, guarded by the bare test
+    of its slot: with label None, the shape of a call's projection."""
+    c = "p_STATE"
+    return PrismModule("p", (VarDecl(c, "p", 0, 0, hi),), tuple(
+        PrismCommand(label, Binary("=", Var(c), Lit(at)), ((Lit(1), (Assign(c, Lit(to)),)),))
+        for label, at, to in moves
+    ))
+
+
+def test_fusion_keeps_pure_counter_cycles():
+    # no role acts on the call cycle L <-> L2, so projection gives it no hops
     src = (
         "ctmc;\nrole p, q;\n"
         "def M = p -> q : { rate 1 : {}; L };\n"
@@ -374,10 +399,13 @@ def test_fusion_keeps_pure_counter_cycles(data_text):
     )
     prog = auto_annotate(load_program(src))
     net, _ = project(prog, require_sconn=False)
-    fused = fuse_resets(net)
-    p = module_of(fused, "p")
-    # the L <-> L2 hops survive fusion as a two-command cycle
-    silent = [c for c in p.commands if c.label is None]
+    assert [[c.label for c in m.commands] for m in net] == [["A1_1"], ["A1_1"]]
+    # a pure reset cycle, as those calls would project to, survives fusion:
+    # fusing it away entirely would leave dangling targets
+    m = hop_module(("A1_1", 0, 1), (None, 1, 2), (None, 2, 3), (None, 3, 2), hi=3)
+    (fused,) = fuse_resets((m,))
+    # the hops at slots 2 and 3 stay as a two-command cycle
+    silent = [c for c in fused.commands if c.label is None]
     assert len(silent) == 2
 
 
@@ -411,7 +439,10 @@ def test_fusion_ends_a_chain_at_the_entry_of_a_cycle():
     )
     net, ctx = project(auto_annotate(load_program(src)), require_sconn=False)
     assert [ctx.defs_start[n] for n in ("L", "L2", "L3")] == [2, 3, 4]
-    p = module_of(fuse_resets(net), "p")
+    # no role acts from L on, so projection gives none of these calls a hop
+    assert [c.label for c in module_of(net, "p").commands] == ["A1_1"]
+    m = hop_module(("A1_1", 0, 1), (None, 1, 2), (None, 2, 3), (None, 3, 4), (None, 4, 3), hi=4)
+    (p,) = fuse_resets((m,))
     assert [(c.label, guard_slot(c), counter_targets(c, "p_STATE")) for c in p.commands] == [
         ("A1_1", 0, [1]),
         (None, 1, [2]),
