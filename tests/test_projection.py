@@ -309,7 +309,7 @@ def test_a_role_gets_no_commands_where_it_acts_no_more(data_text):
     assert report["states"]["net_raw"] == 17
 
 
-
+def test_projection_outside_the_fragment_is_refused(data_text):
     prog = load(data_text, "nonsconn.chor")
     with pytest.raises(NotStronglyConnected):
         project(prog)
