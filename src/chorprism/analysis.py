@@ -11,24 +11,24 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import AnnotationError, UnguardedRecursion, WellFormednessError
+from .errors import AnnotationError, WellFormednessError
 from .parser import assign_to_str
 from .semantics import TOL, eval_weight
 from .syntax import (
     Assign,
     Binary,
-    Branch,
     CallTerm,
     ChorProgram,
     ChorTerm,
     Conditional,
     Expr,
-    Inact,
     Interaction,
     Lit,
     Unary,
     Var,
+    continuations,
     subterms,
+    unfold,
 )
 
 
@@ -37,50 +37,37 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 def nodes(term: ChorTerm, kind: str) -> int:
-    """Number of counter slots the projection reserves for ``term``.
-
-    Calls and inaction take one slot. A conditional takes one slot plus its
-    branches. An interaction takes one slot plus its continuations; in
-    discrete mode it additionally reserves one slot per branch for the
-    internal-choice intermediates, so commitment states never collide with
-    continuation regions.
-    """
-    if isinstance(term, Interaction):
-        total = 1 + sum(nodes(b.cont, kind) for b in term.branches)
-        if kind == "dtmc":
-            total += len(term.branches)
-        return total
-    if isinstance(term, Conditional):
-        return 1 + nodes(term.then_term, kind) + nodes(term.else_term, kind)
-    return 1  # CallTerm, Inact
+    """Number of counter slots the projection reserves for ``term``: one,
+    plus its continuations' slots; in discrete mode an interaction also
+    reserves one slot per branch for the internal-choice intermediates, so
+    commitment states never collide with continuation regions."""
+    conts = continuations(term)
+    if not conts:
+        return 1  # CallTerm, Inact
+    hops = len(conts) if kind == "dtmc" and isinstance(term, Interaction) else 0
+    return 1 + hops + sum([nodes(c, kind) for c in conts])
 
 
 # ---------------------------------------------------------------------------
 # head roles and strong connectedness
 # ---------------------------------------------------------------------------
 
-def h_mods(term: ChorTerm, defs: dict[str, ChorTerm], _visiting: frozenset = frozenset()) -> frozenset:
-    """Roles involved in the first action of ``term``.
-
-    Follows definition calls; a cycle of calls with no interaction or
-    conditional on it has no first action and is rejected.
-    """
+def h_mods(term: ChorTerm, defs: dict[str, ChorTerm]) -> frozenset:
+    """Roles acting at the statement ``term`` starts with (:func:`unfold`);
+    none for ``end``."""
+    term = unfold(term, defs)
     if isinstance(term, Interaction):
         return frozenset(term.participants)
     if isinstance(term, Conditional):
         return frozenset((term.role,))
-    if isinstance(term, CallTerm):
-        if term.name in _visiting:
-            raise UnguardedRecursion(
-                f"definition {term.name} recurses without an intervening action"
-            )
-        return h_mods(defs[term.name], defs, _visiting | {term.name})
-    return frozenset()  # Inact
+    return frozenset()
 
 
 def s_conn(program: ChorProgram) -> bool:
-    """Strong connectedness: in every branch of a choice, the continuation's
-    first action (if any) shares a role with the choice itself.
+    """Strong connectedness: at every choice, an interaction's branches or
+    a conditional's arms, each continuation's first action (if any) shares
+    a role with the roles acting at the choice. An ended continuation
+    offers no action, so it passes.
 
     The rule is local, so each statement is checked once: definitions in
     order, each in preorder. The first statement that fails, or whose
@@ -89,15 +76,10 @@ def s_conn(program: ChorProgram) -> bool:
     defs = program.defs
     for body in defs.values():
         for term in subterms(body):
-            if isinstance(term, Interaction):
-                for b in term.branches:
-                    hm = h_mods(b.cont, defs)
-                    if hm and hm.isdisjoint(term.participants):
-                        return False
-            elif isinstance(term, Conditional):
-                for sub in (term.then_term, term.else_term):
-                    if term.role not in h_mods(sub, defs):
-                        return False
+            for cont in continuations(term):
+                hm = h_mods(cont, defs)
+                if hm and hm.isdisjoint(h_mods(term, defs)):
+                    return False
     return True
 
 
@@ -111,12 +93,9 @@ def sites(program: ChorProgram) -> Iterator[tuple[ChorTerm, str]]:
 
     def walk(term: ChorTerm, where: str):
         yield term, where
-        if isinstance(term, Interaction):
-            for j, b in enumerate(term.branches, 1):
-                yield from walk(b.cont, f"{where}/branch{j}")
-        elif isinstance(term, Conditional):
-            yield from walk(term.then_term, f"{where}/then")
-            yield from walk(term.else_term, f"{where}/else")
+        for j, cont in enumerate(continuations(term), 1):
+            tag = ("then", "else")[j - 1] if isinstance(term, Conditional) else f"branch{j}"
+            yield from walk(cont, f"{where}/{tag}")
 
     for name, body in program.defs.items():
         yield from walk(body, name)
@@ -133,11 +112,16 @@ def branch_label(inter: Interaction, j: int) -> str:
     return f"{inter.annotation}_{j + 1}"
 
 
+def wire_label(inter: Interaction, j: int) -> str | None:
+    """What projection synchronizes branch ``j`` (0-based) on: nothing for a
+    self-step, which has nobody to synchronize with, else :func:`branch_label`."""
+    return branch_label(inter, j) if inter.receivers else None
+
+
 def check_annotations(program: ChorProgram) -> list[str]:
     """Return findings: unannotated interactions, duplicated annotations and
-    wire labels used twice. A wire label is what projection synchronizes a
-    branch on (:func:`branch_label`; a self-step has none); the labels a
-    duplicated annotation derives are not reported again."""
+    wire labels (:func:`wire_label`) used twice; the labels a duplicated
+    annotation derives are not reported again."""
     findings = []
     seen: dict[str, str] = {}
     wired: dict[str, str] = {}
@@ -155,12 +139,11 @@ def check_annotations(program: ChorProgram) -> list[str]:
             seen[inter.annotation] = where
         derives = inter.annotation is not None and seen[inter.annotation] == where
         for j, b in enumerate(inter.branches):
-            if not inter.receivers or not (b.label or derives):
-                continue
-            label, at = branch_label(inter, j), f"{where}/branch{j + 1}"
+            label = wire_label(inter, j) if b.label or derives else None
+            at = f"{where}/branch{j + 1}"
             if label in wired:
                 findings.append(f"label {label} used at both {wired[label]} and {at}")
-            else:
+            elif label is not None:
                 wired[label] = at
     return findings
 

@@ -35,7 +35,7 @@ class AnnotationError(WellFormednessError):
 
 
 class UnguardedRecursion(WellFormednessError):
-    """A cycle of definitions with no interaction or conditional on it."""
+    """A cycle of calls, or of calls and conditionals, with no interaction on it."""
 
 
 class NotStronglyConnected(WellFormednessError):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import branch_label, nodes, require_annotated, require_well_formed, s_conn
+from .analysis import nodes, require_annotated, require_well_formed, s_conn, wire_label
 from .errors import NotStronglyConnected
 from .prism import Network, PrismCommand, PrismModule, split_tests
 from .syntax import (
@@ -159,8 +159,7 @@ def _proj(
         )
     if inside:
         for j, b in enumerate(branches):
-            # a self-step has nobody to synchronize with, so it stays silent
-            label = branch_label(term, j) if term.receivers else None
+            label = wire_label(term, j)
             weight = b.weight if role == term.initiator and not hop else Lit(1)
             upd = proj_update(b.update, role, prog) + (_goto(s, starts[j], ctx),)
             here = _eq(s, base + 1 + j if hop else base, ctx)
@@ -257,8 +256,6 @@ def _fuse_module(m: PrismModule) -> PrismModule:
         return v
 
     final = {v: t for v in hops if (t := end(v)) != v}
-    if not final:
-        return m
 
     def dest(v: int) -> int:
         return final.get(v, v)
@@ -270,6 +267,8 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     for c, v, _ in kept:
         used.add(v)
         used.update(dest(a.expr.value) for _, upd in c.alts for a in upd if a.var == counter)
+    if not final and used == set(range(counter_decl.hi + 1)):
+        return m  # renumbering would rebuild the module as it is
     remap = {v: i for i, v in enumerate(sorted(used))}
 
     def move(a: Assign) -> Assign:

@@ -4,11 +4,11 @@ assignment, and the chain of a source program.
 The source chain is the chain of a one-module network. :func:`build_chain`
 lowers the program into a single guarded-command module over the declared
 variables and a hidden program counter, and explores it with the network's
-compiled successor function. The counter numbers hash-consed subterms, so a
-state is a (term, valuation) pair keyed structurally. Unfolding a definition
-and deciding a conditional are weight-1 moves of their own, mirroring the
-state-counter hops the compiled network makes for them; the equivalence
-checker later contracts both away. Updates apply left to right, each
+compiled successor function. The counter numbers hash-consed statements, so
+a state is a (statement, valuation) pair keyed structurally. Every move is
+an interaction: a call is no move, since a statement is numbered as
+:func:`~chorprism.syntax.unfold` gives it, and a conditional moves by the
+first action of the arm its guard picks. Updates apply left to right, each
 assignment seeing the effect of the previous one, on both sides.
 
 ``and`` and ``or`` stop at a left operand that decides the result, so a
@@ -22,8 +22,8 @@ import math
 import operator
 
 from .chain import PC, MarkovChain
-from .errors import EvalError, RangeViolation, TypeMismatch
-from .parser import assign_to_str
+from .errors import EvalError, RangeViolation, TypeMismatch, UnguardedRecursion
+from .parser import assign_to_str, expr_to_str
 from .syntax import (
     Assign,
     Binary,
@@ -37,6 +37,7 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    unfold,
 )
 
 DEFAULT_MAX_STATES = 100_000
@@ -208,13 +209,14 @@ def build_chain(
     """Breadth-first exploration of the reachable behaviour.
 
     The program is lowered into one module over the declared variables and
-    the counter :data:`PC`, which numbers hash-consed subterms in order of
-    discovery from the body of the entry definition (the entry call itself
-    is unfolded for free). An interaction is one command with one
-    alternative per branch, a call a weight-1 hop to the body, a conditional
-    two weight-1 hops guarded by the guard and its negation; ``end`` has no
-    command, so in discrete mode it absorbs via a probability-1 self-loop.
-    The counter is dropped from the chain's states after exploration.
+    the counter :data:`PC`, which numbers hash-consed statements, each as
+    :func:`~chorprism.syntax.unfold` gives it, in order of discovery from
+    the entry call. Only an interaction has a command, with one alternative
+    per branch; a conditional has its arms' first commands, under the guard
+    and under its negation, and ``end`` none, so in discrete mode a state
+    with no enabled command absorbs via a probability-1 self-loop. A cycle
+    through conditionals alone raises :class:`UnguardedRecursion`. The
+    counter is dropped from the chain's states after exploration.
     """
     # local import: prism imports this module
     from .prism import PrismCommand, PrismModule, explore_module
@@ -222,39 +224,36 @@ def build_chain(
     init = override_initial(program.var_decls, init_overrides)
     pc_of: dict[ChorTerm, int] = {}
     terms: list[ChorTerm] = []
+    commands: list[PrismCommand] = []
 
     def hop(term: ChorTerm) -> Assign:
-        k = pc_of.get(term)
-        if k is None:
-            k = pc_of[term] = len(terms)
+        term = unfold(term, program.defs)
+        k = pc_of.setdefault(term, len(terms))
+        if k == len(terms):
             terms.append(term)
         return Assign(PC, Lit(k))
 
-    def goto(guard: Expr, term: ChorTerm) -> PrismCommand:
-        return PrismCommand(None, guard, ((Lit(1), (hop(term),)),))
-
-    hop(program.defs[program.main])
-    commands: list[PrismCommand] = []
-    for k, term in enumerate(terms):  # terms grows as continuations are found
-        at = Binary("=", Var(PC), Lit(k))
+    def lower(term: ChorTerm, guard: Expr, path: tuple[ChorTerm, ...] = ()) -> None:
+        term = unfold(term, program.defs)
         if isinstance(term, Interaction):
             alts = tuple((b.weight, b.update + (hop(b.cont),)) for b in term.branches)
-            commands.append(PrismCommand(None, at, alts))
-        elif isinstance(term, CallTerm):
-            commands.append(goto(at, program.defs[term.name]))
+            commands.append(PrismCommand(None, guard, alts))
         elif isinstance(term, Conditional):
-            commands.append(goto(Binary("and", at, term.guard), term.then_term))
-            commands.append(goto(Binary("and", at, Unary("not", term.guard)), term.else_term))
+            if term in path:
+                raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ "
+                                         f"{term.role} recurses without an intervening action")
+            path += (term,)
+            lower(term.then_term, Binary("and", guard, term.guard), path)
+            lower(term.else_term, Binary("and", guard, Unary("not", term.guard)), path)
+
+    hop(CallTerm(program.main))
+    for k, term in enumerate(terms):  # terms grows as continuations are found
+        lower(term, Binary("=", Var(PC), Lit(k)))
 
     decls = program.var_decls + (VarDecl(PC, "", 0, 0, len(terms) - 1),)
     start = tuple(init[d.name] for d in program.var_decls) + (0,)
-    chain = explore_module(
-        PrismModule("chor", decls, tuple(commands)),
-        program.kind,
-        program.constants,
-        start,
-        max_states,
-    )
+    module = PrismModule("chor", decls, tuple(commands))
+    chain = explore_module(module, program.kind, program.constants, start, max_states)
     chain.var_names = chain.var_names[:-1]
     chain.states = [row[:-1] for row in chain.states]
     return chain

@@ -22,7 +22,7 @@ from functools import partial
 from operator import is_
 from typing import Callable
 
-from .analysis import branch_label, expr_vars
+from .analysis import branch_label
 from .errors import IndexOutOfFamily, NonStaticIndex, WellFormednessError
 from .parser import (
     AllSynch,
@@ -47,6 +47,7 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    continuations,
     subterms,
     times,
 )
@@ -78,15 +79,9 @@ def _parse_idx(idx: str, constants: dict) -> tuple[str | None, int]:
     return head, off
 
 
-def _conts(term: ChorTerm) -> list[ChorTerm]:
+def _conts(term: ChorTerm) -> tuple[ChorTerm, ...]:
     """The continuations directly below ``term``, in source order."""
-    if isinstance(term, Interaction):
-        return [b.cont for b in term.branches]
-    if isinstance(term, Conditional):
-        return [term.then_term, term.else_term]
-    if isinstance(term, AllSynch):
-        return [term.cont]
-    return []
+    return (term.cont,) if isinstance(term, AllSynch) else continuations(term)
 
 
 def _map_conts(term: ChorTerm, f: Callable[[ChorTerm], ChorTerm]) -> ChorTerm:

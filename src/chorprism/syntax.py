@@ -5,8 +5,9 @@ value: the source semantics hash-conses terms, giving structurally equal
 terms one program-counter value, so structural equality and hashability are
 load-bearing. They are not frozen, which makes them cheap to build, so no
 code assigns a field after construction (``tests/test_nodes.py`` scans the
-package for that). A call node is deliberately distinct from the body it
-names — unfolding is an observable step.
+package for that). In the source semantics a call is no step of its own:
+:func:`unfold` gives the statement a term starts with, the one rule by
+which the source chain and strong connectedness follow calls.
 
 One printer, :func:`render`, writes expressions in source and PRISM text
 alike, with each notation's spelling of the operators given as data, and
@@ -16,7 +17,10 @@ one rule, :func:`times`, forms the product of two weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Union
+
+from .errors import UnguardedRecursion
 
 Value = Union[int, bool, float]
 
@@ -165,6 +169,8 @@ class Inact:
 
 
 ChorTerm = Union[Interaction, Conditional, CallTerm, Inact]
+# a branch's continuation; mapped over branches, the cheapest step of a walk
+_cont = attrgetter("cont")
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +213,29 @@ class ChorProgram:
         return self.var(name).owner
 
 
+def unfold(term: ChorTerm, defs: dict[str, ChorTerm]) -> ChorTerm:
+    """The statement ``term`` starts with: a call stands for the body it
+    names. A cycle of calls has none, and raises :class:`UnguardedRecursion`."""
+    seen = ()
+    while isinstance(term, CallTerm) and term.name not in seen:
+        seen += (term.name,)
+        term = defs[term.name]
+    if isinstance(term, CallTerm):
+        raise UnguardedRecursion(f"definition {term.name} recurses without an intervening action")
+    return term
+
+
+def continuations(term: ChorTerm) -> tuple[ChorTerm, ...]:
+    """The branches' continuations of an interaction, a conditional's arms."""
+    if isinstance(term, Interaction):
+        return tuple(map(_cont, term.branches))
+    if isinstance(term, Conditional):
+        return (term.then_term, term.else_term)
+    return ()
+
+
 def subterms(term: ChorTerm):
     """Yield term and every node below it, preorder, branches in order."""
     yield term
-    if isinstance(term, Interaction):
-        for b in term.branches:
-            yield from subterms(b.cont)
-    elif isinstance(term, Conditional):
-        yield from subterms(term.then_term)
-        yield from subterms(term.else_term)
+    for cont in continuations(term):
+        yield from subterms(cont)

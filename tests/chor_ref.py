@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Callable
 
 from chorprism.chain import MarkovChain, explore, render_value
-from chorprism.errors import EvalError, RangeViolation, TypeMismatch
+from chorprism.errors import EvalError, RangeViolation, TypeMismatch, UnguardedRecursion
 from chorprism.semantics import (
     DEFAULT_MAX_STATES,
     assigned_value,
@@ -50,25 +50,34 @@ def apply_assignments(
     return out
 
 
+def first_statement(term: ChorTerm, program: ChorProgram) -> ChorTerm:
+    """``term`` with each leading call replaced by the body it names; a
+    cycle of calls with no statement on it raises."""
+    for _ in range(len(program.defs) + 1):
+        if not isinstance(term, CallTerm):
+            return term
+        term = program.defs[term.name]
+    raise UnguardedRecursion("a cycle of calls has no statement")
+
+
 def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[float, dict, ChorTerm]]:
     """Outgoing moves of a configuration: (weight, valuation, continuation).
 
-    Unfolding a named definition and deciding a conditional are both explicit
-    weight-1 moves that leave the valuation untouched, so (S, X) and
-    (S, body-of-X) are distinct states of the chain. Zero-weight interaction
+    Every move is an interaction's: a call steps as the body it names, and
+    a conditional as the arm its guard picks. Zero-weight interaction
     branches are dropped.
     """
     if isinstance(term, Inact):
         return []
     if isinstance(term, CallTerm):
-        return [(1.0, valuation, program.defs[term.name])]
+        return step(first_statement(term, program), valuation, program)
     if isinstance(term, Conditional):
         env = dict(program.constants)
         env.update(valuation)
         g = eval_expr(term.guard, env)
         if not isinstance(g, bool):
             raise TypeMismatch("conditional guard is not boolean")
-        return [(1.0, valuation, term.then_term if g else term.else_term)]
+        return step(term.then_term if g else term.else_term, valuation, program)
     if not isinstance(term, Interaction):
         raise EvalError(f"cannot step term {type(term).__name__}")
     moves = []
@@ -98,9 +107,10 @@ def ref_chain(
     """The source chain built with :func:`step`: what ``build_chain`` must
     return, state numbering, bit-exact weights and findings included.
 
-    States are (term, valuation) pairs keyed structurally. Exploration
-    begins at the body of the entry definition; in discrete mode states
-    with no moves become absorbing via a probability-1 self-loop.
+    States are (statement, valuation) pairs keyed structurally, a call
+    replaced by the body it names. Exploration begins at the entry call;
+    in discrete mode states with no moves become absorbing via a
+    probability-1 self-loop.
     """
     var_names = tuple(d.name for d in program.var_decls)
     start_val = override_initial(program.var_decls, init_overrides)
@@ -112,9 +122,12 @@ def ref_chain(
         except (EvalError, RangeViolation) as e:
             raise at_state(e, var_names, row)
         for w, new_val, cont in moves:
-            yield (cont, tuple(new_val[n] for n in var_names)), w
+            yield (first_statement(cont, program), tuple(new_val[n] for n in var_names)), w
 
-    start = (program.defs[program.main], tuple(start_val[n] for n in var_names))
+    start = (
+        first_statement(CallTerm(program.main), program),
+        tuple(start_val[n] for n in var_names),
+    )
     keys, edges = explore(start, successors, max_states)
 
     if program.kind == "dtmc":

@@ -18,7 +18,7 @@ from chorprism import (
     s_conn,
     verify_projection,
 )
-from chorprism.analysis import h_mods, type_of
+from chorprism.analysis import h_mods, type_of, wire_label
 from chorprism.syntax import (
     Binary,
     Branch,
@@ -29,6 +29,7 @@ from chorprism.syntax import (
     Lit,
     Unary,
     Var,
+    unfold,
 )
 
 
@@ -94,6 +95,21 @@ def test_call_cycle_without_action_is_rejected():
         h_mods(CallTerm("A"), defs)
 
 
+def test_unfold_gives_the_statement_a_term_starts_with():
+    body = inter("p", ["q"], Inact())
+    defs = {"X": CallTerm("Y"), "Y": body}
+    assert unfold(CallTerm("X"), defs) is body
+    for term in (body, Inact(), Conditional(Lit(True), "p", CallTerm("X"), Inact())):
+        assert unfold(term, defs) is term
+
+
+def test_unfold_names_the_first_definition_met_again():
+    defs = {"A": CallTerm("B"), "B": CallTerm("A"), "M": CallTerm("A")}
+    message = "^definition A recurses without an intervening action$"
+    with pytest.raises(UnguardedRecursion, match=message):
+        unfold(CallTerm("M"), defs)
+
+
 def test_sconn_fixtures(data_text):
     assert s_conn(load_program(data_text("sconn_pos.chor"))) is True
     assert s_conn(load_program(data_text("nonsconn.chor"))) is False
@@ -116,6 +132,22 @@ def test_sconn_conditional_requires_decider_in_both_arms():
     assert s_conn(load_program(src_bad)) is False
 
 
+def test_sconn_passes_an_ended_arm_as_an_ended_branch(data_text):
+    # an ended continuation offers no action, whichever kind of choice
+    # leads to it; an arm that starts without the decider still fails
+    src = """
+    ctmc;
+    role p, q;
+    var x @ p : [0..1] init 0;
+    def M = p -> q : { rate 1 : {}; if x=0 @ p then { end } else { p -> q : { rate 1 : {}; M } } };
+    main M;
+    """
+    assert s_conn(load_program(src)) is True
+    assert s_conn(load_program(src.replace("{ p -> q", "{ q -> q"))) is False
+    for name in ("end_arm.chor", "annot_ok.chor", "annot_dup.chor"):
+        assert s_conn(load_program(data_text(name))) is True
+
+
 def test_sconn_surfaces_unguarded_recursion():
     src = """
     ctmc;
@@ -127,6 +159,8 @@ def test_sconn_surfaces_unguarded_recursion():
     """
     with pytest.raises(UnguardedRecursion):
         s_conn(load_program(src))
+    # a pair that no choice continues into has no first action to check
+    assert s_conn(load_program(src.replace("{}; A }", "{}; M }"))) is True
 
 
 def test_sconn_reports_the_first_failing_statement_in_definition_order():
@@ -198,6 +232,14 @@ def test_a_self_step_puts_no_label_on_the_wire():
         "main M;"
     )
     assert check_annotations(auto_annotate(prog)) == []
+
+
+def test_wire_label_is_none_for_a_self_step_and_the_branch_label_otherwise():
+    step = Interaction("p", (), (Branch(Lit(1), (), Inact(), "L"),), "A")
+    branches = (Branch(Lit(1), (), Inact(), "L"), Branch(Lit(1), (), Inact()))
+    send = Interaction("p", ("q",), branches, "A")
+    assert wire_label(step, 0) is None
+    assert [wire_label(send, j) for j in range(2)] == ["L", "A_2"]
 
 
 def test_auto_annotate_skips_a_name_whose_labels_are_taken():

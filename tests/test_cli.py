@@ -68,6 +68,17 @@ def test_verify_passes_a_role_in_no_statement(capsys, data_path):
     assert "equivalent: yes" in out
 
 
+@pytest.mark.parametrize("name", ["annot_ok.chor", "end_arm.chor"])
+def test_an_end_arm_is_strongly_connected(capsys, data_path, name):
+    # an ended arm offers no action, as an interaction branch that ends
+    code, out, _ = run(capsys, "check", data_path(name))
+    assert (code, out.splitlines()[-1]) == (0, "strongly-connected: yes")
+    code, out, _ = run(capsys, "verify", data_path(name))
+    assert code == 0
+    assert "finding: sconn:" not in out
+    assert out.endswith("equivalent: yes\n")
+
+
 def test_check_nonsconn(capsys, data_path):
     code, out, _ = run(capsys, "check", data_path("nonsconn.chor"))
     assert code == 1
@@ -123,6 +134,13 @@ def test_compile_stdout(capsys, data_path):
     assert "modules: 2" in err
 
 
+def test_compile_declares_a_counter_over_the_values_it_uses(capsys, data_path):
+    # r's one command moves its counter from 0 to 1 and no further
+    code, out, _ = run(capsys, "compile", data_path("idle_later.chor"), "-o", "-")
+    assert code == 0
+    assert "  r_STATE : [0..1] init 0;\n" in out
+
+
 def test_compile_to_file(capsys, tmp_path, data_path):
     code, stdout_text, _ = run(capsys, "compile", data_path("example1.chor"))
     assert code == 0
@@ -172,6 +190,21 @@ def test_chain_text(capsys, data_path):
     assert "STATE 0 x=0,y=0 init" in out
     assert "TRANS 0 1 2" in out
     assert "TRANS 1 2 3" in out
+
+
+def test_source_chain_has_no_call_state(capsys, data_path):
+    # each message returns to the body of C: a call is no move of its own
+    code, out, _ = run(capsys, "chain", data_path("example2.chor"))
+    assert code == 0
+    assert out.startswith("# ctmc 3 states 6 transitions\n")
+
+
+def test_source_chain_refuses_an_unguarded_call_cycle(capsys, tmp_path):
+    path = tmp_path / "cycle.chor"
+    path.write_text("ctmc;\nrole p, q;\ndef A = B;\ndef B = A;\nmain A;\n")
+    code, out, err = run(capsys, "chain", str(path), "--side", "chor")
+    assert (code, out) == (1, "")
+    assert err == "error: definition A recurses without an intervening action\n"
 
 
 def test_chain_dot(capsys, data_path):
@@ -394,7 +427,7 @@ def test_guarded_division_verifies(capsys, data_path):
     code, out, err = run(capsys, "verify", data_path("guarded_division.chor"))
     assert code == 0
     assert err == ""
-    assert "states: source 5 (2 collapsed), network 10 (2 collapsed)" in out
+    assert "states: source 2 (2 collapsed), network 10 (2 collapsed)" in out
     assert out.endswith("equivalent: yes\n")
 
 
@@ -416,7 +449,7 @@ def test_verify_ok(capsys, data_path):
     assert code == 0
     assert "kind: ctmc" in out
     assert "strongly-connected: yes" in out
-    assert "states: source 5 (3 collapsed), network 9 (3 collapsed)" in out
+    assert "states: source 3 (3 collapsed), network 9 (3 collapsed)" in out
     assert "equivalent: yes" in out
     assert "counterexample" not in out
 

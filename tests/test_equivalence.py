@@ -25,13 +25,16 @@ from chorprism.equivalence import (
 from chorprism.errors import NotStronglyConnected, StateBudgetExceeded, StutterGroupTooLarge
 from chorprism.prism import build_network_chain
 from chorprism.projection import project
-from chorprism.semantics import build_chain
+from chorprism.semantics import build_chain, eval_weight
 from chorprism.sugar import auto_annotate, load_program
+from chorprism.syntax import Interaction, subterms
 
 import jump_ref
 from corpus import random_program
 
 OBS = ("x",)
+DATA = pathlib.Path(__file__).parent / "data"
+FIXTURES = sorted(p.name for p in DATA.glob("*.chor"))
 
 
 def mk(kind, states, edges, init=0, names=OBS):
@@ -323,7 +326,7 @@ def test_verify_example2_ctmc_report(data_text):
         "kind": "ctmc",
         "sconn": True,
         "states": {
-            "chor_raw": 5,
+            "chor_raw": 3,
             "chor_collapsed": 3,
             "net_raw": 9,
             "net_collapsed": 3,
@@ -338,7 +341,7 @@ def test_verify_example2_dtmc_report(data_text):
     assert report["equivalent"] is True
     assert report["kind"] == "dtmc"
     assert report["states"] == {
-        "chor_raw": 5,
+        "chor_raw": 3,
         "chor_collapsed": 3,
         "net_raw": 19,
         "net_collapsed": 11,
@@ -354,9 +357,9 @@ def test_verify_example2_dtmc_report(data_text):
 
 @pytest.mark.parametrize("name, states", [
     # thinkteam.chor with its counts kept in range
-    ("dispatcher.chor", (64, 32, 389, 32)),
+    ("dispatcher.chor", (32, 32, 389, 32)),
     # the guard divides by a variable that is 0 while control is elsewhere
-    ("guarded_division.chor", (5, 2, 10, 2)),
+    ("guarded_division.chor", (2, 2, 10, 2)),
 ])
 def test_verify_fixture_reports(name, states, data_text):
     report = verify_projection(load_program(data_text(name)))
@@ -372,7 +375,7 @@ def test_verify_families_foreach_report(data_text):
     assert report["equivalent"] is True
     assert report["counterexample"] is None
     assert report["states"] == {
-        "chor_raw": 31,
+        "chor_raw": 21,
         "chor_collapsed": 21,
         "net_raw": 605,
         "net_collapsed": 534,
@@ -418,7 +421,7 @@ def test_verify_reports_trimmed_jump_chain_sizes():
     report = verify_projection(load_program(GRID3_DTMC))
     assert report["equivalent"] is True
     assert report["states"] == {
-        "chor_raw": 32,
+        "chor_raw": 16,
         "chor_collapsed": 16,
         "net_raw": 464,
         "net_collapsed": 304,
@@ -438,7 +441,7 @@ def test_verify_sconn_pos_as_dtmc(data_text):
         dataclasses.replace(prog, kind="dtmc", constants=probs)
     )
     assert report["equivalent"] is True
-    assert report["states"]["chor_raw"] == 9
+    assert report["states"]["chor_raw"] == 6
 
 
 def test_verify_ctmc_partial_participation_is_conservative(data_text):
@@ -476,7 +479,7 @@ def test_verify_p2p_override_finds_sequencing_race(data_text):
     assert report["sconn"] is False
     assert report["equivalent"] is False
     assert "in the source but" in report["counterexample"]
-    assert report["states"]["chor_raw"] == 33
+    assert report["states"]["chor_raw"] == 24
 
 
 def test_verify_detects_mutated_rate(data_text):
@@ -564,7 +567,7 @@ def test_verify_init_overrides_apply_to_both_sides(data_text):
         load_program(data_text("example2.chor")), init_overrides={"x": 1}
     )
     assert report["equivalent"] is True
-    assert report["states"]["chor_raw"] == 5
+    assert report["states"]["chor_raw"] == 3
 
 
 # pair 65 (dtmc) of the benchmark corpus, seed 1: a discrete program whose
@@ -863,3 +866,60 @@ def test_jump_chain_stops_a_stutter_path_with_many_exit_rows_quickly():
     assert exc.value.exit_code == 3
     row = jump_chain(stutter_path(600), OBS).edges[0]
     assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the source chain has interactions only
+# ---------------------------------------------------------------------------
+
+
+def test_verify_end_arm_is_certified(data_text):
+    # an ended arm offers no action, as a branch that ends does, so the
+    # choice is strongly connected and no sconn finding is made
+    report = verify_projection(load_program(data_text("end_arm.chor")))
+    assert report["sconn"] is True
+    assert report["equivalent"] is True
+    assert not [f for f in report["findings"] if f.startswith("sconn:")]
+
+
+def test_verify_annot_ok_is_certified(data_text):
+    report = verify_projection(load_program(data_text("annot_ok.chor")))
+    assert (report["sconn"], report["equivalent"], report["findings"]) == (True, True, [])
+
+
+def _weights(prog):
+    return {
+        eval_weight(b.weight, prog.constants)
+        for body in prog.defs.values()
+        for t in subterms(body) if isinstance(t, Interaction)
+        for b in t.branches
+    }
+
+
+# every fixture with no weight-1 branch, which collapse could read as a
+# bookkeeping move; thinkteam.chor's chain overflows a variable
+NO_WEIGHT_ONE = [
+    name for name in FIXTURES if name != "thinkteam.chor"
+    and 1.0 not in _weights(load_program(DATA.joinpath(name).read_text(encoding="utf-8")))
+]
+
+
+def _is_its_own_collapse(prog):
+    chain = build_chain(prog)
+    assert 1.0 not in _weights(prog)
+    assert collapse(chain, tuple(d.name for d in prog.var_decls)).num_states == chain.num_states
+
+
+def test_source_chain_is_its_own_collapse_on_the_benchmark_shapes(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    stages = load_program(workloads.stages_text(40, 1, random.Random(1)))
+    grid = load_program(GRID_19)
+    _is_its_own_collapse(stages)
+    _is_its_own_collapse(grid)
+    assert (build_chain(grid).num_states, build_chain(stages).num_states) == (400, 80)
+
+
+@pytest.mark.parametrize("name", NO_WEIGHT_ONE)
+def test_source_chain_is_its_own_collapse_on_fixtures(name, data_text):
+    _is_its_own_collapse(load_program(data_text(name)))

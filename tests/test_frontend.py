@@ -262,6 +262,7 @@ FIXTURE_TOKENS = {
     "annot_ok.chor": (94, "af50509685e4688a"),
     "constants.chor": (72, "b64188e58ea7dc04"),
     "dispatcher.chor": (198, "87b5e014922ba5cd"),
+    "end_arm.chor": (60, "f24be7431f18a364"),
     "example1.chor": (84, "8fa7ca7a0520ce42"),
     "example2.chor": (90, "1025d4893d71fc63"),
     "example2_dtmc.chor": (90, "b50e000103485d09"),

@@ -3,6 +3,8 @@ reset-fusion cleanup pass."""
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from chorprism import (
@@ -347,6 +349,39 @@ def test_fusion_is_idempotent_and_label_preserving(data_text):
         fused = fuse_resets(net)
         assert fuse_resets(fused) == fused
         assert alphabet(fused) == alphabet(net)
+
+
+# every fixture but the two whose annotations clash, which project refuses
+PROJECTED = sorted(
+    p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor")
+    if p.name not in ("annot_dup.chor", "label_clash.chor")
+)
+
+
+@pytest.mark.parametrize("name", PROJECTED)
+def test_every_fused_counter_holds_only_the_values_its_module_uses(name, data_text):
+    net, _ = project(load(data_text, name), require_sconn=False)
+    for m in fuse_resets(net):
+        decl = m.var_decls[0]
+        used = {decl.init}
+        for c in m.commands:
+            used.add(guard_slot(c))
+            used.update(counter_targets(c, decl.name))
+        assert used == set(range(decl.hi + 1)), m.name
+
+
+def test_fusion_renumbers_a_module_with_no_hop(data_text):
+    # r's one command moves its counter from M's slot to M's continuation,
+    # so the fused counter holds those two values
+    net, _ = project(load(data_text, "idle_later.chor"))
+    fused = fuse_resets(net)
+    r = module_of(fused, "r")
+    assert [(c.label, guard_slot(c), counter_targets(c, "r_STATE")) for c in r.commands] == [
+        ("A1_1", 0, [1])
+    ]
+    assert r.var_decls[0] == VarDecl("r_STATE", "r", 0, 0, 1)
+    # a module with no hop, already numbered densely, is kept as it is
+    assert all(again is m for again, m in zip(fuse_resets(fused), fused))
 
 
 def test_fusion_preserves_behaviour(data_text):

@@ -15,6 +15,7 @@ from chorprism import (
     RangeViolation,
     StateBudgetExceeded,
     TypeMismatch,
+    UnguardedRecursion,
     build_chain,
     eval_expr,
     eval_weight,
@@ -148,19 +149,20 @@ def test_initial_valuation_overrides():
 # small steps, in the reference semantics
 # ---------------------------------------------------------------------------
 
-def test_unfolding_a_call_is_an_explicit_move():
+def test_a_call_steps_as_the_body_it_names():
     body = Interaction("p", ("q",), (Branch(Lit(1), (), Inact()),))
     prog = two_var_program(body=body)
     prog.defs["M"] = body
     moves = step(CallTerm("M"), {"x": 0, "y": 0}, prog)
-    assert moves == [(1.0, {"x": 0, "y": 0}, body)]
+    assert moves == step(body, {"x": 0, "y": 0}, prog) == [(1.0, {"x": 0, "y": 0}, Inact())]
 
 
-def test_deciding_a_conditional_is_an_explicit_move():
-    t = Conditional(Binary("=", Var("x"), Lit(0)), "p", Inact(), CallTerm("M"))
+def test_a_conditional_steps_as_the_arm_its_guard_picks():
+    send = Interaction("p", ("q",), (Branch(Lit(2), (Assign("y", Lit(1)),), Inact()),))
+    t = Conditional(Binary("=", Var("x"), Lit(0)), "p", Inact(), send)
     prog = two_var_program(body=t)
-    assert step(t, {"x": 0, "y": 0}, prog) == [(1.0, {"x": 0, "y": 0}, Inact())]
-    assert step(t, {"x": 1, "y": 0}, prog) == [(1.0, {"x": 1, "y": 0}, CallTerm("M"))]
+    assert step(t, {"x": 0, "y": 0}, prog) == []
+    assert step(t, {"x": 1, "y": 0}, prog) == [(2.0, {"x": 1, "y": 1}, Inact())]
 
 
 def test_non_boolean_guard_fails_at_evaluation_time():
@@ -203,15 +205,14 @@ def test_two_message_chain_shape(data_text):
 
 def test_recursive_exchange_chain_shape(data_text):
     c = build_chain(load_program(data_text("example2.chor")))
-    assert c.num_states == 5
+    assert c.num_states == 3
     assert len(set(c.states)) == 3  # three distinct valuations
     assert c.states[0] == (0, 0)
-    # the two post-message states are call states with one weight-1 exit
-    assert c.edges[1] == {3: 1.0}
-    assert c.edges[2] == {4: 1.0}
-    # the unfolded bodies branch exactly like the root does
-    assert c.edges[3] == {1: 2.0, 2: 3.0}
-    assert c.edges[4] == {1: 2.0, 2: 3.0}
+    # a call is no move: each post-message state is the body again, and
+    # branches exactly like the root does
+    assert c.edges[0] == {1: 2.0, 2: 3.0}
+    assert c.edges[1] == {1: 2.0, 2: 3.0}
+    assert c.edges[2] == {1: 2.0, 2: 3.0}
 
 
 def test_exploration_starts_at_the_entry_body():
@@ -242,7 +243,7 @@ def test_parallel_edges_merge_by_summing_weights():
 
 def test_state_budget_is_enforced(data_text):
     with pytest.raises(StateBudgetExceeded) as exc:
-        build_chain(load_program(data_text("example2.chor")), max_states=3)
+        build_chain(load_program(data_text("example2.chor")), max_states=2)
     assert exc.value.exit_code == 3
 
 
@@ -252,15 +253,35 @@ def test_initial_overrides_flow_into_the_chain(data_text):
     )
     assert c.states[c.init] == (3, 1)
     # (3,1) is also a reachable interior valuation, so the chain shrinks
-    assert c.num_states == 4
+    assert c.num_states == 2
 
 
 def test_non_boolean_conditional_guard_raises_the_shared_message():
-    # the lowered guard is 'pc = k and g', as in the projected network's
-    # deciding role, so the conjunction reports the non-bool operand
-    t = Conditional(Binary("+", Var("x"), Lit(1)), "p", Inact(), Inact())
+    # the then arm's first command is guarded by 'pc = k and g', as in the
+    # projected network's deciding role, so the conjunction reports the
+    # non-bool operand; an arm that does not act has no command to guard
+    send = Interaction("p", ("q",), (Branch(Lit(1), (), Inact()),))
+    t = Conditional(Binary("+", Var("x"), Lit(1)), "p", send, Inact())
     with pytest.raises(TypeMismatch, match="^'and' applied to non-bool value at state x=0,y=0$"):
         build_chain(two_var_program(body=t))
+
+
+def test_a_call_and_a_conditional_are_no_moves(data_text):
+    # guarded_division.chor: C decides and sends, D sends back to C
+    c = build_chain(load_program(data_text("guarded_division.chor")))
+    assert c.states == [(1,), (0,)]
+    assert c.edges == [{1: 2.0}, {0: 3.0}]
+
+
+def test_a_cycle_through_conditionals_alone_is_refused():
+    src = (
+        "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 1;\n"
+        "def A = if x = 0 @ p then { A } else { p -> q : { rate 2 : {x'=0}; A } };\n"
+        "main A;\n"
+    )
+    with pytest.raises(UnguardedRecursion, match="^conditional x = 0 @ p recurses without "
+                       "an intervening action$"):
+        build_chain(load_program(src))
 
 
 def test_an_error_names_the_state_without_the_program_counter():
@@ -316,7 +337,7 @@ def test_build_chain_matches_the_reference_on_errors_and_limits(data_text):
     assert got == (RangeViolation,
                    "update x'=x + 1 assigns 11 to x, outside [0..10] at state x=10,y=0")
     prog = load_program(data_text("example2.chor"))
-    assert assert_same_as_reference(prog, max_states=3)[0] is StateBudgetExceeded
+    assert assert_same_as_reference(prog, max_states=2)[0] is StateBudgetExceeded
     assert_same_as_reference(prog, init_overrides={"x": 3, "y": 1})
     assert assert_same_as_reference(prog, init_overrides={"nope": 1})[0] is EvalError
     # the hidden program counter is not a variable either
