@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .errors import AnnotationError, WellFormednessError
 from .parser import assign_to_str
-from .semantics import TOL, eval_weight
+from .semantics import TOL, decided, eval_weight
 from .syntax import (
     Assign,
     Binary,
@@ -71,12 +71,19 @@ def s_conn(program: ChorProgram) -> bool:
 
     The rule is local, so each statement is checked once: definitions in
     order, each in preorder. The first statement that fails, or whose
-    continuation has no first action (:class:`UnguardedRecursion`), decides.
+    continuation has no first action (:class:`UnguardedRecursion`), decides:
+    a continuation's first action follows calls, and a conditional's arms
+    through other conditionals, as the source chain does (:func:`decided`).
+    The entry, too, must reach a first statement.
     """
     defs = program.defs
+    unfold(CallTerm(program.main), defs)
     for body in defs.values():
         for term in subterms(body):
             for cont in continuations(term):
+                cont = unfold(cont, defs)
+                if isinstance(cont, Conditional):  # raises on a cycle of decisions
+                    list(decided(cont, defs, Lit(True)))
                 hm = h_mods(cont, defs)
                 if hm and hm.isdisjoint(h_mods(term, defs)):
                     return False

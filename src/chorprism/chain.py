@@ -1,10 +1,12 @@
 """Explicit-state Markov chains, their exploration and export formats.
 
 Both the choreography semantics and the network semantics produce values of
-:class:`MarkovChain` through the one breadth-first :func:`explore` loop; the
-equivalence checker compares them structurally, so the container is
-deliberately plain: integer state ids, valuation tuples, and per-state
-weight maps.
+:class:`MarkovChain`, through the compiled loop of
+:func:`chorprism.prism.explore_module`; jump chains are explored by the
+generic breadth-first :func:`explore`, which numbers states and fills rows
+the same way. The equivalence checker compares chains structurally, so the
+container is deliberately plain: integer state ids, valuation tuples, and
+per-state weight maps.
 """
 
 from __future__ import annotations

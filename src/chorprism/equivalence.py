@@ -68,14 +68,14 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     form merge into one edge, and a second pass would read two merged
     moves of weight 0.5 as one weight-1 bookkeeping move (README caveat 3).
     """
-    obs = chain.observations(obs_names)
+    obs = chain.observations(obs_names)  # equal observations are one object
 
     # contractible: every move is administrative (weight 1, observation kept)
     contractible = []
     for succ, o in zip(chain.edges, obs):
         admin = bool(succ)
         for y, w in succ.items():
-            if abs(w - 1.0) > TOL or obs[y] != o:
+            if abs(w - 1.0) > TOL or obs[y] is not o:
                 admin = False
                 break
         contractible.append(admin)
@@ -155,10 +155,13 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     state whose one move is a weight-1 stutter move to a state with a row
     shares that row, since no row changes once it is stored.
     """
-    obs = chain.observations(obs_names)
+    obs = chain.observations(obs_names)  # equal observations are one object
     edges = chain.edges
     # per state its exit row, before the 1e-12 cut, or None while it has none
     out: list[dict[int, float] | None] = [None] * len(edges)
+    # per state its visit number in the walk that gave it a row: a walk reads
+    # only states without a row, so never a number an earlier walk left
+    num: list[int | None] = [None] * len(edges)
 
     def solve(parts: list[tuple[int, dict[int, float], list[tuple[int, float]]]]) -> None:
         """Exit rows of one component of several states, given per member
@@ -239,7 +242,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     def walk(root: int) -> None:
         """Give ``root``, and every state it reaches by stutter moves that
         has no row yet, its exit row."""
-        num = {root: 0}  # Tarjan's visit order and low links
+        num[root] = 0  # Tarjan's visit order and low links
         low = [0]
         parts = []  # finished states of components not yet solved
         added = 0  # entries added up from solved rows
@@ -249,9 +252,9 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
             oy = obs[y]
             i = num[y]
             for z in it:
-                if out[z] is not None or obs[z] != oy:
+                if out[z] is not None or obs[z] is not oy:
                     continue
-                k = num.get(z)
+                k = num[z]
                 if k is None:  # descend
                     num[z] = len(low)
                     low.append(len(low))
@@ -271,7 +274,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                 succ = edges[y]
                 for z, w in succ.items():
                     solved = out[z]
-                    if obs[z] != oy:
+                    if obs[z] is not oy:
                         row[z] = row[z] + w if z in row else w
                     elif solved is not None:
                         added += len(solved)

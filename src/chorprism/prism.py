@@ -26,15 +26,18 @@ counters — index the commands: a command's leading tests of index slots are
 decided once per counter tuple (one value per index slot), and a state
 evaluates, in derivation order, only the commands whose tests hold there,
 each with just the rest of its guard (none for a projected command guarded
-by counters alone). The third time a counter tuple is reached, if none of
-its commands keeps a guard, its moves are planned: the update function and
-weight of each alternative, in derivation order, and in discrete mode the
-divided weights and the mass they were divided by.
-Later states with that tuple only apply the updates, except a state where
-two moves land on one successor, which takes the general path so that the
-merged weights add up before they are divided. :func:`explore_module`
-feeds the successor function to the breadth-first loop
-:func:`chain.explore`; the source semantics explores its one-module
+by counters alone). The third time a counter tuple is reached, its moves
+are planned if none of its commands keeps a guard and no two of its moves
+can land on one state: each move's last assignment to every index slot is a
+literal (or it leaves the slot alone), and the counter tuples the moves
+land on differ pairwise, whatever the rest of the state. A plan holds the
+update function and weight of each alternative, in derivation order, and
+in discrete mode the divided weights and the mass they were divided by.
+:func:`explore_module` is the breadth-first loop that numbers states in
+the order they are first reached: a state whose tuple has a plan applies
+its updates and writes each weight straight into its row, any other takes
+the general path, where moves into one state merge and their weights add
+up before they are divided. The source semantics explores its one-module
 lowering of the choreography the same way.
 """
 
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 from itertools import takewhile
 from operator import itemgetter
 
-from .chain import MarkovChain, Successors, explore, render_weight, valuation_text
-from .errors import ChorError, EvalError, RangeViolation, TypeMismatch
+from .chain import MarkovChain, render_weight, valuation_text
+from .errors import ChorError, EvalError, RangeViolation, StateBudgetExceeded, TypeMismatch
 from .parser import expr_to_str
 from .semantics import (
     DEFAULT_MAX_STATES,
@@ -62,8 +65,9 @@ from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, times
 # The visit of a counter tuple at which its moves are planned. Building a
 # plan costs about as much as the general path, so it pays only for the
 # visits after it: each of stages-40's 600 network tuples is reached twice,
-# and plans built on the second visit made its network chain a fifth slower,
-# while grid-19 reaches each of its 29 tuples 400 times.
+# and plans built on the second visit made its network chain a third slower
+# and its verify 15% slower, while grid-19 reaches each of its 29 tuples 400
+# times.
 PLAN_VISIT = 3
 
 #: one probabilistic alternative of a command: (weight, assignments)
@@ -237,7 +241,9 @@ def _weight(w: Expr, constants: dict) -> float:
 
 def _update(update: tuple[Assign, ...], slot_of, decls, constants):
     """A function from a state tuple to the state tuple after ``update``,
-    applied left to right with every assignment seeing the previous ones."""
+    applied left to right with every assignment seeing the previous ones,
+    and per slot assigned the value its last assignment stores, None where
+    that value is computed."""
     steps = [_assignment(a, slot_of, decls, constants) for a in update]
 
     def apply(row: tuple) -> tuple:
@@ -246,7 +252,7 @@ def _update(update: tuple[Assign, ...], slot_of, decls, constants):
             cur[slot] = value if fn is None else fn(cur)
         return tuple(cur)
 
-    return apply
+    return apply, {slot: value for slot, value, _ in steps}
 
 
 def split_tests(guard: Expr) -> tuple[list[Binary], list[Expr]]:
@@ -266,23 +272,18 @@ def split_tests(guard: Expr) -> tuple[list[Binary], list[Expr]]:
     return tests, rest
 
 
-def _successors(module: PrismModule, kind: str, constants: dict, findings: list) -> Successors:
-    """The one-step successor function of the module's chain over state
-    tuples. Moves into the same state merge; in discrete mode the mass is
-    renormalized to 1 where commands race, and the first such state is
-    reported in ``findings``."""
-    var_names = tuple(d.name for d in module.var_decls)
-    slot_of = {n: i for i, n in enumerate(var_names)}
+def _commands(module: PrismModule, constants: dict, slot_of: dict[str, int]):
+    """The index slots of the module's compiled commands, and a function from
+    a state tuple to the commands its counter tuple leaves to evaluate: per
+    command, the closure of its guard less the tests decided per counter
+    tuple (None if nothing is left), and a (weight, update function, last
+    assignments) triple per alternative of non-zero weight (:func:`_update`)."""
     decls = {d.name: d for d in module.var_decls}
-
     split = [split_tests(c.guard) for c in module.commands]
     # the index slots: those some command tests in its leftmost conjunct
     index: dict[int, dict[object, list[int]]] = {
         slot_of[t[0].left.name]: {} for t, _ in split if t and t[0].left.name in slot_of
     }
-    # per command, the closure of its guard less the tests decided per
-    # counter tuple (None if nothing is left) and a (weight, update function)
-    # pair per alternative of non-zero weight
     compiled: list[tuple] = []
     always: list[int] = []
     hoisted: list[list[tuple[int, object]]] = []  # held tests after the filed one
@@ -296,7 +297,7 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         for c in rest:
             guard = Binary("and", guard, c)
         weighed = [(_weight(w, constants), u) for w, u in cmd.alts]
-        alts = [(w, _update(u, slot_of, decls, constants)) for w, u in weighed if w != 0.0]
+        alts = [(w, *_update(u, slot_of, decls, constants)) for w, u in weighed if w != 0.0]
         compiled.append((None if held and not rest else _closure(guard, slot_of, constants), alts))
         if held:
             index[held[0][0]].setdefault(held[0][1], []).append(i)
@@ -304,10 +305,6 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
             always.append(i)
         hoisted.append(held[1:])
     tables = list(index.items())
-    # the candidates depend only on the indexed slots, so they are worked
-    # out once per combination of their values
-    indexed = itemgetter(*index) if index else (lambda row: ())
-    by_indexed: dict[object, list] = {}  # per tuple: [candidates, visits, plan]
 
     def candidates(row: tuple) -> list[tuple]:
         picked = list(always)
@@ -316,47 +313,55 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
         picked.sort()
         return [compiled[i] for i in picked if all(row[s] == v for s, v in hoisted[i])]
 
-    def plan(found: list[tuple]) -> tuple | None:
-        """The update functions and weights of the moves every state with
-        the tuple of ``found`` makes, in derivation order, and the mass
-        they are divided by in discrete mode (None if they are not); None
-        where a candidate keeps a guard or no move is left."""
-        moves = [(u, w) for _, alts in found for w, u in alts]
-        if not moves or any(guard is not None for guard, _ in found):
-            return None
-        weights = [w for _, w in moves]
-        mass = sum(weights)
-        if kind == "dtmc" and abs(mass - 1.0) > TOL:
-            return [u for u, _ in moves], [w / mass for w in weights], mass
-        return [u for u, _ in moves], weights, None
+    return tuple(index), candidates
 
-    def renormalized(mass: float, row: tuple) -> None:
-        if not findings:
-            findings.append(
-                f"dtmc_renormalized: outgoing probability mass {render_weight(mass)} "
-                f"at state {valuation_text(var_names, row)}"
-            )
 
-    def successors(row: tuple):
-        try:
-            key = indexed(row)
-            memo = by_indexed.get(key)
-            if memo is None:
-                memo = by_indexed[key] = [candidates(row), 0, None]
-            found, visits, planned = memo
-            if planned is None:
-                memo[1] = visits = visits + 1
-                if visits == PLAN_VISIT:
-                    planned = memo[2] = plan(found)
-            if planned is not None:
-                updates, weights, mass = planned
-                nxts = [update(row) for update in updates]
-                # moves into one state merge on the path below, which adds
-                # their weights before dividing
-                if len(nxts) == 1 or len(set(nxts)) == len(nxts):
-                    if mass is not None:
-                        renormalized(mass, row)
-                    return zip(nxts, weights)
+def explore_module(
+    module: PrismModule, kind: str, constants: dict, init: tuple, max_states: int
+) -> MarkovChain:
+    """Breadth-first exploration of the module's chain from the state tuple
+    ``init``, one slot per variable in declaration order, numbering states
+    and filling rows as :func:`chain.explore` does. Moves into the same
+    state merge; in discrete mode the mass is renormalized to 1 where
+    commands race, and the first such state is reported in the findings."""
+    var_names = tuple(d.name for d in module.var_decls)
+    slots, candidates = _commands(module, constants, {n: i for i, n in enumerate(var_names)})
+    if max_states < 1:
+        raise StateBudgetExceeded(max_states)
+    row = init  # the state being explored
+
+    def explore() -> MarkovChain:
+        nonlocal row
+        # the candidates depend only on the counter tuple, so they are
+        # worked out once per counter tuple
+        indexed = itemgetter(*slots) if slots else (lambda row: ())
+        by_indexed: dict[object, list] = {}  # per counter tuple: [candidates, visits, plan]
+        findings: list[str] = []
+
+        def plan(found: list[tuple], row: tuple) -> tuple | None:
+            """The (update function, weight) pairs of the moves every state
+            with the counter tuple of ``row`` makes, in derivation order, and
+            the mass their weights are divided by in discrete mode (None if
+            they are not); None where a candidate keeps a guard, no move is
+            left, or two moves might land on one state (module docstring)."""
+            moves = [alt for _, alts in found for alt in alts]
+            ends = {tuple(last.get(s, row[s]) for s in slots) for _, _, last in moves}
+            if (not moves or len(ends) < len(moves) or any(None in end for end in ends)
+                    or any(guard is not None for guard, _ in found)):
+                return None
+            mass = sum(w for w, _, _ in moves)
+            if kind == "dtmc" and abs(mass - 1.0) > TOL:
+                return [(u, w / mass) for w, u, _ in moves], mass
+            return [(u, w) for w, u, _ in moves], None
+
+        def renormalized(mass: float, row: tuple) -> None:
+            if not findings:
+                findings.append(
+                    f"dtmc_renormalized: outgoing probability mass {render_weight(mass)} "
+                    f"at state {valuation_text(var_names, row)}"
+                )
+
+        def general(row: tuple, found: list[tuple]):
             acc: dict[tuple, float] = {}
             for guard, alts in found:
                 if guard is not None:
@@ -365,33 +370,66 @@ def _successors(module: PrismModule, kind: str, constants: dict, findings: list)
                         if g is False:
                             continue
                         raise TypeMismatch("command guard is not boolean")
-                for w, update in alts:
+                for w, update, _ in alts:
                     nxt = update(row)
                     acc[nxt] = acc[nxt] + w if nxt in acc else w
-        except (EvalError, RangeViolation) as e:
-            e.args = (f"{e} at state {valuation_text(var_names, row)}",)
-            raise
-        if kind == "dtmc":
-            if not acc:
-                return [(row, 1.0)]
-            mass = sum(acc.values())
-            if abs(mass - 1.0) > TOL:
+            if kind == "dtmc":
+                if not acc:
+                    return [(row, 1.0)]
+                mass = sum(acc.values())
+                if abs(mass - 1.0) > TOL:
+                    renormalized(mass, row)
+                    return [(k, w / mass) for k, w in acc.items()]
+            return acc.items()
+
+        number = {init: 0}
+        states = [init]
+        edges: list[dict[int, float]] = [{}]
+        for row, out in zip(states, edges):  # both lists grow as states are found
+            key = indexed(row)
+            memo = by_indexed.get(key)
+            if memo is None:
+                memo = by_indexed[key] = [candidates(row), 0, None]
+            found, visits, planned = memo
+            if planned is None:
+                memo[1] = visits = visits + 1
+                if visits == PLAN_VISIT:
+                    planned = memo[2] = plan(found, row)
+            if planned is None:
+                for nxt, w in general(row, found):  # merged: no two land on one state
+                    dst = number.get(nxt)
+                    if dst is None:
+                        if len(states) >= max_states:
+                            raise StateBudgetExceeded(max_states)
+                        dst = number[nxt] = len(states)
+                        states.append(nxt)
+                        edges.append({})
+                    out[dst] = w
+                continue
+            moves, mass = planned
+            if mass is not None:
                 renormalized(mass, row)
-                return [(k, w / mass) for k, w in acc.items()]
-        return acc.items()
+            for update, w in moves:  # no two land on one state
+                nxt = update(row)
+                dst = number.get(nxt)
+                if dst is None:
+                    if len(states) >= max_states:
+                        raise StateBudgetExceeded(max_states)
+                    dst = number[nxt] = len(states)
+                    states.append(nxt)
+                    edges.append({})
+                out[dst] = w
+        return MarkovChain(kind, var_names, states, 0, edges, findings)
 
-    return successors
-
-
-def explore_module(
-    module: PrismModule, kind: str, constants: dict, init: tuple, max_states: int
-) -> MarkovChain:
-    """Breadth-first exploration of the module's chain from the state tuple
-    ``init``, one slot per variable in declaration order."""
-    findings: list[str] = []
-    states, edges = explore(init, _successors(module, kind, constants, findings), max_states)
-    var_names = tuple(d.name for d in module.var_decls)
-    return MarkovChain(kind, var_names, states, 0, edges, findings)
+    # The handler stays in this short function, apart from the loop: with it
+    # in the loop's own function, runs whose memory ran out inside the loop
+    # were seen to spin without end in CPython 3.11, in the handler, where
+    # they should raise MemoryError.
+    try:
+        return explore()
+    except (EvalError, RangeViolation) as e:
+        e.args = (f"{e} at state {valuation_text(var_names, row)}",)
+        raise
 
 
 def build_network_chain(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import Iterator
 
 from .chain import PC, MarkovChain
 from .errors import EvalError, RangeViolation, TypeMismatch, UnguardedRecursion
@@ -200,6 +201,25 @@ def override_initial(decls: tuple[VarDecl, ...], overrides: dict | None) -> dict
     return val
 
 
+def decided(term: ChorTerm, defs: dict[str, ChorTerm], guard: Expr,
+            path: tuple[Conditional, ...] = ()) -> Iterator[tuple[Expr, ChorTerm]]:
+    """The statements other than a conditional that ``term`` starts with
+    (:func:`~chorprism.syntax.unfold`), a conditional standing for its
+    arms', each with ``guard`` and-ed with the guards, or their negations,
+    that pick it. A cycle through conditionals alone raises
+    :class:`UnguardedRecursion`."""
+    term = unfold(term, defs)
+    if not isinstance(term, Conditional):
+        yield guard, term
+        return
+    if term in path:
+        raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ "
+                                 f"{term.role} recurses without an intervening action")
+    path += (term,)
+    yield from decided(term.then_term, defs, Binary("and", guard, term.guard), path)
+    yield from decided(term.else_term, defs, Binary("and", guard, Unary("not", term.guard)), path)
+
+
 def build_chain(
     program: ChorProgram,
     *,
@@ -215,8 +235,9 @@ def build_chain(
     per branch; a conditional has its arms' first commands, under the guard
     and under its negation, and ``end`` none, so in discrete mode a state
     with no enabled command absorbs via a probability-1 self-loop. A cycle
-    through conditionals alone raises :class:`UnguardedRecursion`. The
-    counter is dropped from the chain's states after exploration.
+    through conditionals alone raises :class:`UnguardedRecursion`
+    (:func:`decided`). The counter is dropped from the chain's states after
+    exploration.
     """
     # local import: prism imports this module
     from .prism import PrismCommand, PrismModule, explore_module
@@ -233,22 +254,12 @@ def build_chain(
             terms.append(term)
         return Assign(PC, Lit(k))
 
-    def lower(term: ChorTerm, guard: Expr, path: tuple[ChorTerm, ...] = ()) -> None:
-        term = unfold(term, program.defs)
-        if isinstance(term, Interaction):
-            alts = tuple((b.weight, b.update + (hop(b.cont),)) for b in term.branches)
-            commands.append(PrismCommand(None, guard, alts))
-        elif isinstance(term, Conditional):
-            if term in path:
-                raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ "
-                                         f"{term.role} recurses without an intervening action")
-            path += (term,)
-            lower(term.then_term, Binary("and", guard, term.guard), path)
-            lower(term.else_term, Binary("and", guard, Unary("not", term.guard)), path)
-
     hop(CallTerm(program.main))
     for k, term in enumerate(terms):  # terms grows as continuations are found
-        lower(term, Binary("=", Var(PC), Lit(k)))
+        for guard, term in decided(term, program.defs, Binary("=", Var(PC), Lit(k))):
+            if isinstance(term, Interaction):
+                alts = tuple((b.weight, b.update + (hop(b.cont),)) for b in term.branches)
+                commands.append(PrismCommand(None, guard, alts))
 
     decls = program.var_decls + (VarDecl(PC, "", 0, 0, len(terms) - 1),)
     start = tuple(init[d.name] for d in program.var_decls) + (0,)

@@ -10,6 +10,7 @@ from chorprism import (
     UnguardedRecursion,
     WellFormednessError,
     auto_annotate,
+    build_chain,
     check_annotations,
     check_well_formed,
     load_program,
@@ -161,6 +162,36 @@ def test_sconn_surfaces_unguarded_recursion():
         s_conn(load_program(src))
     # a pair that no choice continues into has no first action to check
     assert s_conn(load_program(src.replace("{}; A }", "{}; M }"))) is True
+
+
+@pytest.mark.parametrize("name, message", [
+    # a conditional's arm leads back to it through no action
+    ("cond_cycle.chor", "conditional x = 0 @ p recurses without an intervening action"),
+    # the entry is a bare call into a pair that no choice continues into
+    ("entry_cycle.chor", "definition A recurses without an intervening action"),
+])
+def test_sconn_refuses_a_program_without_a_first_action(name, message, data_text):
+    with pytest.raises(UnguardedRecursion, match=f"^{message}$"):
+        s_conn(load_program(data_text(name)))
+
+
+def test_sconn_follows_a_conditional_arm_through_other_conditionals():
+    # B's conditional picks A's and A's picks B's: a cycle of two decisions
+    # with no action, reached from the exchange in M
+    src = """
+    ctmc;
+    role p, q;
+    var x @ p : [0..1] init 0;
+    def M = p -> q : { rate 1 : {x'=1-x}; A };
+    def A = if x = 0 @ p then { B } else { M };
+    def B = if x = 1 @ p then { M } else { A };
+    main M;
+    """
+    with pytest.raises(UnguardedRecursion, match="^conditional x = 0 @ p recurses"):
+        s_conn(load_program(src))
+    with pytest.raises(UnguardedRecursion, match="^conditional x = 0 @ p recurses"):
+        build_chain(load_program(src))
+    assert s_conn(load_program(src.replace("else { A }", "else { M }"))) is True
 
 
 def test_sconn_reports_the_first_failing_statement_in_definition_order():

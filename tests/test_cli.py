@@ -79,6 +79,18 @@ def test_an_end_arm_is_strongly_connected(capsys, data_path, name):
     assert out.endswith("equivalent: yes\n")
 
 
+@pytest.mark.parametrize("name, message", [
+    ("cond_cycle.chor", "conditional x = 0 @ p recurses without an intervening action"),
+    ("entry_cycle.chor", "definition A recurses without an intervening action"),
+])
+def test_a_program_without_a_first_action_fails_every_command(capsys, data_path, name, message):
+    # check and compile refuse it with the error verify gives
+    code, out, err = run(capsys, "check", data_path(name))
+    assert (code, out, err) == (1, "well-formedness: ok\nannotations: ok\n", f"error: {message}\n")
+    for command in ("compile", "verify"):
+        assert run(capsys, command, data_path(name)) == (1, "", f"error: {message}\n")
+
+
 def test_check_nonsconn(capsys, data_path):
     code, out, _ = run(capsys, "check", data_path("nonsconn.chor"))
     assert code == 1

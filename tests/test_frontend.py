@@ -260,9 +260,11 @@ FIXTURE_TOKENS = {
     "allsynch.chor": (93, "52f93407cb0fad82"),
     "annot_dup.chor": (94, "60213f2f69e0e814"),
     "annot_ok.chor": (94, "af50509685e4688a"),
+    "cond_cycle.chor": (58, "4a96d5ca26114142"),
     "constants.chor": (72, "b64188e58ea7dc04"),
     "dispatcher.chor": (198, "87b5e014922ba5cd"),
     "end_arm.chor": (60, "f24be7431f18a364"),
+    "entry_cycle.chor": (26, "9776d7fb29c48ec1"),
     "example1.chor": (84, "8fa7ca7a0520ce42"),
     "example2.chor": (90, "1025d4893d71fc63"),
     "example2_dtmc.chor": (90, "b50e000103485d09"),

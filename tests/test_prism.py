@@ -412,7 +412,7 @@ def test_renormalization_finding_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# later visits of a counter tuple: the plan path against the oracle
+# later visits of a counter tuple: the planned moves against the oracle
 # ---------------------------------------------------------------------------
 
 def counter_tuples(*commands, hi=3):
@@ -420,7 +420,8 @@ def counter_tuples(*commands, hi=3):
     leftmost, and an int ``x`` in [0..hi]; ``commands`` are (guard,
     alternatives) pairs. Every state with the same ``p`` has the same
     counter tuple, so from its third state on a plan serves it wherever
-    no command keeps a guard past its counter test."""
+    no command keeps a guard past its counter test and its moves land on
+    counter tuples that differ pairwise."""
     decls = (VarDecl("p", "m", 0, 0, 1), VarDecl("x", "m", 0, 0, hi))
     return (PrismModule("m", decls, tuple(PrismCommand(None, g, alts) for g, alts in commands)),)
 
@@ -483,6 +484,54 @@ def test_a_revisited_tuple_that_keeps_a_guard_tests_it_at_every_state(kind):
     )
     got = assert_same_as_oracle(net, kind, {})
     assert got[1] == [(0, 0), (0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_moves_whose_counter_is_computed_can_meet_after_the_plan_is_built(kind):
+    # at p = 0 the first move counts x up and the next two leave, the second
+    # to p = 2 while x <= 2 and to p = 1 from x = 3 on, where the third goes.
+    # At (0, 2), the third state with p = 0, the three land on p = 0, 2 and 1;
+    # at (0, 3) the last two meet at (1, 0). A proof that compared where the
+    # moves land at the state that plans them would serve (0, 3) with the
+    # weights divided before they add up
+    decls = (VarDecl("p", "m", 0, 0, 2), VarDecl("x", "m", 0, 0, 3))
+    late = Binary("min", Binary("max", Binary("-", X, Lit(2)), Lit(0)), Lit(1))
+    alts = ((Lit(0.1), set_x(up(X))),
+            (Lit(0.1), (Assign("p", Binary("-", Lit(2), late)), Assign("x", Lit(0)))),
+            (Lit(0.2), (Assign("p", Lit(1)), Assign("x", Lit(0)))))
+    net = (PrismModule("m", decls, (PrismCommand(None, eq("p", 0), alts),)),)
+    got = assert_same_as_oracle(net, kind, {})
+    assert got[1] == [(0, 0), (0, 1), (2, 0), (1, 0), (0, 2), (0, 3)]
+    merged = dict(got[2][5])[3]
+    assert merged == (0.30000000000000004 / 0.4 if kind == "dtmc" else 0.30000000000000004)
+    assert merged != 0.1 / 0.4 + 0.2 / 0.4
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+@pytest.mark.parametrize("leave", [False, True])
+def test_a_planned_tuple_spends_the_state_budget_where_the_oracle_does(kind, leave):
+    # x counts up from 0 at p = 0, a one-move plan from x = 2 on; with
+    # ``leave`` each state also moves to p = 1, a two-move plan
+    alts = ((Lit(0.5), set_x(Binary("min", Binary("+", X, Lit(1)), Lit(7)))),)
+    if leave:
+        alts += ((Lit(0.5), (Assign("p", Lit(1)),)),)
+    net = counter_tuples((eq("p", 0), alts), hi=7)
+    spent = []
+    for max_states in range(1, 18):
+        got = assert_same_as_oracle(net, kind, {}, max_states=max_states)
+        if got[0] is StateBudgetExceeded:
+            spent.append(max_states)
+    assert spent == list(range(1, 16 if leave else 8))
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_a_one_move_plan_lands_on_a_state_already_numbered(kind):
+    # x cycles 0, 1, 2, 3 at p = 0; (0, 3), served by the plan built at
+    # (0, 2), moves back to the initial state
+    net = counter_tuples((eq("p", 0), ((Lit(1), set_x(Binary("mod", Binary("+", X, Lit(1)), Lit(4)))),)))
+    got = assert_same_as_oracle(net, kind, {})
+    assert got[1] == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    assert got[2] == [[(1, 1.0)], [(2, 1.0)], [(3, 1.0)], [(0, 1.0)]]
 
 
 # ---------------------------------------------------------------------------
