@@ -26,19 +26,20 @@ counters — index the commands: a command's leading tests of index slots are
 decided once per counter tuple (one value per index slot), and a state
 evaluates, in derivation order, only the commands whose tests hold there,
 each with just the rest of its guard (none for a projected command guarded
-by counters alone). The third time a counter tuple is reached, its moves
-are planned if none of its commands keeps a guard and no two of its moves
-can land on one state: each move's last assignment to every index slot is a
-literal (or it leaves the slot alone), and the counter tuples the moves
-land on differ pairwise, whatever the rest of the state. A plan holds the
-update function and weight of each alternative, in derivation order, and
-in discrete mode the divided weights and the mass they were divided by.
-:func:`explore_module` is the breadth-first loop that numbers states in
-the order they are first reached: a state whose tuple has a plan applies
-its updates and writes each weight straight into its row, any other takes
-the general path, where moves into one state merge and their weights add
-up before they are divided. The source semantics explores its one-module
-lowering of the choreography the same way.
+by counters alone). :func:`explore_module` is the breadth-first loop that
+numbers states in the order they are first reached. Per state one loop
+applies the moves of those commands and writes each weight into the row,
+adding the weights of moves into one state; in discrete mode the row is
+then divided by its mass where commands race. The third time a counter
+tuple is reached, its moves are planned if none of its commands keeps a
+guard and no two of its moves can land on one state: each move's last
+assignment to every index slot is a literal (or it leaves the slot alone),
+and the counter tuples the moves land on differ pairwise, whatever the rest
+of the state. A plan is one candidate with no guard whose alternatives are
+all those moves, in derivation order, their weights in discrete mode
+already divided by their mass, so later states with the tuple are not
+divided again. The source semantics explores its one-module lowering of the
+choreography the same way.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ from .semantics import (
 from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, times
 
 # The visit of a counter tuple at which its moves are planned. Building a
-# plan costs about as much as the general path, so it pays only for the
-# visits after it: each of stages-40's 600 network tuples is reached twice,
-# and plans built on the second visit made its network chain a third slower
-# and its verify 15% slower, while grid-19 reaches each of its 29 tuples 400
-# times.
+# plan costs more than the state's own moves, so it pays only for the visits
+# after it: each of stages-40's 600 network tuples is reached twice, and
+# plans built on the second visit made its network chain 40% slower (5.9 ->
+# 8.3 ms, fastest of 30 runs, 2-vCPU VM) and its verify 15% slower, while
+# grid-19 reaches each of its 29 tuples 400 times.
 PLAN_VISIT = 3
 
 #: one probabilistic alternative of a command: (weight, assignments)
@@ -321,9 +322,12 @@ def explore_module(
 ) -> MarkovChain:
     """Breadth-first exploration of the module's chain from the state tuple
     ``init``, one slot per variable in declaration order, numbering states
-    and filling rows as :func:`chain.explore` does. Moves into the same
-    state merge; in discrete mode the mass is renormalized to 1 where
-    commands race, and the first such state is reported in the findings."""
+    and filling rows as :func:`chain.explore` does: moves into one state add
+    up. In discrete mode a state with no move loops to itself, and where
+    commands race its mass is renormalized to 1 and the first such state is
+    reported in the findings. The state budget is checked once a state's
+    moves are all applied, so an error that a later move of the state meets
+    wins over it, as in the tree-walking references."""
     var_names = tuple(d.name for d in module.var_decls)
     slots, candidates = _commands(module, constants, {n: i for i, n in enumerate(var_names)})
     if max_states < 1:
@@ -335,15 +339,15 @@ def explore_module(
         # the candidates depend only on the counter tuple, so they are
         # worked out once per counter tuple
         indexed = itemgetter(*slots) if slots else (lambda row: ())
-        by_indexed: dict[object, list] = {}  # per counter tuple: [candidates, visits, plan]
+        by_indexed: dict[object, list] = {}  # per counter tuple: [candidates, visits]
         findings: list[str] = []
 
-        def plan(found: list[tuple], row: tuple) -> tuple | None:
-            """The (update function, weight) pairs of the moves every state
-            with the counter tuple of ``row`` makes, in derivation order, and
-            the mass their weights are divided by in discrete mode (None if
-            they are not); None where a candidate keeps a guard, no move is
-            left, or two moves might land on one state (module docstring)."""
+        def plan(found: list[tuple], row: tuple) -> list | None:
+            """One unguarded candidate with the moves every state with the
+            counter tuple of ``row`` makes, in derivation order, in discrete
+            mode each weight divided by their mass where it is not 1; None
+            where a candidate keeps a guard, no move is left, or two moves
+            might land on one state (module docstring)."""
             moves = [alt for _, alts in found for alt in alts]
             ends = {tuple(last.get(s, row[s]) for s in slots) for _, _, last in moves}
             if (not moves or len(ends) < len(moves) or any(None in end for end in ends)
@@ -351,18 +355,22 @@ def explore_module(
                 return None
             mass = sum(w for w, _, _ in moves)
             if kind == "dtmc" and abs(mass - 1.0) > TOL:
-                return [(u, w / mass) for w, u, _ in moves], mass
-            return [(u, w) for w, u, _ in moves], None
+                moves = [(w / mass, u, last) for w, u, last in moves]
+            return [(None, moves)]
 
-        def renormalized(mass: float, row: tuple) -> None:
-            if not findings:
-                findings.append(
-                    f"dtmc_renormalized: outgoing probability mass {render_weight(mass)} "
-                    f"at state {valuation_text(var_names, row)}"
-                )
-
-        def general(row: tuple, found: list[tuple]):
-            acc: dict[tuple, float] = {}
+        number = {init: 0}
+        states = [init]
+        edges: list[dict[int, float]] = [{}]
+        for row, out in zip(states, edges):  # both lists grow as states are found
+            key = indexed(row)
+            memo = by_indexed.get(key)
+            if memo is None:
+                memo = by_indexed[key] = [candidates(row), 0]
+            found, visits = memo
+            if visits is not None:  # not planned: visits counts up
+                memo[1] = visits = visits + 1
+                if visits == PLAN_VISIT and (planned := plan(found, row)) is not None:
+                    found, visits = memo[:] = planned, None
             for guard, alts in found:
                 if guard is not None:
                     g = guard(row)
@@ -372,53 +380,27 @@ def explore_module(
                         raise TypeMismatch("command guard is not boolean")
                 for w, update, _ in alts:
                     nxt = update(row)
-                    acc[nxt] = acc[nxt] + w if nxt in acc else w
-            if kind == "dtmc":
-                if not acc:
-                    return [(row, 1.0)]
-                mass = sum(acc.values())
-                if abs(mass - 1.0) > TOL:
-                    renormalized(mass, row)
-                    return [(k, w / mass) for k, w in acc.items()]
-            return acc.items()
-
-        number = {init: 0}
-        states = [init]
-        edges: list[dict[int, float]] = [{}]
-        for row, out in zip(states, edges):  # both lists grow as states are found
-            key = indexed(row)
-            memo = by_indexed.get(key)
-            if memo is None:
-                memo = by_indexed[key] = [candidates(row), 0, None]
-            found, visits, planned = memo
-            if planned is None:
-                memo[1] = visits = visits + 1
-                if visits == PLAN_VISIT:
-                    planned = memo[2] = plan(found, row)
-            if planned is None:
-                for nxt, w in general(row, found):  # merged: no two land on one state
                     dst = number.get(nxt)
                     if dst is None:
-                        if len(states) >= max_states:
-                            raise StateBudgetExceeded(max_states)
                         dst = number[nxt] = len(states)
                         states.append(nxt)
                         edges.append({})
-                    out[dst] = w
-                continue
-            moves, mass = planned
-            if mass is not None:
-                renormalized(mass, row)
-            for update, w in moves:  # no two land on one state
-                nxt = update(row)
-                dst = number.get(nxt)
-                if dst is None:
-                    if len(states) >= max_states:
-                        raise StateBudgetExceeded(max_states)
-                    dst = number[nxt] = len(states)
-                    states.append(nxt)
-                    edges.append({})
-                out[dst] = w
+                    out[dst] = out[dst] + w if dst in out else w
+            # a plan's weights are divided already, and the first state with
+            # its tuple, which had the same moves, has reported their mass
+            if kind == "dtmc" and visits is not None:
+                if not out:
+                    out[number[row]] = 1.0
+                elif abs((mass := sum(out.values())) - 1.0) > TOL:
+                    for dst in out:
+                        out[dst] /= mass
+                    if not findings:
+                        findings.append(
+                            f"dtmc_renormalized: outgoing probability mass "
+                            f"{render_weight(mass)} at state {valuation_text(var_names, row)}"
+                        )
+            if len(states) > max_states:
+                raise StateBudgetExceeded(max_states)
         return MarkovChain(kind, var_names, states, 0, edges, findings)
 
     # The handler stays in this short function, apart from the loop: with it

@@ -9,6 +9,7 @@ from typing import Callable
 
 from chorprism.chain import MarkovChain, explore, render_value
 from chorprism.errors import EvalError, RangeViolation, TypeMismatch, UnguardedRecursion
+from chorprism.parser import expr_to_str
 from chorprism.semantics import (
     DEFAULT_MAX_STATES,
     assigned_value,
@@ -52,32 +53,43 @@ def apply_assignments(
 
 def first_statement(term: ChorTerm, program: ChorProgram) -> ChorTerm:
     """``term`` with each leading call replaced by the body it names; a
-    cycle of calls with no statement on it raises."""
-    for _ in range(len(program.defs) + 1):
-        if not isinstance(term, CallTerm):
-            return term
+    cycle of calls with no statement on it raises, naming the first
+    definition called twice."""
+    called: list[str] = []
+    while isinstance(term, CallTerm):
+        if term.name in called:
+            raise UnguardedRecursion(
+                f"definition {term.name} recurses without an intervening action")
+        called.append(term.name)
         term = program.defs[term.name]
-    raise UnguardedRecursion("a cycle of calls has no statement")
+    return term
 
 
-def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[float, dict, ChorTerm]]:
+def step(term: ChorTerm, valuation: dict, program: ChorProgram,
+         walked: tuple[Conditional, ...] = ()) -> list[tuple[float, dict, ChorTerm]]:
     """Outgoing moves of a configuration: (weight, valuation, continuation).
 
     Every move is an interaction's: a call steps as the body it names, and
-    a conditional as the arm its guard picks. Zero-weight interaction
+    a conditional as the arm its guard picks. ``walked`` holds the
+    conditionals passed on the way from the configuration; one met again
+    leads back to itself with no move, and raises. Zero-weight interaction
     branches are dropped.
     """
     if isinstance(term, Inact):
         return []
     if isinstance(term, CallTerm):
-        return step(first_statement(term, program), valuation, program)
+        return step(first_statement(term, program), valuation, program, walked)
     if isinstance(term, Conditional):
+        if term in walked:
+            raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ {term.role} "
+                                     "recurses without an intervening action")
         env = dict(program.constants)
         env.update(valuation)
         g = eval_expr(term.guard, env)
         if not isinstance(g, bool):
             raise TypeMismatch("conditional guard is not boolean")
-        return step(term.then_term if g else term.else_term, valuation, program)
+        arm = term.then_term if g else term.else_term
+        return step(arm, valuation, program, walked + (term,))
     if not isinstance(term, Interaction):
         raise EvalError(f"cannot step term {type(term).__name__}")
     moves = []

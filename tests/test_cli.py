@@ -521,6 +521,7 @@ def test_verify_out_of_memory_exits_3(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "chorprism", "verify", "--max-states", "150000", str(path)],
         capture_output=True, text=True, preexec_fn=cap_address_space,
+        timeout=60,  # a child that hangs instead of exiting fails the test
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 

@@ -534,6 +534,39 @@ def test_a_one_move_plan_lands_on_a_state_already_numbered(kind):
     assert got[2] == [[(1, 1.0)], [(2, 1.0)], [(3, 1.0)], [(0, 1.0)]]
 
 
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+@pytest.mark.parametrize("guarded", [False, True])
+def test_an_error_of_a_later_move_wins_over_the_state_budget_as_in_the_oracle(kind, guarded):
+    # at p = 0 one move leaves to p = 1 and one counts x up, which leaves
+    # [0..3] at (0, 3), the seventh state. With a budget of 7 its first move
+    # needs an eighth state, yet the oracle raises the second move's error,
+    # since it steps a whole state before numbering what it reaches. The
+    # tuple p = 0 is planned from (0, 2) on; ``guarded`` gives the count
+    # its own command, whose guard keeps ``x >= 0``, so no plan serves it
+    leave, count = (Lit(0.5), (Assign("p", Lit(1)),)), (Lit(0.5), set_x(Binary("+", X, Lit(1))))
+    if guarded:
+        net = counter_tuples((eq("p", 0), (leave,)), (conj(eq("p", 0), Binary(">=", X, Lit(0))), (count,)))
+    else:
+        net = counter_tuples((eq("p", 0), (leave, count)))
+    spent = []
+    for max_states in range(1, 10):
+        got = assert_same_as_oracle(net, kind, {}, max_states=max_states)
+        if got[0] is StateBudgetExceeded:
+            spent.append(max_states)
+    assert spent == list(range(1, 7))
+    assert got == (RangeViolation, "update x'=x + 1 assigns 4 to x, outside [0..3] at state p=0,x=3")
+
+
+def test_a_planned_tuple_whose_mass_is_not_1_is_divided_as_in_the_oracle():
+    # at p = 0 the weights 0.25 and 0.5 land on p = 0 and p = 1, so from
+    # (0, 2) on a plan divides each by 0.75; (0, 0) reports the mass
+    net = counter_tuples((eq("p", 0), ((Lit(0.25), set_x(up(X))), (Lit(0.5), (Assign("p", Lit(1)),)))))
+    got = assert_same_as_oracle(net, "dtmc", {})
+    assert got[1] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (1, 2), (1, 3)]
+    assert got[2][5] == [(5, 0.25 / 0.75), (7, 0.5 / 0.75)]
+    assert got[3] == ["dtmc_renormalized: outgoing probability mass 0.75 at state p=0,x=0"]
+
+
 # ---------------------------------------------------------------------------
 # errors on the compiled path: same class and message as the oracle
 # ---------------------------------------------------------------------------

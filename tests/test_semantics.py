@@ -323,12 +323,7 @@ def test_build_chain_matches_the_reference_on_random_programs(seed):
         assert isinstance(got[2], list)  # a chain, not an error
 
 
-# the two cycle fixtures have no first action: the reference words that
-# otherwise (or recurses without end), and the test below pins the errors
-FIXTURES = sorted(
-    p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor")
-    if p.name not in ("cond_cycle.chor", "entry_cycle.chor")
-)
+FIXTURES = sorted(p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.chor"))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
