@@ -17,10 +17,11 @@ therefore runs in three stages:
    sparse Gaussian elimination in minimum-degree order, in pure Python,
    within a bound on the entries it adds and one on its multiply-adds.
 3. partition-refinement bisimulation on the disjoint union, starting from
-   observation equality. In continuous mode the refinement ignores each
-   state's rate into its own class (ordinary lumpability), which is what
-   tolerates pending-reset interleavings that merely reshuffle inside a
-   class; in discrete mode the jump chains are compared in full.
+   observation equality, in rounds that re-sign only the blocks a split can
+   reach. In continuous mode the refinement ignores each state's rate into
+   its own class (ordinary lumpability), which is what tolerates
+   pending-reset interleavings that merely reshuffle inside a class; in
+   discrete mode the jump chains are compared in full.
 
 Observable means: the program's declared variables. Counters are invisible.
 """
@@ -81,7 +82,7 @@ def collapse(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
         contractible.append(admin)
     # the normal form of each state, None while it is pending
     nf: list[int | None] = [None if c else x for x, c in enumerate(contractible)]
-    pending = [x for x, c in enumerate(contractible) if c]
+    pending = [x for x in reversed(range(len(nf))) if contractible[x]]  # successors first
     progress = True
     while progress and pending:
         progress = False
@@ -349,10 +350,14 @@ def _signature(
     sums: dict[int, float] = {}
     for y, w in row.items():
         b = blocks[y + offset]
-        sums[b] = sums.get(b, 0.0) + w
+        sums[b] = sums[b] + w if b in sums else w
     sums.pop(own, None)
-    rounded = ((b, round(v, 9)) for b, v in sums.items())
-    return tuple(sorted((b, v) for b, v in rounded if v != 0))
+    sig = []
+    for b, v in sorted(sums.items()):
+        v = round(v, 9)
+        if v != 0:
+            sig.append((b, v))
+    return tuple(sig)
 
 
 def bisimilar(
@@ -361,10 +366,15 @@ def bisimilar(
     """Refine the disjoint union of the two chains, starting from
     observation equality, until block-wise outgoing weights stabilize.
 
-    For ``ctmc`` chains the weight a state sends into its own block is
-    ignored (ordinary lumpability); ``dtmc`` chains are compared in full.
-    Returns whether the two initial states share a block, plus the final
-    block of every state (first chain's states first).
+    Each round splits the blocks it signs by their states' signatures
+    against the partition the round started from. The first round signs
+    every block, a later one only the blocks of two or more states holding
+    a predecessor of a state whose block just split: any other block's
+    sums are over the same sets as when it last held together. For
+    ``ctmc`` chains the weight a state sends into its own block is ignored
+    (ordinary lumpability); ``dtmc`` chains are compared in full. Returns
+    whether the two initial states share a block, plus the final block of
+    every state (first chain's states first), numbered by first state.
     """
     ignore_own = _ignores_own_block(c1, c2)
     n1 = c1.num_states
@@ -373,26 +383,42 @@ def bisimilar(
     edges = c1.edges + c2.edges  # the second chain's ids are offset by n1
 
     keys: dict = {}
-    blocks = []
-    for k in obs:
-        if k not in keys:
-            keys[k] = len(keys)
-        blocks.append(keys[k])
-
+    blocks = [keys.setdefault(k, len(keys)) for k in obs]
+    members: list[list[int]] = [[] for _ in keys]  # per block its states, in order
+    for x, b in enumerate(blocks):
+        members[b].append(x)
+    preds: list[list[int]] | None = None  # built at the first split
+    signed = range(len(members))
     while True:
-        sig_ids: dict = {}
-        new_blocks = []
-        for x, row in enumerate(edges):
-            own = blocks[x]
-            sig = (own, _signature(row, blocks, 0 if x < n1 else n1,
-                                   own if ignore_own else None))
-            if sig not in sig_ids:
-                sig_ids[sig] = len(sig_ids)
-            new_blocks.append(sig_ids[sig])
-        if new_blocks == blocks:
+        splits = []
+        for b in signed:
+            if len(members[b]) > 1:
+                parts: dict = {}
+                for x in members[b]:
+                    sig = _signature(edges[x], blocks, 0 if x < n1 else n1,
+                                     b if ignore_own else None)
+                    parts.setdefault(sig, []).append(x)
+                if len(parts) > 1:
+                    splits.append((b, parts.values()))
+        if not splits:
             break
-        blocks = new_blocks
+        if preds is None:
+            preds = [[] for _ in edges]
+            for x, row in enumerate(edges):
+                for y in row:
+                    preds[y if x < n1 else y + n1].append(x)
+        moved = []  # the states of every block that split
+        for b, parts in splits:  # only now, so every signature read one partition
+            moved += members[b]
+            members[b], *rest = parts
+            for part in rest:
+                for x in part:
+                    blocks[x] = len(members)
+                members.append(part)
+        signed = {blocks[p] for y in moved for p in preds[y]}
 
+    ids: dict[int, int] = {}
+    blocks = [ids.setdefault(b, len(ids)) for b in blocks]
     return blocks[c1.init] == blocks[n1 + c2.init], blocks
 
 

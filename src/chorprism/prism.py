@@ -22,9 +22,10 @@ stores its checked value without a call.
 guard that starts with ``var = literal`` tests is false without evaluating
 anything else wherever one of them is false. The slots that some command
 tests in its leftmost conjunct — for projected networks, the roles' program
-counters — index the commands: a command's leading tests of index slots are
-decided once per counter tuple (one value per index slot), and a state
-evaluates, in derivation order, only the commands whose tests hold there,
+counters — index the commands: a command is filed under the values of its
+leading run of tests of index slots, one table per tuple of those slots, so
+the commands of a counter tuple (one value per index slot) are one lookup
+per table, and a state evaluates, in derivation order, only those commands,
 each with just the rest of its guard (none for a projected command guarded
 by counters alone). :func:`explore_module` is the breadth-first loop that
 numbers states in the order they are first reached. Per state one loop
@@ -45,7 +46,6 @@ choreography the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 from operator import itemgetter
 
 from .chain import MarkovChain, render_weight, valuation_text
@@ -282,37 +282,39 @@ def _commands(module: PrismModule, constants: dict, slot_of: dict[str, int]):
     decls = {d.name: d for d in module.var_decls}
     split = [split_tests(c.guard) for c in module.commands]
     # the index slots: those some command tests in its leftmost conjunct
-    index: dict[int, dict[object, list[int]]] = {
-        slot_of[t[0].left.name]: {} for t, _ in split if t and t[0].left.name in slot_of
-    }
+    index = dict.fromkeys(
+        slot_of[t[0].left.name] for t, _ in split if t and t[0].left.name in slot_of)
     compiled: list[tuple] = []
     always: list[int] = []
-    hoisted: list[list[tuple[int, object]]] = []  # held tests after the filed one
+    # per tuple of held slots, the commands filed under each tuple of values
+    tables: dict[tuple[int, ...], dict[object, list[int]]] = {}
     for i, (cmd, (tests, rest)) in enumerate(zip(module.commands, split)):
         # the leading tests of index slots are held; where they all hold,
         # the guard is true and-ed with the rest
-        held = [(slot_of[t.left.name], t.right.value)
-                for t in takewhile(lambda t: slot_of.get(t.left.name) in index, tests)]
-        rest = tests[len(held):] + rest
+        held = 0
+        while held < len(tests) and slot_of.get(tests[held].left.name) in index:
+            held += 1
+        rest = tests[held:] + rest
         guard = Lit(True) if held else rest.pop(0)
         for c in rest:
             guard = Binary("and", guard, c)
         weighed = [(_weight(w, constants), u) for w, u in cmd.alts]
         alts = [(w, *_update(u, slot_of, decls, constants)) for w, u in weighed if w != 0.0]
         compiled.append((None if held and not rest else _closure(guard, slot_of, constants), alts))
-        if held:
-            index[held[0][0]].setdefault(held[0][1], []).append(i)
+        if held:  # filed under its tested values, keyed as itemgetter(*slots) reads a row
+            slots, values = zip(*((slot_of[t.left.name], t.right.value) for t in tests[:held]))
+            table = tables.setdefault(slots, {})
+            table.setdefault(values if held > 1 else values[0], []).append(i)
         else:
             always.append(i)
-        hoisted.append(held[1:])
-    tables = list(index.items())
+    lookups = [(itemgetter(*slots), table) for slots, table in tables.items()]
 
     def candidates(row: tuple) -> list[tuple]:
         picked = list(always)
-        for slot, table in tables:
-            picked.extend(table.get(row[slot], ()))
+        for key, table in lookups:
+            picked.extend(table.get(key(row), ()))
         picked.sort()
-        return [compiled[i] for i in picked if all(row[s] == v for s, v in hoisted[i])]
+        return [compiled[i] for i in picked]
 
     return tuple(index), candidates
 

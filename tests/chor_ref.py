@@ -65,31 +65,59 @@ def first_statement(term: ChorTerm, program: ChorProgram) -> ChorTerm:
     return term
 
 
-def step(term: ChorTerm, valuation: dict, program: ChorProgram,
-         walked: tuple[Conditional, ...] = ()) -> list[tuple[float, dict, ChorTerm]]:
+def decisions(term: ChorTerm, program: ChorProgram,
+              walked: tuple[Conditional, ...] = ()):
+    """Yield the statements other than a conditional that ``term`` starts
+    with, through both arms of every conditional, whatever the valuation;
+    ``walked`` holds the conditionals passed on the way. One met again
+    leads back to itself with no move, and raises."""
+    term = first_statement(term, program)
+    if not isinstance(term, Conditional):
+        yield term
+        return
+    if term in walked:
+        raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ {term.role} "
+                                 "recurses without an intervening action")
+    yield from decisions(term.then_term, program, walked + (term,))
+    yield from decisions(term.else_term, program, walked + (term,))
+
+
+def refuse_cycles(program: ChorProgram) -> None:
+    """Raise on a cycle through conditionals alone, or of calls alone, that
+    the statements the entry reaches lead into through any branch and either
+    arm, as ``build_chain`` refuses it before exploring: statements are
+    walked in the order they are first reached, each branch's continuation
+    as it is met."""
+    todo = [first_statement(CallTerm(program.main), program)]
+    seen = set()
+    for term in todo:  # grows as continuations are met
+        if term not in seen:
+            seen.add(term)
+            for statement in decisions(term, program):
+                if isinstance(statement, Interaction):
+                    todo.extend(first_statement(b.cont, program) for b in statement.branches)
+
+
+def step(term: ChorTerm, valuation: dict, program: ChorProgram) -> list[tuple[float, dict, ChorTerm]]:
     """Outgoing moves of a configuration: (weight, valuation, continuation).
 
     Every move is an interaction's: a call steps as the body it names, and
-    a conditional as the arm its guard picks. ``walked`` holds the
-    conditionals passed on the way from the configuration; one met again
-    leads back to itself with no move, and raises. Zero-weight interaction
-    branches are dropped.
+    a conditional as the arm its guard picks (:func:`refuse_cycles` has
+    ruled out a cycle of conditionals). Zero-weight interaction branches
+    are dropped.
     """
     if isinstance(term, Inact):
         return []
     if isinstance(term, CallTerm):
-        return step(first_statement(term, program), valuation, program, walked)
+        return step(first_statement(term, program), valuation, program)
     if isinstance(term, Conditional):
-        if term in walked:
-            raise UnguardedRecursion(f"conditional {expr_to_str(term.guard)} @ {term.role} "
-                                     "recurses without an intervening action")
         env = dict(program.constants)
         env.update(valuation)
         g = eval_expr(term.guard, env)
         if not isinstance(g, bool):
             raise TypeMismatch("conditional guard is not boolean")
         arm = term.then_term if g else term.else_term
-        return step(arm, valuation, program, walked + (term,))
+        return step(arm, valuation, program)
     if not isinstance(term, Interaction):
         raise EvalError(f"cannot step term {type(term).__name__}")
     moves = []
@@ -120,12 +148,14 @@ def ref_chain(
     return, state numbering, bit-exact weights and findings included.
 
     States are (statement, valuation) pairs keyed structurally, a call
-    replaced by the body it names. Exploration begins at the entry call;
-    in discrete mode states with no moves become absorbing via a
+    replaced by the body it names. Exploration begins at the entry call,
+    once :func:`refuse_cycles` has walked every statement the entry
+    reaches; in discrete mode states with no moves become absorbing via a
     probability-1 self-loop.
     """
     var_names = tuple(d.name for d in program.var_decls)
     start_val = override_initial(program.var_decls, init_overrides)
+    refuse_cycles(program)
 
     def successors(key):
         term, row = key

@@ -82,6 +82,8 @@ def test_an_end_arm_is_strongly_connected(capsys, data_path, name):
 @pytest.mark.parametrize("name, message", [
     ("cond_cycle.chor", "conditional x = 0 @ p recurses without an intervening action"),
     ("entry_cycle.chor", "definition A recurses without an intervening action"),
+    # no valuation leads into the cycle, but a statement the entry reaches does
+    ("cond_cycle_unreached.chor", "conditional x = 0 @ p recurses without an intervening action"),
 ])
 def test_a_program_without_a_first_action_fails_every_command(capsys, data_path, name, message):
     # check and compile refuse it with the error verify gives

@@ -29,6 +29,8 @@ from chorprism.semantics import build_chain, eval_weight
 from chorprism.sugar import auto_annotate, load_program
 from chorprism.syntax import Interaction, subterms
 
+import bisim_ref
+import collapse_ref
 import jump_ref
 from corpus import random_program
 
@@ -145,6 +147,41 @@ def test_collapse_example2_reaches_three_observation_classes(data_text):
         (1, 2): {(1, 2): 2.0, (3, 1): 3.0},
         (3, 1): {(1, 2): 2.0, (3, 1): 3.0},
     }
+
+
+def random_admin_chain(rng: random.Random) -> MarkovChain:
+    """A chain in which most states move only by weight-1 moves that keep
+    their observation, mostly to lower ids, so that resolving them takes
+    several forward passes, and some into administrative cycles."""
+    n = rng.randint(2, 12)
+    states = [(rng.randint(0, 1),) for _ in range(n)]
+    edges = []
+    for x in range(n):
+        same = [y for y in range(n) if states[y] == states[x]]
+        lower = [y for y in same if y < x] or same
+        if rng.random() < 0.7:  # every move administrative
+            edges.append({rng.choice(lower if rng.random() < 0.8 else same): 1.0
+                          for _ in range(rng.randint(1, 2))})
+        else:
+            edges.append({rng.randrange(n): rng.choice([0.5, 1.0, 2.0])
+                          for _ in range(rng.randint(0, 2))})
+    return mk(rng.choice(["ctmc", "dtmc"]), states, edges, init=rng.randrange(n))
+
+
+def _collapsed(collapse_fn, chain):
+    c = collapse_fn(chain, OBS)
+    return c.kind, c.states, c.init, [[(y, w.hex()) for y, w in row.items()] for row in c.edges]
+
+
+def test_collapse_matches_the_forward_order_passes_on_random_chains():
+    rng = random.Random(20261020)
+    contracted = 0
+    for _ in range(2000):
+        chain = random_admin_chain(rng)
+        got = _collapsed(collapse, chain)
+        assert got == _collapsed(collapse_ref.collapse, chain)
+        contracted += len(got[1]) < chain.num_states
+    assert contracted > 500
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +349,133 @@ def test_bisimilar_reflexive_on_random_chains():
     for _ in range(40):
         a = random_chain(rng)
         assert bisimilar(a, a, OBS)[0]
+
+
+# ---------------------------------------------------------------------------
+# refinement against the full re-sign of every state in every round
+# ---------------------------------------------------------------------------
+
+
+def _signed_rounds(c1, c2, obs=OBS):
+    """``bisimilar(c1, c2, obs)``, the full re-sign's result on them, and
+    per round of the former the partition it signed against and the states
+    it signed. Checks that each round after the first signs only blocks of
+    two or more states holding a predecessor of a state whose block split
+    in the round before."""
+    edges = c1.edges + c2.edges
+    state_of = {id(row): x for x, row in enumerate(edges)}
+    rounds: list[tuple[tuple[int, ...], list[int]]] = []
+    signature = equivalence._signature
+
+    def recording(row, blocks, offset, own):
+        if not rounds or rounds[-1][0] != tuple(blocks):
+            rounds.append((tuple(blocks), []))
+        rounds[-1][1].append(state_of[id(row)])
+        return signature(row, blocks, offset, own)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equivalence, "_signature", recording)
+        got = bisimilar(c1, c2, obs)
+    everyone = range(len(edges))
+    preds = [set() for _ in edges]
+    for x, row in enumerate(edges):
+        for y in row:
+            preds[y if x < c1.num_states else y + c1.num_states].add(x)
+    for (before, _), (now, signed) in zip(rounds, rounds[1:]):
+        split = [y for y in everyone if len({now[z] for z in everyone if before[z] == before[y]}) > 1]
+        for x in signed:
+            block = {z for z in everyone if now[z] == now[x]}
+            assert len(block) > 1
+            assert any(preds[y] & block for y in split)
+    return got, bisim_ref.bisimilar(c1, c2, obs), rounds
+
+
+def test_bisimilar_matches_the_full_re_sign_on_random_chains():
+    rng = random.Random(20261021)
+    for _ in range(300):
+        a, b = random_chain(rng), random_chain(rng)
+        for kind in ("ctmc", "dtmc"):
+            ka, kb = (dataclasses.replace(c, kind=kind) for c in (a, b))
+            got, want, _ = _signed_rounds(ka, kb)
+            assert got == want
+        a, b = random_substochastic_chain(rng), random_substochastic_chain(rng)
+        got, want, _ = _signed_rounds(a, b)
+        assert got == want
+
+
+def line(n: int, kind: str, last: float = 1.0) -> MarkovChain:
+    """States 0..n-1 in a row, each moving to the next, all observing 0
+    but the last, which observes 1; the move into it has weight ``last``.
+    Each round of refinement splits one more state off the row's end."""
+    edges = [{x + 1: 1.0} for x in range(n - 1)] + [{}]
+    edges[n - 2][n - 1] = last
+    return mk(kind, [(0,)] * (n - 1) + [(1,)], edges)
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_bisimilar_moves_one_state_per_round_along_a_line_like_the_full_re_sign(kind):
+    for c1, c2, alike in ((line(12, kind), line(12, kind), True),
+                          (line(12, kind), line(13, kind), False),
+                          (line(12, kind), line(12, kind, 2.0), False)):
+        got, want, rounds = _signed_rounds(c1, c2)
+        assert got == want and got[0] is alike
+        assert len(rounds) >= 10
+
+
+# every fixture but those verify refuses before it compares two chains
+COMPARED = [name for name in FIXTURES if name not in (
+    "annot_dup.chor", "label_clash.chor", "cond_cycle.chor", "cond_cycle_unreached.chor",
+    "entry_cycle.chor", "thinkteam.chor")]
+
+
+def compared_chains(prog):
+    """The chains ``verify_projection`` hands to ``bisimilar``, and its
+    report with the full re-sign in the place of ``bisimilar``."""
+    seen = []
+
+    def recording(c1, c2, obs_names):
+        seen.append((c1, c2))
+        return bisim_ref.bisimilar(c1, c2, obs_names)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equivalence, "bisimilar", recording)
+        report = verify_projection(prog, require_sconn=False)
+    (c1, c2), = seen
+    return c1, c2, report
+
+
+@pytest.mark.parametrize("name", COMPARED)
+def test_bisimilar_matches_the_full_re_sign_on_fixture_chains(name, data_text):
+    prog = load_program(data_text(name))
+    c1, c2, report = compared_chains(prog)
+    obs = tuple(d.name for d in prog.var_decls)
+    got, want, _ = _signed_rounds(c1, c2, obs)
+    assert got == want
+    assert verify_projection(prog, require_sconn=False) == report
+
+
+def test_bisimilar_matches_the_full_re_sign_on_stages_in_five_rounds(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    workloads = importlib.import_module("workloads")
+    prog = load_program(workloads.stages_text(40, 1, random.Random(1)))
+    c1, c2, _ = compared_chains(prog)
+    obs = tuple(d.name for d in prog.var_decls)
+    got, want, rounds = _signed_rounds(c1, c2, obs)
+    assert got == want and got[0] is True
+    # the full re-sign signs all 160 states in each of 5 rounds; from the
+    # third round on, most blocks hold no predecessor of a split one
+    assert len(rounds) == 5 and c1.num_states + c2.num_states == 160
+    assert [len(signed) for _, signed in rounds] == [160, 160, 116, 8, 8]
+
+
+@pytest.mark.parametrize("name", ["sconn_pos.chor", "nonsconn.chor"])
+def test_explain_difference_reads_the_same_blocks_as_the_full_re_sign(name, data_text):
+    prog = load_program(data_text(name))
+    c1, c2, report = compared_chains(prog)
+    obs = tuple(d.name for d in prog.var_decls)
+    ok, blocks = bisimilar(c1, c2, obs)
+    assert not ok and (ok, blocks) == bisim_ref.bisimilar(c1, c2, obs)
+    assert explain_difference(c1, c2, blocks, obs) == report["counterexample"]
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +659,8 @@ def test_verify_detects_mutated_rate(data_text):
     msg = explain_difference(chor, netc, blocks, obs)
     assert msg.startswith("from the initial state")
     assert "in the source but" in msg
+    # the full re-sign gives the same blocks, so the same text
+    assert (ok, blocks) == bisim_ref.bisimilar(chor, netc, obs)
 
 
 def test_verify_respects_state_budget(data_text):
@@ -898,10 +1064,11 @@ def _weights(prog):
 
 # every fixture with no weight-1 branch, which collapse could read as a
 # bookkeeping move; thinkteam.chor's chain overflows a variable, and the
-# two cycle fixtures have no first action, so no chain
+# three cycle fixtures lead into a cycle with no action, so no chain
 NO_WEIGHT_ONE = [
     name for name in FIXTURES
-    if name not in ("thinkteam.chor", "cond_cycle.chor", "entry_cycle.chor")
+    if name not in ("thinkteam.chor", "cond_cycle.chor", "cond_cycle_unreached.chor",
+                    "entry_cycle.chor")
     and 1.0 not in _weights(load_program(DATA.joinpath(name).read_text(encoding="utf-8")))
 ]
 

@@ -261,6 +261,7 @@ FIXTURE_TOKENS = {
     "annot_dup.chor": (94, "60213f2f69e0e814"),
     "annot_ok.chor": (94, "af50509685e4688a"),
     "cond_cycle.chor": (58, "4a96d5ca26114142"),
+    "cond_cycle_unreached.chor": (58, "95b341fc95a31457"),  # from the one-regex tokenizer
     "constants.chor": (72, "b64188e58ea7dc04"),
     "dispatcher.chor": (198, "87b5e014922ba5cd"),
     "end_arm.chor": (60, "f24be7431f18a364"),

@@ -4,6 +4,7 @@ the tree-walking reference semantics of ``tests/nets.py``."""
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 import random
 
@@ -22,9 +23,10 @@ from chorprism import (
     load_program,
     project,
 )
+from chorprism import prism
 from chorprism.cli import main
-from chorprism.prism import PrismCommand, PrismModule, network_var_decls
-from chorprism.semantics import eval_expr, override_initial
+from chorprism.prism import PrismCommand, PrismModule, network_var_decls, split_tests
+from chorprism.semantics import build_chain, eval_expr, override_initial
 from chorprism.syntax import Assign, Binary, Lit, Unary, Var, VarDecl
 
 from corpus import random_program_pair
@@ -819,3 +821,108 @@ def test_tiny_state_budget_raises_and_verify_exits_3(capsys, data_path):
     assert_raises_like_oracle(net, StateBudgetExceeded, "budget of 2 states", max_states=2)
     assert main(["verify", data_path("example2.chor"), "--max-states", "2"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the commands picked per counter tuple against a brute-force scan
+# ---------------------------------------------------------------------------
+
+def scanned(module: PrismModule, row: tuple) -> list[int]:
+    """The numbers of the commands whose held tests all hold at ``row``, in
+    derivation order, found by testing every command: a command's held
+    tests are its leading ``var = literal`` tests of index slots, the
+    slots that some command tests in its leftmost conjunct."""
+    slot_of = {d.name: i for i, d in enumerate(module.var_decls)}
+    leading = [split_tests(c.guard)[0] for c in module.commands]
+    index = {slot_of[t[0].left.name] for t in leading if t and t[0].left.name in slot_of}
+    picked = []
+    for i, tests in enumerate(leading):
+        held = []
+        for t in tests:
+            if slot_of.get(t.left.name) not in index:
+                break
+            held.append(t)
+        if all(row[slot_of[t.left.name]] == t.right.value for t in held):
+            picked.append(i)
+    return picked
+
+
+def picked(module: PrismModule, constants: dict, rows) -> list[list[int]]:
+    """Per row, the numbers of the commands ``prism._commands`` leaves to
+    evaluate there. Each alternative's weight is compiled as its command's
+    number plus 1, which names the command among the candidates."""
+    assert all(c.alts for c in module.commands)
+    owners = iter([i + 1.0 for i, c in enumerate(module.commands) for _ in c.alts])
+    slot_of = {d.name: i for i, d in enumerate(module.var_decls)}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(prism, "_weight", lambda w, constants: next(owners))
+        _, candidates = prism._commands(module, constants, slot_of)
+    return [[int(alts[0][0]) - 1 for _, alts in candidates(row)] for row in rows]
+
+
+def explored_modules(prog) -> list[tuple[PrismModule, dict, list[tuple]]]:
+    """The source lowering's and the network's module, each with its
+    constants and the states explored from it, program counter included."""
+    seen = []
+    explore = prism.explore_module
+
+    def recording(module, kind, constants, init, max_states):
+        chain = explore(module, kind, constants, init, max_states)
+        seen.append((module, constants, list(chain.states)))
+        return chain
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(prism, "explore_module", recording)
+        build_chain(prog)
+        net, _ = project(prog, require_sconn=False)
+        build_network_chain(net, prog.kind, prog.constants)
+    assert len(seen) == 2
+    return seen
+
+
+# every fixture whose two chains can be explored
+EXPLORED = [name for name in FIXTURES if name not in (
+    "cond_cycle.chor", "cond_cycle_unreached.chor", "entry_cycle.chor", "thinkteam.chor")]
+
+
+@pytest.mark.parametrize("name", EXPLORED)
+def test_the_commands_picked_per_counter_tuple_are_those_a_scan_finds(name, data_text):
+    for module, constants, states in explored_modules(auto_annotate(load_program(data_text(name)))):
+        assert picked(module, constants, states) == [scanned(module, row) for row in states]
+
+
+def test_the_commands_picked_on_random_programs_are_those_a_scan_finds():
+    for seed in range(20):
+        for prog in random_program_pair(random.Random(seed)):
+            for module, constants, states in explored_modules(auto_annotate(prog)):
+                assert picked(module, constants, states) == [scanned(module, row) for row in states]
+
+
+def test_the_commands_picked_on_hand_built_tests_are_those_a_scan_finds():
+    # p and q are counters; b and x become index slots by a leftmost test;
+    # p = 1 and p = 2 never both hold, and b and x are tested against both
+    # a bool and an int literal, which the scan compares with ==
+    decls = (VarDecl("p", "m", 0, 0, 2), VarDecl("q", "m", 0, 0, 1),
+             VarDecl("b", "m", False, is_bool=True), VarDecl("x", "m", 0, 0, 2),
+             VarDecl("z", "m", 0, 0, 1))
+    guards = [
+        eq("p", 0),
+        conj(eq("p", 1), eq("p", 2)),
+        conj(eq("p", 1), eq("p", 1), eq("q", 0)),
+        conj(eq("p", 2), eq("q", 1), eq("z", 1), eq("q", 1)),
+        Binary("=", Var("b"), Lit(True)),
+        conj(Binary("=", Var("b"), Lit(1)), eq("p", 0)),
+        conj(Binary("=", Var("x"), Lit(True)), eq("q", 1)),
+        conj(eq("x", 2), Binary("=", Var("b"), Lit(False))),
+        conj(eq("q", 1), eq("p", 0)),
+        conj(eq("z", 0), eq("p", 1)),
+        Binary(">", Var("x"), Lit(0)),
+        conj(Binary(">", Var("x"), Lit(0)), eq("p", 1)),
+    ]
+    module = PrismModule("m", decls, tuple(
+        PrismCommand(None, g, ((Lit(1), (Assign("z", Lit(1)),)),)) for g in guards))
+    rows = list(itertools.product(range(3), range(2), (False, True), range(3), range(2)))
+    got = picked(module, {}, rows)
+    assert got == [scanned(module, row) for row in rows]
+    assert not any(1 in found for found in got)
+    assert [found for row, found in zip(rows, got) if row == (1, 0, True, 1, 0)] == [[2, 4, 9, 10, 11]]

@@ -4,6 +4,7 @@ construction compared against it."""
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import random
 
@@ -338,6 +339,15 @@ def test_build_chain_matches_the_reference_on_fixtures(name, data_text):
 def test_a_program_without_a_first_action_has_no_chain(name, message, data_text):
     with pytest.raises(UnguardedRecursion, match=f"^{message}$"):
         build_chain(load_program(data_text(name)))
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_a_cycle_no_valuation_leads_into_is_refused_like_the_reference(kind, data_text):
+    # x only ever holds 1, so no state takes the arm back to the decision
+    prog = dataclasses.replace(load_program(data_text("cond_cycle_unreached.chor")), kind=kind)
+    got = assert_same_as_reference(prog)
+    assert got == (UnguardedRecursion,
+                   "conditional x = 0 @ p recurses without an intervening action")
 
 
 def test_build_chain_matches_the_reference_on_errors_and_limits(data_text):
