@@ -9,6 +9,7 @@ a statement's own findings come before its continuations'.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterator
 
 from .errors import AnnotationError, WellFormednessError
@@ -235,6 +236,9 @@ def check_well_formed(program: ChorProgram) -> list[str]:
         if not d.contains(d.init):
             findings.append(f"variable {d.name} initialised outside its range")
 
+    for name, value in program.constants.items():
+        if not abs(value) < inf:
+            findings.append(f"constant {name} is not finite ({value})")
     if program.main not in program.defs:
         findings.append(f"main references undefined {program.main}")
 
@@ -261,6 +265,9 @@ def check_well_formed(program: ChorProgram) -> list[str]:
             w = eval_weight(e, program.constants)
         except Exception as err:  # noqa: BLE001 - surfaced as a finding
             findings.append(f"{where}: weight does not evaluate ({err})")
+            return None
+        if not abs(w) < inf:
+            findings.append(f"{where}: weight is not finite ({w})")
             return None
         if w < 0:
             findings.append(f"{where}: negative weight {w}")

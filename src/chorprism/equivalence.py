@@ -206,6 +206,8 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                 loop = stay.pop(k, 0.0)
                 if loop:
                     keep = 1.0 - loop
+                    if keep <= 0.0:  # the loop rounds to 1: divide by what leaves
+                        keep = sum(row.values()) + sum(stay.values())
                     for t, v in row.items():
                         row[t] = v / keep
                     for j, w in stay.items():
@@ -293,7 +295,10 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                     parts.append((y, row, stay))
                 elif not parts or num[parts[-1][0]] < i:  # y alone
                     if stay and row:  # stay is y's self-loop
-                        row = {t: v / (1.0 - stay[0][1]) for t, v in row.items()}
+                        keep = 1.0 - stay[0][1]
+                        if keep <= 0.0:  # the loop rounds to 1: divide by what leaves
+                            keep = sum(row.values())
+                        row = {t: v / keep for t, v in row.items()}
                     out[y] = row
                 else:  # y roots the component of the parts visited after it
                     at = len(parts)
@@ -493,6 +498,7 @@ def verify_projection(
     ``counterexample`` description when the check fails.
     """
     prog = auto_annotate(prog)
+    net, _ctx = project(prog, require_sconn=False)  # well-formed before s_conn walks it
     findings: list[str] = []
     sconn_ok = s_conn(prog)
     if not sconn_ok:
@@ -505,7 +511,6 @@ def verify_projection(
             "sconn: program is outside the certified fragment; "
             "the result below is informational, not covered by the projection theorem"
         )
-    net, _ctx = project(prog, require_sconn=False)
     obs_names = tuple(d.name for d in prog.var_decls)
     states: dict[str, int] = {}
 

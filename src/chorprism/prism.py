@@ -16,8 +16,8 @@ commands of one module. Guards and updates become closures over state
 tuples (one slot per variable), in which a named constant reads like a
 literal. A weight reads the constants alone, so each alternative's weight
 is evaluated once, when the module is compiled: an alternative of weight 0
-is dropped there, and a negative weight raises there. A literal assignment
-stores its checked value without a call.
+is dropped there, and a negative or non-finite weight raises there. A
+literal assignment stores its checked value without a call.
 ``and`` and ``or`` stop at a left operand that decides the result, so a
 guard that starts with ``var = literal`` tests is false without evaluating
 anything else wherever one of them is false. The slots that some command
@@ -31,21 +31,22 @@ by counters alone). :func:`explore_module` is the breadth-first loop that
 numbers states in the order they are first reached. Per state one loop
 applies the moves of those commands and writes each weight into the row,
 adding the weights of moves into one state; in discrete mode the row is
-then divided by its mass where commands race. The third time a counter
-tuple is reached, its moves are planned if none of its commands keeps a
-guard and no two of its moves can land on one state: each move's last
-assignment to every index slot is a literal (or it leaves the slot alone),
-and the counter tuples the moves land on differ pairwise, whatever the rest
-of the state. A plan is one candidate with no guard whose alternatives are
-all those moves, in derivation order, their weights in discrete mode
-already divided by their mass, so later states with the tuple are not
-divided again. The source semantics explores its one-module lowering of the
-choreography the same way.
+then divided by its mass where commands race. In discrete mode, a counter
+tuple's moves are planned when it is first reached, if none of its
+commands keeps a guard and no two of its moves can land on one state: each
+move's last assignment to every index slot is a literal (or it leaves the
+slot alone), and the counter tuples the moves land on differ pairwise,
+whatever the rest of the state. A plan is one candidate with no guard whose
+alternatives are all those moves, in derivation order, their weights
+already divided by their mass, so no state with the tuple is divided again.
+The source semantics explores its one-module lowering of the choreography
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import itemgetter
 
 from .chain import MarkovChain, render_weight, valuation_text
@@ -62,14 +63,6 @@ from .semantics import (
     override_initial,
 )
 from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, times
-
-# The visit of a counter tuple at which its moves are planned. Building a
-# plan costs more than the state's own moves, so it pays only for the visits
-# after it: each of stages-40's 600 network tuples is reached twice, and
-# plans built on the second visit made its network chain 40% slower (5.9 ->
-# 8.3 ms, fastest of 30 runs, 2-vCPU VM) and its verify 15% slower, while
-# grid-19 reaches each of its 29 tuples 400 times.
-PLAN_VISIT = 3
 
 #: one probabilistic alternative of a command: (weight, assignments)
 Alt = tuple[Expr, tuple[Assign, ...]]
@@ -233,10 +226,10 @@ def _assignment(a: Assign, slot_of: dict[str, int], decls: dict[str, VarDecl], c
 
 
 def _weight(w: Expr, constants: dict) -> float:
-    """The value of the weight ``w``, which must not be negative."""
+    """The value of the weight ``w``, which must be finite and not negative."""
     value = eval_weight(w, constants)
-    if value < 0:
-        raise EvalError(f"negative weight {expr_to_str(w)}")
+    if not 0 <= value < inf:
+        raise EvalError(f"{'negative' if value < 0 else 'non-finite'} weight {expr_to_str(w)}")
     return value
 
 
@@ -341,38 +334,40 @@ def explore_module(
         # the candidates depend only on the counter tuple, so they are
         # worked out once per counter tuple
         indexed = itemgetter(*slots) if slots else (lambda row: ())
-        by_indexed: dict[object, list] = {}  # per counter tuple: [candidates, visits]
+        by_indexed: dict[object, tuple] = {}  # per counter tuple: (candidates, divided)
         findings: list[str] = []
 
-        def plan(found: list[tuple], row: tuple) -> list | None:
-            """One unguarded candidate with the moves every state with the
-            counter tuple of ``row`` makes, in derivation order, in discrete
-            mode each weight divided by their mass where it is not 1; None
-            where a candidate keeps a guard, no move is left, or two moves
-            might land on one state (module docstring)."""
+        def renormalized(mass: float, row: tuple) -> None:
+            if not findings:
+                findings.append(f"dtmc_renormalized: outgoing probability mass "
+                                f"{render_weight(mass)} at state {valuation_text(var_names, row)}")
+
+        def plan(found: list[tuple], row: tuple) -> tuple[list, bool]:
+            """The candidates of ``row``'s counter tuple and whether their
+            weights are divided already: in discrete mode one unguarded
+            candidate with every move, in derivation order, weights divided
+            by their mass, unless a candidate keeps a guard, no move is
+            left, or two moves might land on one state (module docstring)."""
+            if kind != "dtmc" or any(guard is not None for guard, _ in found):
+                return found, False
             moves = [alt for _, alts in found for alt in alts]
             ends = {tuple(last.get(s, row[s]) for s in slots) for _, _, last in moves}
-            if (not moves or len(ends) < len(moves) or any(None in end for end in ends)
-                    or any(guard is not None for guard, _ in found)):
-                return None
+            if not moves or len(ends) < len(moves) or any(None in end for end in ends):
+                return found, False
             mass = sum(w for w, _, _ in moves)
-            if kind == "dtmc" and abs(mass - 1.0) > TOL:
+            if abs(mass - 1.0) > TOL:
                 moves = [(w / mass, u, last) for w, u, last in moves]
-            return [(None, moves)]
+                renormalized(mass, row)
+            return [(None, moves)], True
 
         number = {init: 0}
         states = [init]
         edges: list[dict[int, float]] = [{}]
         for row, out in zip(states, edges):  # both lists grow as states are found
-            key = indexed(row)
-            memo = by_indexed.get(key)
+            memo = by_indexed.get(key := indexed(row))
             if memo is None:
-                memo = by_indexed[key] = [candidates(row), 0]
-            found, visits = memo
-            if visits is not None:  # not planned: visits counts up
-                memo[1] = visits = visits + 1
-                if visits == PLAN_VISIT and (planned := plan(found, row)) is not None:
-                    found, visits = memo[:] = planned, None
+                memo = by_indexed[key] = plan(candidates(row), row)
+            found, divided = memo
             for guard, alts in found:
                 if guard is not None:
                     g = guard(row)
@@ -388,19 +383,13 @@ def explore_module(
                         states.append(nxt)
                         edges.append({})
                     out[dst] = out[dst] + w if dst in out else w
-            # a plan's weights are divided already, and the first state with
-            # its tuple, which had the same moves, has reported their mass
-            if kind == "dtmc" and visits is not None:
+            if kind == "dtmc" and not divided:
                 if not out:
                     out[number[row]] = 1.0
                 elif abs((mass := sum(out.values())) - 1.0) > TOL:
                     for dst in out:
                         out[dst] /= mass
-                    if not findings:
-                        findings.append(
-                            f"dtmc_renormalized: outgoing probability mass "
-                            f"{render_weight(mass)} at state {valuation_text(var_names, row)}"
-                        )
+                    renormalized(mass, row)
             if len(states) > max_states:
                 raise StateBudgetExceeded(max_states)
         return MarkovChain(kind, var_names, states, 0, edges, findings)

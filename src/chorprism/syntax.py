@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Union
 
-from .errors import UnguardedRecursion
+from .errors import UnguardedRecursion, WellFormednessError
 
 Value = Union[int, bool, float]
 
@@ -215,10 +215,13 @@ class ChorProgram:
 
 def unfold(term: ChorTerm, defs: dict[str, ChorTerm]) -> ChorTerm:
     """The statement ``term`` starts with: a call stands for the body it
-    names. A cycle of calls has none, and raises :class:`UnguardedRecursion`."""
+    names. A cycle of calls has none, and raises :class:`UnguardedRecursion`;
+    a call to an undefined name raises :class:`WellFormednessError`."""
     seen = ()
     while isinstance(term, CallTerm) and term.name not in seen:
         seen += (term.name,)
+        if term.name not in defs:
+            raise WellFormednessError(f"call to undefined {term.name}")
         term = defs[term.name]
     if isinstance(term, CallTerm):
         raise UnguardedRecursion(f"definition {term.name} recurses without an intervening action")

@@ -111,6 +111,16 @@ def test_unfold_names_the_first_definition_met_again():
         unfold(CallTerm("M"), defs)
 
 
+def test_a_call_to_an_undefined_name_is_a_well_formedness_error():
+    with pytest.raises(WellFormednessError, match="^call to undefined D$"):
+        unfold(CallTerm("D"), {})
+    # the public walks that follow calls raise it on an unchecked program
+    prog = load_program("ctmc; role p, q; def C = p -> q : { rate 2 : {}; D }; main C;")
+    for walk in (s_conn, build_chain):
+        with pytest.raises(WellFormednessError, match="^call to undefined D$"):
+            walk(prog)
+
+
 def test_sconn_fixtures(data_text):
     assert s_conn(load_program(data_text("sconn_pos.chor"))) is True
     assert s_conn(load_program(data_text("nonsconn.chor"))) is False
@@ -408,6 +418,20 @@ WF_HEADER = "ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\nvar b @ p : bool ini
 ])
 def test_each_finding_names_its_location(body, finding):
     assert check_well_formed(load_program(WF_HEADER + body)) == [finding]
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+@pytest.mark.parametrize("const, weight, findings", [
+    pytest.param("const k = 1e400;", "k",
+                 ["constant k is not finite (inf)", "M/branch1: weight is not finite (inf)"], id="inf"),
+    pytest.param("const k = 1e400;", "k - k",
+                 ["constant k is not finite (inf)", "M/branch1: weight is not finite (nan)"], id="nan"),
+    pytest.param("", "1e300*1e300", ["M/branch1: weight is not finite (inf)"], id="overflow"),
+])
+def test_a_weight_or_constant_that_is_not_finite_is_a_finding(kind, const, weight, findings):
+    # a weight that is not finite adds nothing to its interaction's sum
+    src = f"{kind};\nrole p, q;\n{const}\ndef M = p -> q : {{ rate {weight} : {{}}; end }};\nmain M;"
+    assert check_well_formed(load_program(src)) == findings
 
 
 def test_a_statements_findings_come_before_its_continuations():

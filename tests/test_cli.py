@@ -318,6 +318,40 @@ def test_cross_role_read_after_write_is_rejected(capsys, tmp_path, argv):
         assert err == f"error: {finding}\n"
 
 
+ILL_FORMED = "ctmc; role p, q; var x @ p : [0..1] init 0; "
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check",), ("compile",), ("verify",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
+    ids=["check", "compile", "verify", "chain-chor", "chain-prism"],
+)
+@pytest.mark.parametrize("program, findings", [
+    pytest.param("def C = p -> q : { rate 2 : {x'=1}; D }; main C;",
+                 ["C/branch1: call to undefined D"], id="undefined-call"),
+    pytest.param("def C = p -> q : { rate 2 : {x'=1}; C }; main D;",
+                 ["main references undefined D"], id="undefined-main"),
+    pytest.param("def C = p -> q : { rate 2 : {x'=1-x}; if x = 1 @ z then { C } else { end } }; main C;",
+                 ["C/branch1: conditional at undeclared role z"], id="undeclared-decider"),
+    pytest.param("const k = 1e400; def C = p -> q : { rate k : {x'=1-x}; C }; main C;",
+                 ["constant k is not finite (inf)", "C/branch1: weight is not finite (inf)"],
+                 id="infinite-weight"),
+])
+def test_an_ill_formed_program_fails_every_command_with_its_findings(capsys, tmp_path, argv,
+                                                                     program, findings):
+    # verify checks well-formedness before strong connectedness, and a
+    # call to an undefined name is a finding, never a KeyError
+    path = tmp_path / "bad.chor"
+    path.write_text(ILL_FORMED + program, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    if argv == ("check",):
+        assert out == "".join(f"well-formedness: {f}\n" for f in findings)
+    else:
+        assert out == ""
+        assert err == f"error: {'; '.join(findings)}\n"
+
+
 OVERFLOW = """ctmc;
 role p, q;
 var x @ p : [0..2] init 0;

@@ -224,6 +224,24 @@ def test_jump_chain_partial_divergence_keeps_mass_on_self_loop():
     assert jump_chain(dataclasses.replace(c, init=1), OBS).edges == [{0: 1.0}]
 
 
+LOOP_ROUNDS_TO_1 = "dtmc; role p, q; var x @ p : [0..1] init 0; def C = p -> q : { %s }; %s main C;"
+
+
+@pytest.mark.parametrize("branches, more", [
+    pytest.param("rate 1e-17 : {x'=1-x}; C | rate 1 : {}; C", "", id="self-loop"),
+    pytest.param("rate 1e-17 : {}; D | rate 1 : {}; C",
+                 "def D = p -> q : { rate 0.5 : {x'=1-x}; C | rate 0.5 : {}; C };", id="stutter-cycle"),
+])
+def test_jump_chain_leaves_a_loop_that_rounds_to_1_by_what_else_leaves(branches, more):
+    # C's loop weighs 1.0 once rounded, so 1 - loop is 0: the exit row is
+    # divided by the rest of C's mass instead, in a lone state or while
+    # eliminating a stutter cycle's members
+    prog = load_program(LOOP_ROUNDS_TO_1 % (branches, more))
+    jumps = jump_chain(collapse(build_chain(prog), OBS), OBS)
+    assert {jumps.observation(y, OBS): w for y, w in jumps.edges[0].items()} == {(1,): 1.0}
+    assert verify_projection(prog)["equivalent"] is True
+
+
 def test_jump_chain_limits_the_solve_of_a_stutter_cycle_only(monkeypatch):
     # the limit counts one stutter cycle: 0 -> 1 -> 2 -> 0, each leaving to
     # 3, whose elimination takes 2 + 2 multiply-adds and back-substitution

@@ -414,16 +414,16 @@ def test_renormalization_finding_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# later visits of a counter tuple: the planned moves against the oracle
+# revisited counter tuples: the planned moves against the oracle
 # ---------------------------------------------------------------------------
 
 def counter_tuples(*commands, hi=3):
     """A module over a counter ``p`` in [0..1], which every command tests
     leftmost, and an int ``x`` in [0..hi]; ``commands`` are (guard,
     alternatives) pairs. Every state with the same ``p`` has the same
-    counter tuple, so from its third state on a plan serves it wherever
-    no command keeps a guard past its counter test and its moves land on
-    counter tuples that differ pairwise."""
+    counter tuple, so in discrete mode a plan built at its first state
+    serves it wherever no command keeps a guard past its counter test and
+    its moves land on counter tuples that differ pairwise."""
     decls = (VarDecl("p", "m", 0, 0, 1), VarDecl("x", "m", 0, 0, hi))
     return (PrismModule("m", decls, tuple(PrismCommand(None, g, alts) for g, alts in commands)),)
 
@@ -492,7 +492,7 @@ def test_a_revisited_tuple_that_keeps_a_guard_tests_it_at_every_state(kind):
 def test_moves_whose_counter_is_computed_can_meet_after_the_plan_is_built(kind):
     # at p = 0 the first move counts x up and the next two leave, the second
     # to p = 2 while x <= 2 and to p = 1 from x = 3 on, where the third goes.
-    # At (0, 2), the third state with p = 0, the three land on p = 0, 2 and 1;
+    # At (0, 0), the first state with p = 0, the three land on p = 0, 2 and 1;
     # at (0, 3) the last two meet at (1, 0). A proof that compared where the
     # moves land at the state that plans them would serve (0, 3) with the
     # weights divided before they add up
@@ -512,8 +512,8 @@ def test_moves_whose_counter_is_computed_can_meet_after_the_plan_is_built(kind):
 @pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
 @pytest.mark.parametrize("leave", [False, True])
 def test_a_planned_tuple_spends_the_state_budget_where_the_oracle_does(kind, leave):
-    # x counts up from 0 at p = 0, a one-move plan from x = 2 on; with
-    # ``leave`` each state also moves to p = 1, a two-move plan
+    # x counts up from 0 at p = 0, in discrete mode a one-move plan from
+    # x = 0 on; with ``leave`` each state also moves to p = 1, a two-move plan
     alts = ((Lit(0.5), set_x(Binary("min", Binary("+", X, Lit(1)), Lit(7)))),)
     if leave:
         alts += ((Lit(0.5), (Assign("p", Lit(1)),)),)
@@ -528,8 +528,8 @@ def test_a_planned_tuple_spends_the_state_budget_where_the_oracle_does(kind, lea
 
 @pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
 def test_a_one_move_plan_lands_on_a_state_already_numbered(kind):
-    # x cycles 0, 1, 2, 3 at p = 0; (0, 3), served by the plan built at
-    # (0, 2), moves back to the initial state
+    # x cycles 0, 1, 2, 3 at p = 0; in discrete mode (0, 3), served by the
+    # plan built at (0, 0), moves back to the initial state
     net = counter_tuples((eq("p", 0), ((Lit(1), set_x(Binary("mod", Binary("+", X, Lit(1)), Lit(4)))),)))
     got = assert_same_as_oracle(net, kind, {})
     assert got[1] == [(0, 0), (0, 1), (0, 2), (0, 3)]
@@ -542,9 +542,10 @@ def test_an_error_of_a_later_move_wins_over_the_state_budget_as_in_the_oracle(ki
     # at p = 0 one move leaves to p = 1 and one counts x up, which leaves
     # [0..3] at (0, 3), the seventh state. With a budget of 7 its first move
     # needs an eighth state, yet the oracle raises the second move's error,
-    # since it steps a whole state before numbering what it reaches. The
-    # tuple p = 0 is planned from (0, 2) on; ``guarded`` gives the count
-    # its own command, whose guard keeps ``x >= 0``, so no plan serves it
+    # since it steps a whole state before numbering what it reaches. In
+    # discrete mode the tuple p = 0 is planned at (0, 0); ``guarded`` gives
+    # the count its own command, whose guard keeps ``x >= 0``, so no plan
+    # serves it
     leave, count = (Lit(0.5), (Assign("p", Lit(1)),)), (Lit(0.5), set_x(Binary("+", X, Lit(1))))
     if guarded:
         net = counter_tuples((eq("p", 0), (leave,)), (conj(eq("p", 0), Binary(">=", X, Lit(0))), (count,)))
@@ -560,8 +561,8 @@ def test_an_error_of_a_later_move_wins_over_the_state_budget_as_in_the_oracle(ki
 
 
 def test_a_planned_tuple_whose_mass_is_not_1_is_divided_as_in_the_oracle():
-    # at p = 0 the weights 0.25 and 0.5 land on p = 0 and p = 1, so from
-    # (0, 2) on a plan divides each by 0.75; (0, 0) reports the mass
+    # at p = 0 the weights 0.25 and 0.5 land on p = 0 and p = 1, so the plan
+    # built at (0, 0) divides each by 0.75, and (0, 0) reports the mass
     net = counter_tuples((eq("p", 0), ((Lit(0.25), set_x(up(X))), (Lit(0.5), (Assign("p", Lit(1)),)))))
     got = assert_same_as_oracle(net, "dtmc", {})
     assert got[1] == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (0, 3), (1, 2), (1, 3)]
@@ -681,6 +682,16 @@ def test_a_negative_weight_raises_when_the_network_is_compiled():
         net = one_command(guard, (), weight=Binary("-", Var("lam"), Lit(3)))
         with pytest.raises(EvalError, match="^negative weight lam - 3$"):
             build_network_chain(net, "ctmc", {"lam": 2.0})
+
+
+@pytest.mark.parametrize("weight, text", [
+    (Var("big"), "big"), (Binary("-", Var("big"), Var("big")), "big - big")], ids=["inf", "nan"])
+def test_a_weight_that_is_not_finite_raises_when_the_network_is_compiled(weight, text):
+    # as a negative weight does: check refuses it, and an infinite or NaN
+    # weight has no distribution to divide or compare
+    for guard in (eq("s", 1), eq("z", 1)):
+        with pytest.raises(EvalError, match=f"^non-finite weight {text}$"):
+            build_network_chain(one_command(guard, (), weight=weight), "ctmc", {"big": float("inf")})
 
 
 def test_a_literal_assignment_that_fails_its_check_raises_only_where_reached():
