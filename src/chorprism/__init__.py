@@ -4,7 +4,6 @@ that the compiled network behaves like the source program."""
 from .analysis import (
     check_annotations,
     check_well_formed,
-    nodes,
     require_annotated,
     require_well_formed,
     s_conn,
@@ -32,7 +31,7 @@ from .prism import (
     build_network_chain,
     derive_commands,
 )
-from .projection import ProjectionContext, fuse_resets, proj_update, project
+from .projection import ProjectionContext, fuse_resets, nodes, proj_update, project
 from .semantics import build_chain, eval_expr, eval_weight
 from .sugar import auto_annotate, expand_indices, load_program
 from .syntax import ChorProgram

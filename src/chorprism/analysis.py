@@ -1,7 +1,6 @@
 """Static analyses over choreography programs.
 
-Covers the size measure used by the counter allocator, head-role and
-strong-connectedness checks, annotation checking, and well-formedness.
+Covers strong connectedness, annotation checking and well-formedness.
 Each check is one loop over a program's statements: strong connectedness
 is a rule local to each one, and the located checks read :func:`sites`, so
 a statement's own findings come before its continuations'.
@@ -27,6 +26,7 @@ from .syntax import (
     Lit,
     Unary,
     Var,
+    acting,
     continuations,
     subterms,
     unfold,
@@ -34,35 +34,8 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# size measure
+# strong connectedness
 # ---------------------------------------------------------------------------
-
-def nodes(term: ChorTerm, kind: str) -> int:
-    """Number of counter slots the projection reserves for ``term``: one,
-    plus its continuations' slots; in discrete mode an interaction also
-    reserves one slot per branch for the internal-choice intermediates, so
-    commitment states never collide with continuation regions."""
-    conts = continuations(term)
-    if not conts:
-        return 1  # CallTerm, Inact
-    hops = len(conts) if kind == "dtmc" and isinstance(term, Interaction) else 0
-    return 1 + hops + sum([nodes(c, kind) for c in conts])
-
-
-# ---------------------------------------------------------------------------
-# head roles and strong connectedness
-# ---------------------------------------------------------------------------
-
-def h_mods(term: ChorTerm, defs: dict[str, ChorTerm]) -> frozenset:
-    """Roles acting at the statement ``term`` starts with (:func:`unfold`);
-    none for ``end``."""
-    term = unfold(term, defs)
-    if isinstance(term, Interaction):
-        return frozenset(term.participants)
-    if isinstance(term, Conditional):
-        return frozenset((term.role,))
-    return frozenset()
-
 
 def s_conn(program: ChorProgram) -> bool:
     """Strong connectedness: at every choice, an interaction's branches or
@@ -85,8 +58,8 @@ def s_conn(program: ChorProgram) -> bool:
                 cont = unfold(cont, defs)
                 if isinstance(cont, Conditional):  # raises on a cycle of decisions
                     list(decided(cont, defs, Lit(True)))
-                hm = h_mods(cont, defs)
-                if hm and hm.isdisjoint(h_mods(term, defs)):
+                roles = acting(cont)
+                if roles and set(roles).isdisjoint(acting(term)):
                     return False
     return True
 

@@ -103,25 +103,24 @@ def explore(
     in the order they are first reached. A row stores the first weight of a
     move into a state as yielded, the same object, and adds later ones to it
     in the order they are yielded. Returns the state keys and the per-state
-    successor weight maps. Raises StateBudgetExceeded as soon as more than
-    ``max_states`` states would be needed.
+    successor weight maps. Raises StateBudgetExceeded once a state's moves
+    are applied, if more than ``max_states`` states are numbered, as
+    :func:`chorprism.prism.explore_module` does.
     """
     if max_states < 1:
         raise StateBudgetExceeded(max_states)
     index: dict = {init: 0}
     keys: list = [init]
     edges: list[dict[int, float]] = [{}]
-    count = 1
     for key, row in zip(keys, edges):  # both lists grow as states are found
         for k, w in successors(key):
             dst = index.get(k)
             if dst is None:
-                if count >= max_states:
-                    raise StateBudgetExceeded(max_states)
-                dst = index[k] = count
-                count += 1
+                dst = index[k] = len(keys)
                 keys.append(k)
                 edges.append({})
             row[dst] = row[dst] + w if dst in row else w
+        if len(keys) > max_states:
+            raise StateBudgetExceeded(max_states)
     return keys, edges
 

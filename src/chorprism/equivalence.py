@@ -147,10 +147,11 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     iterative Tarjan walk over stutter moves gives it and every state it
     stutters to a row. The walk finishes strongly connected components
     sinks first, so each component is solved once, from the rows of the
-    components below it: a single state by adding up, a larger one by
-    eliminating its members one at a time, raising StutterGroupTooLarge past
-    MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds, as does a
-    walk that adds up MAX_FILL_IN entries of solved rows, one per state it
+    components below it: a lone state with no self-loop by adding up, any
+    other (a lone state with a self-loop is a component of one) by
+    eliminating its members one at a time, raising StutterGroupTooLarge
+    past MAX_FILL_IN added entries or MAX_SOLVE_WORK multiply-adds, as does
+    a walk that adds up MAX_FILL_IN entries of solved rows, one per state it
     visits aside. The mass a state cannot take to an observation change (it
     diverges) sits on a self-loop, a slot no genuine jump can occupy. A
     state whose one move is a weight-1 stutter move to a state with a row
@@ -165,7 +166,7 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
     num: list[int | None] = [None] * len(edges)
 
     def solve(parts: list[tuple[int, dict[int, float], list[tuple[int, float]]]]) -> None:
-        """Exit rows of one component of several states, given per member
+        """Exit rows of one component, given per member
         its row through exits and solved successors, and its moves inside
         the component. Either every member reaches an exit or none does.
 
@@ -293,14 +294,9 @@ def jump_chain(chain: MarkovChain, obs_names: tuple[str, ...]) -> MarkovChain:
                         stay.append((z, w))
                 if low[i] != i:
                     parts.append((y, row, stay))
-                elif not parts or num[parts[-1][0]] < i:  # y alone
-                    if stay and row:  # stay is y's self-loop
-                        keep = 1.0 - stay[0][1]
-                        if keep <= 0.0:  # the loop rounds to 1: divide by what leaves
-                            keep = sum(row.values())
-                        row = {t: v / keep for t, v in row.items()}
+                elif not stay:  # y alone: a loop or another member would be in stay
                     out[y] = row
-                else:  # y roots the component of the parts visited after it
+                else:  # y roots the component of itself and the parts visited after it
                     at = len(parts)
                     while at and num[parts[at - 1][0]] > i:
                         at -= 1

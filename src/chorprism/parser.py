@@ -277,18 +277,19 @@ class _Parser:
             v = int(v)
         return v
 
-    def bound(self, constants) -> int:
-        """Range endpoint: integer literal (possibly negated) or constant."""
+    def bound(self, constants, what: str = "range endpoint", where: str = "range") -> int:
+        """Integer literal (possibly negated) or constant, which errors call
+        ``what`` and place in ``where``: a range endpoint by default."""
         if self.peek().kind == "name":
             t = self.next()
             if t.value not in constants:
-                raise ParseError(f"unknown constant {t.value} in range", t.line, t.col)
+                raise ParseError(f"unknown constant {t.value} in {where}", t.line, t.col)
             v = constants[t.value]
         else:
             t = self.peek()
             v = self.signed_number()
         if not isinstance(v, int):
-            raise ParseError(f"range endpoint {v} is not an integer", t.line, t.col)
+            raise ParseError(f"{what} {v} is not an integer", t.line, t.col)
         return v
 
     def range(self, constants) -> tuple[int, int]:
@@ -331,7 +332,7 @@ class _Parser:
         elif self.accept("false"):
             init = False
         else:
-            init = self.bound(prog.constants)
+            init = self.bound(prog.constants, "initial value", "initial value")
         self.expect(";")
         if is_bool and not isinstance(init, bool):
             raise ParseError(f"bool variable {name} needs a bool initial value",

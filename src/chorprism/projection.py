@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .analysis import nodes, require_annotated, require_well_formed, s_conn, wire_label
+from .analysis import require_annotated, require_well_formed, s_conn, wire_label
 from .errors import NotStronglyConnected
 from .prism import Network, PrismCommand, PrismModule, split_tests
 from .syntax import (
@@ -47,6 +47,8 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    acting,
+    continuations,
     subterms,
 )
 
@@ -60,6 +62,18 @@ class ProjectionContext:
     defs_start: dict[str, int]
     counter_var: dict[str, str]
     counter_max: int  # counters range over [0 .. counter_max]
+
+
+def nodes(term: ChorTerm, kind: str) -> int:
+    """Number of counter slots the projection reserves for ``term``: one,
+    plus its continuations' slots; in discrete mode an interaction also
+    reserves one slot per branch for the internal-choice intermediates, so
+    commitment states never collide with continuation regions."""
+    conts = continuations(term)
+    if not conts:
+        return 1  # CallTerm, Inact
+    hops = len(conts) if kind == "dtmc" and isinstance(term, Interaction) else 0
+    return 1 + hops + sum([nodes(c, kind) for c in conts])
 
 
 def _def_order(prog: ChorProgram) -> list[str]:
@@ -179,8 +193,7 @@ def _live_defs(prog: ChorProgram) -> dict[str, set[str]]:
         for t in subterms(body):
             if isinstance(t, CallTerm):
                 callers[t.name].add(name)
-            for role in (t.participants if isinstance(t, Interaction)
-                         else (t.role,) if isinstance(t, Conditional) else ()):
+            for role in acting(t):
                 live[role].add(name)
     for found in live.values():
         todo = list(found)

@@ -237,6 +237,16 @@ def continuations(term: ChorTerm) -> tuple[ChorTerm, ...]:
     return ()
 
 
+def acting(term: ChorTerm) -> tuple[str, ...]:
+    """The roles acting at a statement: an interaction's participants, a
+    conditional's decider; none at a call or ``end``."""
+    if isinstance(term, Interaction):
+        return term.participants
+    if isinstance(term, Conditional):
+        return (term.role,)
+    return ()
+
+
 def subterms(term: ChorTerm):
     """Yield term and every node below it, preorder, branches in order."""
     yield term

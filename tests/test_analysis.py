@@ -1,4 +1,4 @@
-"""Static analyses: the slot-count measure, head roles, strong
+"""Static analyses: the slot-count measure, acting roles, strong
 connectedness, annotation checking, and well-formedness findings."""
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from chorprism import (
     s_conn,
     verify_projection,
 )
-from chorprism.analysis import h_mods, type_of, wire_label
+from chorprism.analysis import type_of, wire_label
 from chorprism.syntax import (
     Binary,
     Branch,
@@ -30,6 +30,7 @@ from chorprism.syntax import (
     Lit,
     Unary,
     Var,
+    acting,
     unfold,
 )
 
@@ -40,7 +41,7 @@ def inter(initiator, receivers, *conts):
 
 
 # ---------------------------------------------------------------------------
-# slot counts
+# slot counts (projection.nodes)
 # ---------------------------------------------------------------------------
 
 def test_nodes_leaves():
@@ -71,29 +72,29 @@ def test_nodes_example_recursive_exchange(data_text):
 
 
 # ---------------------------------------------------------------------------
-# head roles and strong connectedness
+# acting roles and strong connectedness
 # ---------------------------------------------------------------------------
 
 def test_head_roles_of_interaction_are_all_participants():
     t = inter("p", ["q", "r"], Inact())
-    assert h_mods(t, {}) == frozenset({"p", "q", "r"})
+    assert acting(t) == ("p", "q", "r")
 
 
 def test_head_roles_of_conditional_is_the_decider_only():
     t = Conditional(Lit(True), "p", inter("q", ["r"], Inact()), Inact())
-    assert h_mods(t, {}) == frozenset({"p"})
+    assert acting(t) == ("p",)
 
 
 def test_head_roles_follow_calls():
     defs = {"X": inter("p", ["q"], Inact())}
-    assert h_mods(CallTerm("X"), defs) == frozenset({"p", "q"})
-    assert h_mods(Inact(), defs) == frozenset()
+    assert acting(unfold(CallTerm("X"), defs)) == ("p", "q")
+    assert acting(CallTerm("X")) == acting(Inact()) == ()
 
 
 def test_call_cycle_without_action_is_rejected():
     defs = {"A": CallTerm("B"), "B": CallTerm("A")}
     with pytest.raises(UnguardedRecursion):
-        h_mods(CallTerm("A"), defs)
+        acting(unfold(CallTerm("A"), defs))
 
 
 def test_unfold_gives_the_statement_a_term_starts_with():

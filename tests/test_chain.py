@@ -1,12 +1,24 @@
 """The breadth-first explorer and the observation columns of a chain, on
-synthetic successor functions and hand-written chains."""
+synthetic successor functions and hand-written chains, and the state budget
+of every explorer."""
 
 from __future__ import annotations
 
 import pytest
 
-from chorprism import MarkovChain, StateBudgetExceeded
+from chorprism import (
+    MarkovChain,
+    PrismModule,
+    StateBudgetExceeded,
+    auto_annotate,
+    build_chain,
+    build_network_chain,
+    derive_commands,
+    load_program,
+    project,
+)
 from chorprism.chain import explore
+from chorprism.prism import explore_module, network_var_decls
 
 
 def line(n):
@@ -23,6 +35,26 @@ def test_exactly_the_budget_passes_and_one_state_more_raises():
     with pytest.raises(StateBudgetExceeded):
         explore(0, line(10), 0)
     assert explore("only", lambda k: [], 1) == (["only"], [{}])
+
+
+@pytest.mark.parametrize("kind", ["ctmc", "dtmc"])
+def test_every_explorer_refuses_a_budget_of_no_states(data_text, kind):
+    # the CLI refuses such a budget first, so only the library meets it
+    name = "example2_dtmc.chor" if kind == "dtmc" else "example2.chor"
+    prog = auto_annotate(load_program(data_text(name)))
+    net, _ = project(prog)
+    decls = network_var_decls(net)
+    module = PrismModule("network", decls, derive_commands(net))
+    init = tuple(d.init for d in decls)
+    explorers = [
+        lambda budget: explore_module(module, kind, prog.constants, init, budget),
+        lambda budget: build_chain(prog, max_states=budget),
+        lambda budget: build_network_chain(net, kind, prog.constants, max_states=budget),
+    ]
+    for explorer in explorers:
+        assert explorer(10**6).num_states > 1
+        with pytest.raises(StateBudgetExceeded, match="^state space exceeds budget of 0 states$"):
+            explorer(0)
 
 
 def test_states_are_numbered_in_first_reached_order():

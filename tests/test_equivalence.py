@@ -551,6 +551,19 @@ def test_verify_fixture_reports(name, states, data_text):
     assert (st["chor_raw"], st["chor_collapsed"], st["net_raw"], st["net_collapsed"]) == states
 
 
+# a role that takes no part in a choice follows only its first branch or its
+# then arm, and the network deadlocks on any other; merging (ROADMAP.md)
+BYSTANDERS = ["bystander.chor", "bystander_dtmc.chor", "bystander_updates.chor",
+              "else_bystander.chor"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a bystander follows only a choice's first branch")
+@pytest.mark.parametrize("name", BYSTANDERS)
+def test_a_bystander_follows_every_branch_of_a_choice(name, data_text):
+    assert verify_projection(load_program(data_text(name)))["equivalent"] is True
+
+
 def test_verify_families_foreach_report(data_text):
     # the only fixture whose foreach clauses go through verify
     report = verify_projection(load_program(data_text("families_foreach.chor")))

@@ -226,6 +226,11 @@ def test_declaration_errors_point_at_the_declared_name(src, message):
          "3:17: unknown constant N in range"),
         ("ctmc;\nrole p;\nvar x @ p : [0..1.5] init 0;\ndef M = end;\nmain M;",
          "3:17: range endpoint 1.5 is not an integer"),
+        # an initial value is read as a range endpoint is, and named as itself
+        ("ctmc;\nrole p;\nvar x @ p : [0..3] init k;\ndef M = end;\nmain M;",
+         "3:25: unknown constant k in initial value"),
+        ("ctmc;\nrole p;\nvar x @ p : [0..3] init 1.5;\ndef M = end;\nmain M;",
+         "3:25: initial value 1.5 is not an integer"),
         ("ctmc;\nrole c[1..2];\ndef M = c[1];\nmain M;",
          "3:13: expected '->' after indexed role, found ';'"),
         ("ctmc;\nrole p;\ndef M = ;\nmain M;", "3:9: expected a term, found ';'"),
@@ -237,8 +242,8 @@ def test_declaration_errors_point_at_the_declared_name(src, message):
          " end;\nmain M;",
          "4:63: foreach is not allowed inside allsynch"),
     ],
-    ids=["kind", "declaration", "main", "range-constant", "range-integer", "indexed-call",
-         "term", "foreach-comparison", "foreach-in-allsynch"],
+    ids=["kind", "declaration", "main", "range-constant", "range-integer", "init-constant",
+         "init-integer", "indexed-call", "term", "foreach-comparison", "foreach-in-allsynch"],
 )
 def test_structure_errors_point_at_the_offending_token(src, message):
     with pytest.raises(ParseError) as exc:
@@ -260,10 +265,14 @@ FIXTURE_TOKENS = {
     "allsynch.chor": (93, "52f93407cb0fad82"),
     "annot_dup.chor": (94, "60213f2f69e0e814"),
     "annot_ok.chor": (94, "af50509685e4688a"),
+    "bystander.chor": (108, "b397418784ecb53d"),  # the four bystander fixtures
+    "bystander_dtmc.chor": (108, "424087c4c93b2760"),  # from tests/tok_ref.py
+    "bystander_updates.chor": (108, "113eb23fee3ec60d"),
     "cond_cycle.chor": (58, "4a96d5ca26114142"),
     "cond_cycle_unreached.chor": (58, "95b341fc95a31457"),  # from the one-regex tokenizer
     "constants.chor": (72, "b64188e58ea7dc04"),
     "dispatcher.chor": (198, "87b5e014922ba5cd"),
+    "else_bystander.chor": (91, "e3e71ff7713d3bb7"),  # from tests/tok_ref.py
     "end_arm.chor": (60, "f24be7431f18a364"),
     "entry_cycle.chor": (26, "9776d7fb29c48ec1"),
     "example1.chor": (84, "8fa7ca7a0520ce42"),
