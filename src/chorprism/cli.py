@@ -23,7 +23,7 @@ from .equivalence import verify_projection
 from .errors import ChorError, ParseError
 from .prism import alphabet, build_network_chain
 from .projection import fuse_resets, project
-from .semantics import DEFAULT_MAX_STATES, build_chain
+from .semantics import DEFAULT_MAX_STATES, build_chain, override_initial
 from .sugar import auto_annotate, load_program
 from .syntax import ChorProgram
 
@@ -47,6 +47,8 @@ def _parse_init(spec: str | None) -> dict | None:
         name, value = name.strip(), value.strip()
         if not eq or not name:
             raise ParseError("--init expects comma-separated name=value pairs")
+        if name in out:
+            raise ParseError(f"--init names {name} twice")
         if value in ("true", "false"):
             out[name] = value == "true"
         else:
@@ -103,6 +105,7 @@ def cmd_chain(args) -> int:
     prog = _load(args)
     require_well_formed(prog)
     overrides = _parse_init(args.init)
+    override_initial(prog.var_decls, overrides)  # a role's counter is no variable either
     if args.side == "chor":
         c = build_chain(prog, max_states=args.max_states, init_overrides=overrides)
     else:

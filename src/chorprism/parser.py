@@ -35,6 +35,7 @@ Grammar sketch (comments are ``// …``)::
     atom      := number | "true" | "false" | "(" expr ")" | ref
                | ("mod"|"min"|"max") "(" expr "," expr ")"
 
+A ``const`` or ``def`` name, and ``main``, is declared once.
 ``syntax.PREC`` sets how tightly each operator of ``expr`` binds; binary
 operators group to the left and comparisons do not chain. Expressions use
 keywords ``and``/``or``/``not`` (the PRISM symbols would collide with the
@@ -209,19 +210,27 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         t = self.toks[self.pos]
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {self._show(t)}", t.line, t.col)
+            self.fail(repr(kind))
         self.pos += kind != "eof"  # as in next, eof is never consumed
         return t
 
-    @staticmethod
-    def _show(t: Token) -> str:
-        if t.kind == "eof":
-            return "end of input"
-        return repr(t.value)
-
     def fail(self, what: str):
         t = self.peek()
-        raise ParseError(f"expected {what}, found {self._show(t)}", t.line, t.col)
+        found = "end of input" if t.kind == "eof" else repr(t.value)
+        raise ParseError(f"expected {what}, found {found}", t.line, t.col)
+
+    def items(self, read, sep: str) -> tuple:
+        """``read (sep read)*``: what each ``read`` returns."""
+        out = [read()]
+        while self.accept(sep):
+            out.append(read())
+        return tuple(out)
+
+    @staticmethod
+    def declared(t: Token, what: str, twice) -> None:
+        """Refuse ``what``, declared at ``t``, if ``twice``."""
+        if twice:
+            raise ParseError(f"{what} declared twice", t.line, t.col)
 
     # ---- program structure ------------------------------------------------
 
@@ -235,17 +244,21 @@ class _Parser:
         while self.peek().kind != "eof":
             k = self.peek().kind
             if k == "const":
-                self.const_decl(prog)
+                self.named_decl(prog.constants, "constant", self.signed_number)
             elif k == "role":
-                self.role_decl(prog)
+                self.next()
+                self.items(lambda: self.role_spec(prog), ",")
+                self.expect(";")
             elif k == "var":
                 self.var_decl(prog)
             elif k == "def":
-                self.def_decl(prog)
+                self.named_decl(prog.defs, "definition", self.term)
             elif k == "main":
-                self.next()
-                prog.main = self.expect("name").value
+                t = self.next()
+                name = self.expect("name").value
                 self.expect(";")
+                self.declared(t, "main", prog.main)
+                prog.main = name
             else:
                 self.fail("a declaration (const/role/var/def/main)")
         # a constant may be declared after the family whose owner it indexes
@@ -258,16 +271,15 @@ class _Parser:
             raise ParseError("missing 'main' declaration", t.line, t.col)
         return prog
 
-    def const_decl(self, prog: SurfaceProgram):
-        self.expect("const")
+    def named_decl(self, table: dict, what: str, read):
+        """``keyword NAME "=" read ";"``, stored in ``table`` under NAME."""
+        self.next()
         t = self.expect("name")
-        name = t.value
         self.expect("=")
-        v = self.signed_number()
+        value = read()
         self.expect(";")
-        if name in prog.constants:
-            raise ParseError(f"constant {name} declared twice", t.line, t.col)
-        prog.constants[name] = v
+        self.declared(t, f"{what} {t.value}", t.value in table)
+        table[t.value] = value
 
     def signed_number(self):
         neg = self.accept("-") is not None
@@ -301,17 +313,12 @@ class _Parser:
         self.expect("]")
         return lo, hi
 
-    def role_decl(self, prog: SurfaceProgram):
-        self.expect("role")
-        while True:
-            name = self.expect("name").value
-            if self.peek().kind == "[":
-                prog.role_families.append(RoleFamily(name, *self.range(prog.constants)))
-            else:
-                prog.roles.append(name)
-            if not self.accept(","):
-                break
-        self.expect(";")
+    def role_spec(self, prog: SurfaceProgram):
+        name = self.expect("name").value
+        if self.peek().kind == "[":
+            prog.role_families.append(RoleFamily(name, *self.range(prog.constants)))
+        else:
+            prog.roles.append(name)
 
     def var_decl(self, prog: SurfaceProgram):
         self.expect("var")
@@ -327,11 +334,8 @@ class _Parser:
             vlo, vhi = self.range(prog.constants)
             is_bool = False
         self.expect("init")
-        if self.accept("true"):
-            init = True
-        elif self.accept("false"):
-            init = False
-        else:
+        init = self.bool_literal()
+        if init is None:
             init = self.bound(prog.constants, "initial value", "initial value")
         self.expect(";")
         if is_bool and not isinstance(init, bool):
@@ -347,17 +351,6 @@ class _Parser:
         else:
             ref = owner if owner_idx is None else f"{owner}[{owner_idx}]"
             prog.var_decls.append(VarDecl(name, ref, init, vlo, vhi, is_bool))
-
-    def def_decl(self, prog: SurfaceProgram):
-        self.expect("def")
-        t = self.expect("name")
-        name = t.value
-        self.expect("=")
-        body = self.term()
-        self.expect(";")
-        if name in prog.defs:
-            raise ParseError(f"definition {name} declared twice", t.line, t.col)
-        prog.defs[name] = body
 
     # ---- names and indices --------------------------------------------------
 
@@ -406,19 +399,15 @@ class _Parser:
 
     def interaction(self, initiator: str) -> Interaction:
         self.expect("->")
-        receivers = [self.ref()]
-        while self.accept(","):
-            receivers.append(self.ref())
+        receivers = self.items(self.ref, ",")
         self.expect(":")
         annotation = self.label()
         self.expect("{")
-        branches = [self.branch()]
-        while self.accept("|"):
-            branches.append(self.branch())
+        branches = self.items(self.branch, "|")
         self.expect("}")
-        if receivers == [initiator]:
-            receivers = []  # degenerate self-step, e.g. client[i] -> client[i]
-        return Interaction(initiator, tuple(receivers), tuple(branches), annotation)
+        if receivers == (initiator,):
+            receivers = ()  # degenerate self-step, e.g. client[i] -> client[i]
+        return Interaction(initiator, receivers, branches, annotation)
 
     def label(self) -> str | None:
         """An optional ``"[" NAME "]"``: an annotation or a branch label."""
@@ -440,35 +429,26 @@ class _Parser:
 
     def update(self) -> tuple:
         self.expect("{")
-        items: list = []
-        if self.peek().kind != "}":
-            items.append(self.update_item())
-            while self.accept(","):
-                items.append(self.update_item())
+        items = self.items(self.update_item, ",") if self.peek().kind != "}" else ()
         self.expect("}")
-        return tuple(items)
+        return items
 
     def update_item(self):
+        header = None
         if self.accept("foreach"):
             self.expect("(")
             binder = self.expect("name").value
             if PREC.get(self.peek().kind) != PREC["="]:
                 self.fail("a comparison operator")
             op = self.next().kind
-            if self.peek().kind == "number":
-                bound = self.expect("number").value
-            else:
-                bound = self.expect("name").value
+            bound = self.expect("number" if self.peek().kind == "number" else "name").value
             self.expect(")")
-            var = self.ref()
-            self.expect("'")
-            self.expect("=")
-            e = self.expr()
-            return ForeachAssign(binder, op, bound, var, e)
+            header = binder, op, bound
         var = self.ref()
         self.expect("'")
         self.expect("=")
-        return Assign(var, self.expr())
+        e = self.expr()
+        return Assign(var, e) if header is None else ForeachAssign(*header, var, e)
 
     def conditional(self) -> Conditional:
         self.expect("if")
@@ -488,13 +468,10 @@ class _Parser:
     def allsynch(self) -> AllSynch:
         self.expect("allsynch")
         self.expect("{")
-        entries = [self.allsynch_entry()]
-        while self.accept("|"):
-            entries.append(self.allsynch_entry())
+        entries = self.items(self.allsynch_entry, "|")
         self.expect("}")
         self.expect(";")
-        cont = self.term()
-        return AllSynch(tuple(entries), cont)
+        return AllSynch(entries, self.term())
 
     def allsynch_entry(self) -> AllSynchEntry:
         role = self.ref()
@@ -505,11 +482,10 @@ class _Parser:
         weight = self.expr()
         self.expect(":")
         update = self.update()
-        for item in update:
-            if isinstance(item, ForeachAssign):
-                t = self.peek()
-                raise ParseError("foreach is not allowed inside allsynch", t.line, t.col)
-        return AllSynchEntry(role, guard, weight, tuple(update))
+        if any(isinstance(item, ForeachAssign) for item in update):
+            t = self.peek()
+            raise ParseError("foreach is not allowed inside allsynch", t.line, t.col)
+        return AllSynchEntry(role, guard, weight, update)
 
     # ---- expressions ----------------------------------------------------------
 
@@ -540,12 +516,6 @@ class _Parser:
         if t.kind == "number":
             self.next()
             return Lit(t.value)
-        if t.kind == "true":
-            self.next()
-            return Lit(True)
-        if t.kind == "false":
-            self.next()
-            return Lit(False)
         if t.kind == "(":
             self.next()
             e = self.expr()
@@ -561,7 +531,18 @@ class _Parser:
                 self.expect(")")
                 return Binary(t.value, left, right)
             return Var(self.ref())
-        self.fail("an expression")
+        value = self.bool_literal()
+        if value is None:
+            self.fail("an expression")
+        return Lit(value)
+
+    def bool_literal(self) -> bool | None:
+        """``true`` or ``false`` read as a bool; None, reading nothing, else."""
+        kind = self.peek().kind
+        if kind not in ("true", "false"):
+            return None
+        self.pos += 1
+        return kind == "true"
 
 
 def parse(text: str) -> SurfaceProgram:

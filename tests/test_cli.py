@@ -260,6 +260,10 @@ def test_chain_init_override_rejects_garbage(capsys, data_path):
     assert code == 2
     assert err == "error: --init expects comma-separated name=value pairs\n"
 
+    # a repeated name is refused, not read as its last value
+    code, out, err = run(capsys, "chain", data_path("example2.chor"), "--init", "x=1,x=0")
+    assert (code, out, err) == (2, "", "error: --init names x twice\n")
+
 
 def test_chain_init_override_of_a_bool_takes_true_or_false(capsys, tmp_path):
     path = tmp_path / "flag.chor"
@@ -278,17 +282,14 @@ def test_chain_init_override_of_a_bool_takes_true_or_false(capsys, tmp_path):
     [("verify",), ("chain",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
     ids=["verify", "chain", "chain-chor", "chain-prism"],
 )
-def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, argv):
-    code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", "nope=1")
+@pytest.mark.parametrize("name", ["nope", PC, "p_STATE"], ids=["unknown", "pc", "counter"])
+def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, argv, name):
+    # the source chain's program counter and a role's counter in the network
+    # are hidden: no side may start from another value of either
+    code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", f"{name}=1")
     assert code == 1
     assert out == ""
-    assert err == "error: no variable named nope\n"
-    if "prism" not in argv:
-        # the source chain's hidden program counter is not a variable either
-        code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", f"{PC}=1")
-        assert code == 1
-        assert out == ""
-        assert err == f"error: no variable named {PC}\n"
+    assert err == f"error: no variable named {name}\n"
 
 
 READ_AFTER_WRITE = """ctmc;
@@ -619,3 +620,4 @@ def test_readme_verify_transcript_is_the_cli_output(capsys, monkeypatch):
     assert argv[:2] == ["$", "chorprism"]
     monkeypatch.chdir(ROOT)
     assert run(capsys, *argv[2:]) == (0, shown, "")
+

@@ -205,9 +205,12 @@ def test_parse_errors_carry_positions(src):
         ("ctmc;\nrole c[1..2];\n var v[1..2] @ c[N] : [0..1] init 0;\nconst N = 2;\n"
          "def M = end;\nmain M;",
          "3:6: variable family v needs an owner indexed by an index variable, not c[N]"),
+        # a second main is refused as a second const or def is, not run instead
+        ("ctmc;\nrole p;\ndef M = end;\ndef N = end;\nmain M;\n main N;",
+         "6:2: main declared twice"),
     ],
     ids=["const", "def", "bool", "family", "family-owner-literal", "family-owner-offset",
-         "family-owner-constant", "family-owner-constant-later"],
+         "family-owner-constant", "family-owner-constant-later", "main"],
 )
 def test_declaration_errors_point_at_the_declared_name(src, message):
     with pytest.raises(ParseError) as exc:
@@ -241,9 +244,29 @@ def test_declaration_errors_point_at_the_declared_name(src, message):
          "def M = allsynch { p : x=0 -> rate 1 : {foreach (j = 1) x'=1} | q : true -> rate 1 : {} };"
          " end;\nmain M;",
          "4:63: foreach is not allowed inside allsynch"),
+        # a separator must be followed by another item, in every list
+        ("ctmc;\nrole p,;\ndef M = end;\nmain M;", "2:8: expected 'name', found ';'"),
+        ("ctmc;\nrole p, q;\ndef M = p -> q, : { rate 1 : {}; end };\nmain M;",
+         "3:17: expected 'name', found ':'"),
+        ("ctmc;\nrole p, q;\ndef M = p -> q : { rate 1 : {}; end | };\nmain M;",
+         "3:39: expected 'rate', found '}'"),
+        ("ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\n"
+         "def M = p -> q : { rate 1 : {x'=1,}; end };\nmain M;",
+         "4:35: expected 'name', found '}'"),
+        ("ctmc;\nrole p, q;\ndef M = allsynch { p : true -> rate 1 : {} | }; end;\nmain M;",
+         "3:46: expected 'name', found '}'"),
+        # a foreach bound is a number or a name; an assignment is primed
+        ("ctmc;\nrole p, q;\nvar f[1..2] @ q[i] : [0..1] init 0;\n"
+         "def M = p -> q : { rate 1 : {foreach (j < +) f[j]'=0}; end };\nmain M;",
+         "4:43: expected 'name', found '+'"),
+        ("ctmc;\nrole p, q;\nvar x @ p : [0..1] init 0;\n"
+         "def M = p -> q : { rate 1 : {x=1}; end };\nmain M;",
+         "4:31: expected \"'\", found '='"),
     ],
     ids=["kind", "declaration", "main", "range-constant", "range-integer", "init-constant",
-         "init-integer", "indexed-call", "term", "foreach-comparison", "foreach-in-allsynch"],
+         "init-integer", "indexed-call", "term", "foreach-comparison", "foreach-in-allsynch",
+         "role-list", "receivers", "branches", "update-items", "allsynch-entries",
+         "foreach-bound", "unprimed-assignment"],
 )
 def test_structure_errors_point_at_the_offending_token(src, message):
     with pytest.raises(ParseError) as exc:
