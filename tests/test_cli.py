@@ -282,14 +282,12 @@ def test_chain_init_override_of_a_bool_takes_true_or_false(capsys, tmp_path):
     [("verify",), ("chain",), ("chain", "--side", "chor"), ("chain", "--side", "prism")],
     ids=["verify", "chain", "chain-chor", "chain-prism"],
 )
-@pytest.mark.parametrize("name", ["nope", PC, "p_STATE"], ids=["unknown", "pc", "counter"])
-def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, argv, name):
+def test_init_override_of_unknown_variable_is_one_error_line(capsys, data_path, argv):
     # the source chain's program counter and a role's counter in the network
     # are hidden: no side may start from another value of either
-    code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", f"{name}=1")
-    assert code == 1
-    assert out == ""
-    assert err == f"error: no variable named {name}\n"
+    for name in ("nope", PC, "p_STATE"):
+        code, out, err = run(capsys, *argv, data_path("example2.chor"), "--init", f"{name}=1")
+        assert (code, out, err) == (1, "", f"error: no variable named {name}\n")
 
 
 READ_AFTER_WRITE = """ctmc;
@@ -620,4 +618,3 @@ def test_readme_verify_transcript_is_the_cli_output(capsys, monkeypatch):
     assert argv[:2] == ["$", "chorprism"]
     monkeypatch.chdir(ROOT)
     assert run(capsys, *argv[2:]) == (0, shown, "")
-
