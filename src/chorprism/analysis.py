@@ -28,6 +28,7 @@ from .syntax import (
     Var,
     acting,
     continuations,
+    gc_paused,
     subterms,
     unfold,
 )
@@ -37,6 +38,7 @@ from .syntax import (
 # strong connectedness
 # ---------------------------------------------------------------------------
 
+@gc_paused
 def s_conn(program: ChorProgram) -> bool:
     """Strong connectedness: at every choice, an interaction's branches or
     a conditional's arms, each continuation's first action (if any) shares
@@ -71,15 +73,15 @@ def s_conn(program: ChorProgram) -> bool:
 def sites(program: ChorProgram) -> Iterator[tuple[ChorTerm, str]]:
     """Yield (statement, location) over all definitions, preorder: each
     statement before its continuations, located as ``name/branchJ/then``."""
-
-    def walk(term: ChorTerm, where: str):
-        yield term, where
-        for j, cont in enumerate(continuations(term), 1):
-            tag = ("then", "else")[j - 1] if isinstance(term, Conditional) else f"branch{j}"
-            yield from walk(cont, f"{where}/{tag}")
-
     for name, body in program.defs.items():
-        yield from walk(body, name)
+        yield from _located(body, name)
+
+
+def _located(term: ChorTerm, where: str) -> Iterator[tuple[ChorTerm, str]]:
+    yield term, where
+    for j, cont in enumerate(continuations(term), 1):
+        tag = ("then", "else")[j - 1] if isinstance(term, Conditional) else f"branch{j}"
+        yield from _located(cont, f"{where}/{tag}")
 
 
 def branch_label(inter: Interaction, j: int) -> str:
@@ -99,6 +101,7 @@ def wire_label(inter: Interaction, j: int) -> str | None:
     return branch_label(inter, j) if inter.receivers else None
 
 
+@gc_paused
 def check_annotations(program: ChorProgram) -> list[str]:
     """Return findings: unannotated interactions, duplicated annotations and
     wire labels (:func:`wire_label`) used twice; the labels a duplicated
@@ -188,6 +191,7 @@ def type_of(e: Expr, var_types: dict[str, str]) -> str:
     return "real" if "real" in (lt, rt) else "int"
 
 
+@gc_paused
 def check_well_formed(program: ChorProgram) -> list[str]:
     """Collect static findings; an empty list means the program is usable."""
     findings: list[str] = []

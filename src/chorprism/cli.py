@@ -204,8 +204,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: argparse's help formatters leave reference cycles behind on
+# every add_argument, and main leaves none of its own
+_ARG_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
+    ap = _ARG_PARSER
     args, extra = ap.parse_known_args(argv)
     if extra:
         # an unknown option takes no value: one before the file has its value read as the file

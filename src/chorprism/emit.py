@@ -17,7 +17,17 @@ PRISM's ``/`` is real division, whereas weight expressions keep ``/``
 from __future__ import annotations
 
 from .prism import Network, PrismCommand
-from .syntax import FUNCTIONS, PREC, Assign, ChorProgram, Expr, VarDecl, render, render_value
+from .syntax import (
+    FUNCTIONS,
+    PREC,
+    Assign,
+    ChorProgram,
+    Expr,
+    VarDecl,
+    gc_paused,
+    render,
+    render_value,
+)
 
 
 #: PRISM's spelling of each operator in a weight; PRISM binds its operators
@@ -53,6 +63,7 @@ def _render_decl(d: VarDecl) -> str:
     return f"{d.name} : {ty} init {render_value(d.init)};"
 
 
+@gc_paused
 def emit(net: Network, prog: ChorProgram) -> str:
     """Render the network as a complete PRISM model, deterministically."""
     lines = [prog.kind]

@@ -37,7 +37,7 @@ from .prism import build_network_chain
 from .projection import project
 from .semantics import DEFAULT_MAX_STATES, TOL, build_chain
 from .sugar import auto_annotate
-from .syntax import ChorProgram
+from .syntax import ChorProgram, gc_paused
 
 # Most entries a stutter cycle's elimination may add (fill-in), which can
 # make rows dense, and most multiply-adds its solve may take, which also
@@ -478,6 +478,7 @@ def explain_difference(
 # top level
 # ---------------------------------------------------------------------------
 
+@gc_paused
 def verify_projection(
     prog: ChorProgram,
     *,

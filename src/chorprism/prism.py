@@ -62,7 +62,7 @@ from .semantics import (
     eval_weight,
     override_initial,
 )
-from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, times
+from .syntax import Assign, Binary, Expr, Lit, Unary, Var, VarDecl, gc_paused, times
 
 #: one probabilistic alternative of a command: (weight, assignments)
 Alt = tuple[Expr, tuple[Assign, ...]]
@@ -405,6 +405,7 @@ def explore_module(
         raise
 
 
+@gc_paused
 def build_network_chain(
     net: Network,
     kind: str,
@@ -420,6 +421,12 @@ def build_network_chain(
     each. In discrete mode, command races can push the outgoing mass of a
     state past 1; the distribution is renormalized and the first occurrence
     is reported in the chain's findings.
+
+    ``init_overrides`` name network variables, a role's counter
+    (``p_STATE``) included. Callers that start from a program check the
+    names against the program's variables first: ``cli.cmd_chain`` itself,
+    :func:`~chorprism.equivalence.verify_projection` through
+    :func:`~chorprism.semantics.build_chain`.
     """
     decls = network_var_decls(net)
     init = override_initial(decls, init_overrides)

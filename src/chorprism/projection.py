@@ -49,6 +49,7 @@ from .syntax import (
     VarDecl,
     acting,
     continuations,
+    gc_paused,
     subterms,
 )
 
@@ -204,6 +205,7 @@ def _live_defs(prog: ChorProgram) -> dict[str, set[str]]:
     return live
 
 
+@gc_paused
 def project(
     prog: ChorProgram, *, require_sconn: bool = True
 ) -> tuple[Network, ProjectionContext]:
@@ -298,6 +300,7 @@ def _fuse_module(m: PrismModule) -> PrismModule:
     return PrismModule(m.name, decls + m.var_decls[1:], tuple(remap_cmd(*k) for k in kept))
 
 
+@gc_paused
 def fuse_resets(net: Network) -> Network:
     """Inline weight-1 counter resets that are a slot's only exit.
 

@@ -38,6 +38,7 @@ from .syntax import (
     Unary,
     Var,
     VarDecl,
+    gc_paused,
     unfold,
 )
 
@@ -220,6 +221,7 @@ def decided(term: ChorTerm, defs: dict[str, ChorTerm], guard: Expr,
     yield from decided(term.else_term, defs, Binary("and", guard, Unary("not", term.guard)), path)
 
 
+@gc_paused
 def build_chain(
     program: ChorProgram,
     *,

@@ -48,6 +48,7 @@ from .syntax import (
     Var,
     VarDecl,
     continuations,
+    gc_paused,
     subterms,
     times,
 )
@@ -115,7 +116,7 @@ class _Expander:
         self.constants = prog.constants
         self.families = {f.base: (f.lo, f.hi) for f in [*prog.role_families, *prog.var_families]}
         self.check = check  # off for the scan of term_binders
-        self.scanner = _Expander(prog, False) if check else self
+        self.scanner = _Expander(prog, False) if check else None  # a scan needs none
 
     # -- reference resolution ------------------------------------------------
 
@@ -321,30 +322,34 @@ def _lower_allsynch(node: AllSynch) -> ChorTerm:
     groups: dict[str, list[AllSynchEntry]] = {}
     for e in node.entries:
         groups.setdefault(e.role, []).append(e)
-    order = list(groups)
+    return _ladder(list(groups.values()), node.cont, [])
 
-    def build(i: int, chosen: list[AllSynchEntry]) -> ChorTerm:
-        if i == len(order):
-            weight = chosen[0].weight
-            update: tuple[Assign, ...] = chosen[0].update
-            for e in chosen[1:]:
-                weight = times(weight, e.weight)
-                update = update + e.update
-            return Interaction(
-                order[0],
-                tuple(order[1:]),
-                (Branch(weight, update, node.cont),),
-            )
-        ladder: ChorTerm = Inact()
-        for e in reversed(groups[order[i]]):
-            taken = build(i + 1, chosen + [e])
-            if e.guard == Lit(True):
-                ladder = taken
-            else:
-                ladder = Conditional(e.guard, order[i], taken, ladder)
-        return ladder
 
-    return build(0, [])
+def _ladder(groups: list[list[AllSynchEntry]], cont: ChorTerm,
+            chosen: list[AllSynchEntry]) -> ChorTerm:
+    """The lowering of the roles of ``groups`` after those whose entries are
+    ``chosen``: a ladder over the next role's alternatives or, once every
+    role has chosen, the chosen entries' one interaction, continuing as
+    ``cont``."""
+    if len(chosen) == len(groups):
+        weight = chosen[0].weight
+        update: tuple[Assign, ...] = chosen[0].update
+        for e in chosen[1:]:
+            weight = times(weight, e.weight)
+            update = update + e.update
+        return Interaction(
+            chosen[0].role,
+            tuple(e.role for e in chosen[1:]),
+            (Branch(weight, update, cont),),
+        )
+    ladder: ChorTerm = Inact()
+    for e in reversed(groups[len(chosen)]):
+        taken = _ladder(groups, cont, chosen + [e])
+        if e.guard == Lit(True):
+            ladder = taken
+        else:
+            ladder = Conditional(e.guard, e.role, taken, ladder)
+    return ladder
 
 
 def expand_indices(prog: SurfaceProgram) -> ChorProgram:
@@ -402,6 +407,7 @@ def expand_indices(prog: SurfaceProgram) -> ChorProgram:
 # annotation
 # ---------------------------------------------------------------------------
 
+@gc_paused
 def auto_annotate(program: ChorProgram, seed: int | None = None) -> ChorProgram:
     """Give every unannotated interaction a fresh label.
 
@@ -434,18 +440,21 @@ def auto_annotate(program: ChorProgram, seed: int | None = None) -> ChorProgram:
                 used.update(taken)
                 return t
 
-    def walk(term: ChorTerm) -> ChorTerm:
-        if isinstance(term, Interaction) and not term.annotation:
-            term = annotated(term)
-        return _map_conts(term, walk)
-
-    defs = {name: walk(body) for name, body in program.defs.items()}
+    defs = {name: _annotate(body, annotated) for name, body in program.defs.items()}
     return dataclasses.replace(program, defs=defs)
+
+
+def _annotate(term: ChorTerm, annotated: Callable[[Interaction], Interaction]) -> ChorTerm:
+    """``term`` with ``annotated`` applied to every unannotated interaction."""
+    if isinstance(term, Interaction) and not term.annotation:
+        term = annotated(term)
+    return _map_conts(term, partial(_annotate, annotated=annotated))
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
+@gc_paused
 def load_program(text: str) -> ChorProgram:
     return expand_indices(parse(text))

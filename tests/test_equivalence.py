@@ -22,7 +22,12 @@ from chorprism.equivalence import (
     jump_chain,
     verify_projection,
 )
-from chorprism.errors import NotStronglyConnected, StateBudgetExceeded, StutterGroupTooLarge
+from chorprism.errors import (
+    EvalError,
+    NotStronglyConnected,
+    StateBudgetExceeded,
+    StutterGroupTooLarge,
+)
 from chorprism.prism import build_network_chain
 from chorprism.projection import project
 from chorprism.semantics import build_chain, eval_weight
@@ -765,6 +770,18 @@ def test_verify_init_overrides_apply_to_both_sides(data_text):
     )
     assert report["equivalent"] is True
     assert report["states"]["chor_raw"] == 3
+
+
+def test_only_the_network_chain_takes_a_roles_counter_as_an_initial_override(data_text):
+    # build_network_chain's overrides name network variables, counters
+    # included; verify checks them against the program's, through build_chain
+    prog = load_program(data_text("example2.chor"))
+    net, _ctx = project(auto_annotate(prog))
+    chain = build_network_chain(net, prog.kind, prog.constants, init_overrides={"p_STATE": 1})
+    assert chain.states[chain.init][chain.var_names.index("p_STATE")] == 1
+    for check in (build_chain, verify_projection):
+        with pytest.raises(EvalError, match="^no variable named p_STATE$"):
+            check(prog, init_overrides={"p_STATE": 1})
 
 
 # pair 65 (dtmc) of the benchmark corpus, seed 1: a discrete program whose
